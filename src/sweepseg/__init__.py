@@ -3,7 +3,7 @@
 Pure numpy implementation with hand-written backward passes, a reproducible
 xorshift64* RNG, bit-exact checkpoints, pixel metrics and a synthetic
 lesion generator. See the CLI (`sweepseg --help`) for the end-to-end
-workflows.
+workflows; the names exported here are the ones behind its five commands.
 """
 
 from .cli import load_config, run_cli
@@ -11,10 +11,8 @@ from .data import (
     ImageRecord,
     binarize_mask,
     generate_synthetic,
-    lesion_mask,
     load_dataset,
     read_pnm,
-    resize_nearest,
     save_dataset,
     write_pnm,
 )
@@ -33,27 +31,13 @@ from .model import (
     ModelParams,
     TrainTrace,
     build_model,
-    decode,
-    encode,
     forward,
     load_model,
-    loss_and_gradients,
     predict_mask,
     save_model,
-    sgd_update,
     train,
 )
-from .renet import (
-    PatchGrid,
-    RenetParams,
-    SweepParams,
-    couple_pair,
-    directional_sweep,
-    merge_patches,
-    renet_block,
-    split_patches,
-)
-from .tensor import Rng, glorot_init, load_checkpoint, rng_next, save_checkpoint, tensor_create
+from .tensor import Rng, load_checkpoint, save_checkpoint
 
 __all__ = [
     "CheckResult",
@@ -62,45 +46,28 @@ __all__ = [
     "MetricsReport",
     "ModelConfig",
     "ModelParams",
-    "PatchGrid",
-    "RenetParams",
     "Rng",
-    "SweepParams",
     "TrainTrace",
     "binarize_mask",
     "build_model",
     "confusion_counts",
-    "couple_pair",
-    "decode",
-    "directional_sweep",
-    "encode",
     "evaluate_dataset",
     "format_report",
     "format_report_kv",
     "forward",
     "generate_synthetic",
-    "glorot_init",
-    "lesion_mask",
     "load_checkpoint",
     "load_config",
     "load_dataset",
     "load_model",
-    "loss_and_gradients",
-    "merge_patches",
     "metrics_from_counts",
     "predict_mask",
     "read_pnm",
-    "renet_block",
-    "resize_nearest",
-    "rng_next",
     "run_cli",
     "run_suite",
     "save_checkpoint",
     "save_dataset",
     "save_model",
-    "sgd_update",
-    "split_patches",
-    "tensor_create",
     "train",
     "write_pnm",
 ]

@@ -13,7 +13,7 @@ those sums can cancel individual entries to near zero, where an
 element-wise quotient measures h^2 truncation noise rather than the
 correctness of the backward pass.
 
-Strictly linear maps (dense, conv, tconv, crop) must agree to 1e-6;
+Strictly linear maps (conv, tconv, crop) must agree to 1e-6;
 everything else to 1e-4.
 """
 
@@ -30,7 +30,6 @@ from .layers import (
     bce_loss,
     conv2d_forward,
     crop2d_forward,
-    dense_forward,
     finite_diff_check,
     maxpool2x2_forward,
     tconv_forward,
@@ -91,21 +90,6 @@ def _spread(rng: Rng, shape, gap: float = 0.1) -> np.ndarray:
     # distinct values separated by `gap`, so pool argmaxes survive +-h
     ranks = np.argsort(rng.fill(int(np.prod(shape))))
     return (ranks * gap).reshape(shape)
-
-
-def _check_dense(rng: Rng) -> float:
-    x = _draw(rng, (7,))
-    w = _draw(rng, (7, 4))
-    b = _draw(rng, (4,))
-    out, rec = dense_forward(x, w, b)
-    probe = _draw(rng, out.shape)
-
-    def f() -> float:
-        y, _ = dense_forward(x, w, b)
-        return float(np.sum(y * probe))
-
-    dx, gr = backward(rec, probe)
-    return finite_diff_check(f, [x, w, b], [dx, gr["weights"], gr["bias"]])
 
 
 def _check_conv(rng: Rng, stride: int) -> float:
@@ -209,11 +193,11 @@ def _check_sweep(rng: Rng, direction: str) -> float:
     x = _draw(rng, (3, 4, 5), lo=-0.5, hi=0.5)
     params = _sweep_params(rng, 5, 3)
     out, rec = directional_sweep(x, direction, params)
-    probe = _draw(rng, out.activations.shape)
+    probe = _draw(rng, out.shape)
 
     def f() -> float:
         y, _ = directional_sweep(x, direction, params)
-        return float(np.sum(y.activations * probe))
+        return float(np.sum(y * probe))
 
     dx, gr = backward(rec, probe)
     return _scaled_diff_check(
@@ -253,8 +237,11 @@ def _check_renet_block(rng: Rng) -> float:
 def run_suite(seed: int = 42) -> list[CheckResult]:
     """Run every layer check with inputs derived from one seed."""
     rng = Rng(seed)
+    # the first 43 draws stay unused: skipping them keeps every check's
+    # inputs, and so its printed error, the same per seed as in earlier
+    # versions of this suite, which also checked a dense layer
+    rng.fill(43)
     results = [
-        CheckResult("dense", _check_dense(rng), LINEAR_TOL),
         CheckResult("conv3x3", _check_conv(rng, stride=1), LINEAR_TOL),
         CheckResult("conv3x3_s2", _check_conv(rng, stride=2), LINEAR_TOL),
         CheckResult("tconv4x4_s2", _check_tconv(rng), LINEAR_TOL),

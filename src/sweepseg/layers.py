@@ -187,28 +187,6 @@ def _activation_backward(rec: OpRecord, up: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# dense (the recurrent-cell building block)
-# ---------------------------------------------------------------------------
-
-def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, OpRecord]:
-    """y = x @ weights + bias for a single vector x of length p."""
-    if x.ndim != 1 or weights.ndim != 2 or x.shape[0] != weights.shape[0]:
-        raise ShapeError(f"dense shapes incompatible: x {x.shape}, weights {weights.shape}")
-    if bias.shape != (weights.shape[1],):
-        raise ShapeError(f"dense bias shape {bias.shape} != ({weights.shape[1]},)")
-    out = x @ weights + bias
-    rec = _record("dense", out.shape, x=x, weights=weights)
-    return out, rec
-
-
-def _dense_backward(rec: OpRecord, up: np.ndarray):
-    x = rec.saved["x"]
-    weights = rec.saved["weights"]
-    dx = weights @ up
-    return dx, {"weights": np.outer(x, up), "bias": up.copy()}
-
-
-# ---------------------------------------------------------------------------
 # fractionally strided convolution as an explicit sparse matrix
 # ---------------------------------------------------------------------------
 
@@ -419,7 +397,6 @@ _BACKWARD: dict[str, Callable] = {
     "conv2d": _conv2d_backward,
     "maxpool2x2": _maxpool_backward,
     "activation": _activation_backward,
-    "dense": _dense_backward,
     "tconv": _tconv_backward,
     "crop2d": _crop2d_backward,
     "bce": _bce_backward,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import (
     ConvSpec,
     activation_forward,
@@ -32,7 +32,6 @@ from .layers import (
     tconv_forward,
     tconv_sparse_matrix,
 )
-from .errors import CheckpointError
 from .metrics import ConfusionCounts, confusion_counts, metrics_from_counts
 from .renet import RenetParams, SweepParams, renet_block
 from .tensor import Rng, glorot_init, load_checkpoint, save_checkpoint
@@ -74,20 +73,17 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Named parameter tensors plus same-shaped gradient and momentum buffers."""
+    """Named parameter tensors plus a same-shaped momentum buffer."""
 
     values: dict[str, np.ndarray]
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
     momentum: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.grads:
-            self.grads = {k: np.zeros_like(v) for k, v in self.values.items()}
         if not self.momentum:
             self.momentum = {k: np.zeros_like(v) for k, v in self.values.items()}
         for k, v in self.values.items():
-            if self.grads[k].shape != v.shape or self.momentum[k].shape != v.shape:
-                raise ShapeError(f"buffer shape mismatch for parameter {k!r}")
+            if self.momentum[k].shape != v.shape:
+                raise ShapeError(f"momentum shape mismatch for parameter {k!r}")
 
 
 @dataclass
@@ -123,40 +119,48 @@ def _tconv_glorot(shape, rng):
     return w
 
 
-def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
-    """Allocate and Glorot-initialize every parameter, in declaration order."""
-    config.validate()
-    values: dict[str, np.ndarray] = {}
-
+def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in declaration (and draw) order."""
+    shapes = []
     c_in = 3
     for i, c_out in enumerate(ENCODER_CHANNELS, start=1):
-        values[f"enc{i}.weights"] = _conv_glorot((3, 3, c_in, c_out), rng)
-        values[f"enc{i}.bias"] = np.zeros(c_out, dtype=np.float32)
+        shapes += [(f"enc{i}.weights", (3, 3, c_in, c_out)), (f"enc{i}.bias", (c_out,))]
         c_in = c_out
 
     u = config.rnn_units
     length = config.patch * config.patch * ENCODER_CHANNELS[-1]
-    for direction in ("down", "up"):
-        values[f"renet.{direction}.wx"] = glorot_init((length, u), length, u, rng)
-        values[f"renet.{direction}.wz"] = glorot_init((u, u), u, u, rng)
-        values[f"renet.{direction}.bias"] = np.zeros(u, dtype=np.float32)
-    for direction in ("right", "left"):
-        values[f"renet.{direction}.wx"] = glorot_init((2 * u, u), 2 * u, u, rng)
-        values[f"renet.{direction}.wz"] = glorot_init((u, u), u, u, rng)
-        values[f"renet.{direction}.bias"] = np.zeros(u, dtype=np.float32)
+    for direction, rows in (("down", length), ("up", length),
+                            ("right", 2 * u), ("left", 2 * u)):
+        shapes += [(f"renet.{direction}.wx", (rows, u)), (f"renet.{direction}.wz", (u, u)),
+                   (f"renet.{direction}.bias", (u,))]
 
     c_in = 2 * u
     for k, c_out in enumerate(DECODER_CHANNELS, start=1):
-        shape = (TCONV_KERNEL, TCONV_KERNEL, c_in, c_out)
-        values[f"dec{k}.weights"] = _tconv_glorot(shape, rng)
-        values[f"dec{k}.bias"] = np.zeros(c_out, dtype=np.float32)
+        shapes += [(f"dec{k}.weights", (TCONV_KERNEL, TCONV_KERNEL, c_in, c_out)),
+                   (f"dec{k}.bias", (c_out,))]
         c_in = c_out
-    # the logit head feeds a sigmoid, not a relu, so it keeps plain Glorot
-    values["out.weights"] = _conv_glorot(
-        (1, 1, DECODER_CHANNELS[-1], 1), rng, gain=np.float32(1.0)
-    )
-    values["out.bias"] = np.zeros(1, dtype=np.float32)
-    return ModelParams(values=values)
+    shapes += [("out.weights", (1, 1, DECODER_CHANNELS[-1], 1)), ("out.bias", (1,))]
+    return shapes
+
+
+def _init_param(name: str, shape: tuple[int, ...], rng: Rng) -> np.ndarray:
+    if name.endswith(".bias"):
+        return np.zeros(shape, dtype=np.float32)
+    if name.startswith("enc"):
+        return _conv_glorot(shape, rng)
+    if name.startswith("dec"):
+        return _tconv_glorot(shape, rng)
+    if name == "out.weights":
+        # the logit head feeds a sigmoid, not a relu, so it keeps plain Glorot
+        return _conv_glorot(shape, rng, gain=np.float32(1.0))
+    return glorot_init(shape, shape[0], shape[1], rng)  # recurrent wx and wz
+
+
+def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
+    """Allocate and Glorot-initialize every parameter, in declaration order."""
+    config.validate()
+    return ModelParams(values={name: _init_param(name, shape, rng)
+                               for name, shape in param_shapes(config)})
 
 
 def _infer_patch(params: ModelParams) -> int:
@@ -196,11 +200,6 @@ def _encode_tape(image: np.ndarray, params: ModelParams):
     return x, tape
 
 
-def encode(image: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Run the convolutional encoder; spatial dims shrink by 4."""
-    return _encode_tape(image, params)[0]
-
-
 def decoder_matrices(params: ModelParams, grid: int) -> list:
     """Sparse matrices of the three upsampling stages for a given grid size.
 
@@ -236,14 +235,6 @@ def _decode_tape(x: np.ndarray, params: ModelParams, matrices=None):
     return x, tape
 
 
-def decode(renet_out: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Upsample a (g, g, 2U) map to (8g, 8g, 1) probabilities in (0,1)."""
-    expect = params.values["dec1.weights"].shape[2]
-    if renet_out.ndim != 3 or renet_out.shape[2] != expect:
-        raise ShapeError(f"decoder expects {expect} channels, got {renet_out.shape}")
-    return _decode_tape(renet_out, params)[0]
-
-
 def _forward_tape(image: np.ndarray, params: ModelParams, matrices=None):
     x, tape = _encode_tape(image, params)
     patch = _infer_patch(params)
@@ -260,8 +251,14 @@ def forward(image: np.ndarray, params: ModelParams) -> np.ndarray:
     return _forward_tape(image, params)[0]
 
 
-def _batch_step(batch, params: ModelParams, matrices):
-    """Mean loss, mean gradients, and per-sample probabilities for one batch."""
+def _batch_step(batch, params: ModelParams):
+    """Mean loss, mean gradients, and per-sample probabilities for one batch.
+
+    The decoder matrices are built once here, from the weights as they
+    stand before this step's update, and shared by every sample.
+    """
+    grid = batch[0][0].shape[0] // 4 // _infer_patch(params)
+    matrices = decoder_matrices(params, grid)
     loss_total = 0.0
     grads = {k: np.zeros_like(v) for k, v in params.values.items()}
     probs = []
@@ -290,9 +287,7 @@ def loss_and_gradients(batch, params: ModelParams):
     for image, mask in batch:
         if image.shape[:2] != mask.shape[:2]:
             raise ShapeError(f"image {image.shape} and mask {mask.shape} disagree")
-    grid = batch[0][0].shape[0] // 4 // _infer_patch(params)
-    matrices = decoder_matrices(params, grid)
-    loss, grads, _ = _batch_step(batch, params, matrices)
+    loss, grads, _ = _batch_step(batch, params)
     return loss, grads
 
 
@@ -343,22 +338,19 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
         raise DataError("cannot train on an empty dataset")
 
     params = build_model(config, rng)
-    grid = config.image_size // 4 // config.patch
     trace = TrainTrace()
     for epoch in range(1, config.epochs + 1):
         order = _fisher_yates(len(pairs), rng)
-        matrices = decoder_matrices(params, grid)
         loss_sum = 0.0
         counts = ConfusionCounts(0, 0, 0, 0)
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
             batch = [pairs[i] for i in chunk]
-            loss, grads, probs = _batch_step(batch, params, matrices)
+            loss, grads, probs = _batch_step(batch, params)
             loss_sum += loss * len(batch)
             for prob, (_, mask) in zip(probs, batch):
                 counts = counts + confusion_counts(predict_mask(prob, config.threshold), mask)
             sgd_update(params, grads, config.lr, config.momentum)
-            matrices = decoder_matrices(params, grid)
         dice = metrics_from_counts(counts).di
         trace.entries.append((epoch, loss_sum / len(pairs), dice))
     return params, trace
@@ -398,8 +390,19 @@ def load_model(source) -> tuple[ModelParams, ModelConfig]:
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise CheckpointError(f"checkpoint lacks meta entries: {', '.join(missing)}")
-    if not values:
-        raise CheckpointError("checkpoint holds no parameter tensors")
-    config = ModelConfig(image_size=int(meta["image_size"]), patch=int(meta["patch"]),
-                         rnn_units=int(meta["rnn_units"]), threshold=meta["threshold"])
+    try:
+        config = ModelConfig(image_size=int(meta["image_size"]), patch=int(meta["patch"]),
+                             rnn_units=int(meta["rnn_units"]), threshold=meta["threshold"])
+    except (ValueError, OverflowError):  # int() of a NaN or infinite entry
+        raise CheckpointError("checkpoint meta entries must be finite numbers") from None
+    expected = dict(param_shapes(config))
+    for name, shape in expected.items():
+        if name not in values:
+            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+        if values[name].shape != shape:
+            raise CheckpointError(f"parameter {name!r} has shape {values[name].shape}, "
+                                  f"the meta entries imply {shape}")
+    unknown = [k for k in values if k not in expected]
+    if unknown:
+        raise CheckpointError(f"checkpoint holds unknown tensors: {', '.join(unknown)}")
     return ModelParams(values=values), config

@@ -23,33 +23,13 @@ _AXIS = {"down": 0, "up": 0, "right": 1, "left": 1}
 _REVERSED = frozenset(("up", "left"))
 
 
-@dataclass
-class PatchGrid:
-    """An n x m grid of flattened patches, each of length h_p*w_p*c.
+def split_patches(feature: np.ndarray, w_p: int, h_p: int) -> np.ndarray:
+    """Cut an (h, w, c) map into an (n, m, h_p*w_p*c) grid of flattened patches.
 
     Patch (i, j) holds input rows [i*h_p, (i+1)*h_p) x cols [j*w_p, (j+1)*w_p),
     flattened row-major over space with channels innermost. The flattening
     order is load-bearing: checkpoints assume it.
     """
-
-    n: int
-    m: int
-    h_p: int
-    w_p: int
-    c: int
-    patches: np.ndarray
-
-    def __post_init__(self):
-        expect = (self.n, self.m, self.h_p * self.w_p * self.c)
-        if self.patches.shape != expect:
-            raise ShapeError(f"patch array shape {self.patches.shape} != {expect}")
-
-    @property
-    def length(self) -> int:
-        return self.h_p * self.w_p * self.c
-
-
-def split_patches(feature: np.ndarray, w_p: int, h_p: int) -> PatchGrid:
     if feature.ndim != 3:
         raise ShapeError(f"expected (h,w,c) feature map, got {feature.shape}")
     h, w, c = feature.shape
@@ -57,14 +37,17 @@ def split_patches(feature: np.ndarray, w_p: int, h_p: int) -> PatchGrid:
         raise ShapeError(f"feature {h}x{w} not divisible into {h_p}x{w_p} patches")
     n, m = h // h_p, w // w_p
     patches = feature.reshape(n, h_p, m, w_p, c).transpose(0, 2, 1, 3, 4)
-    patches = np.ascontiguousarray(patches).reshape(n, m, h_p * w_p * c)
-    return PatchGrid(n=n, m=m, h_p=h_p, w_p=w_p, c=c, patches=patches)
+    return np.ascontiguousarray(patches).reshape(n, m, h_p * w_p * c)
 
 
-def merge_patches(grid: PatchGrid) -> np.ndarray:
-    x = grid.patches.reshape(grid.n, grid.m, grid.h_p, grid.w_p, grid.c)
-    x = x.transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(x).reshape(grid.n * grid.h_p, grid.m * grid.w_p, grid.c)
+def merge_patches(patches: np.ndarray, w_p: int, h_p: int) -> np.ndarray:
+    """Inverse of split_patches: (n, m, h_p*w_p*c) back to (n*h_p, m*w_p, c)."""
+    if patches.ndim != 3 or patches.shape[2] % (h_p * w_p):
+        raise ShapeError(f"patch array {patches.shape} is not a grid of {h_p}x{w_p} patches")
+    n, m, length = patches.shape
+    c = length // (h_p * w_p)
+    x = patches.reshape(n, m, h_p, w_p, c).transpose(0, 2, 1, 3, 4)
+    return np.ascontiguousarray(x).reshape(n * h_p, m * w_p, c)
 
 
 @dataclass
@@ -88,25 +71,16 @@ class SweepParams:
         return self.wz.shape[0]
 
 
-@dataclass
-class SweepOutput:
-    activations: np.ndarray  # (n, m, U)
-    direction: str
+def directional_sweep(x: np.ndarray, direction: str,
+                      params: SweepParams) -> tuple[np.ndarray, OpRecord]:
+    """Run one direction's recurrence over an (n, m, len) map: (n, m, U) out.
 
-
-def _as_map(grid) -> np.ndarray:
-    x = grid.patches if isinstance(grid, PatchGrid) else np.asarray(grid)
-    if x.ndim != 3:
-        raise ShapeError(f"sweep input must be (n,m,len), got {x.shape}")
-    return x
-
-
-def directional_sweep(grid, direction: str,
-                      params: SweepParams) -> tuple[SweepOutput, OpRecord]:
-    """Run one direction's recurrence; every column (or row) is one sequence."""
+    Every column (down, up) or row (right, left) is one sequence.
+    """
     if direction not in DIRECTIONS:
         raise ShapeError(f"unknown direction {direction!r}")
-    x = _as_map(grid)
+    if x.ndim != 3:
+        raise ShapeError(f"sweep input must be (n,m,len), got {x.shape}")
     n, m, length = x.shape
     if params.wx.shape[0] != length:
         raise ShapeError(f"patch length {length} != input-weight rows {params.wx.shape[0]}")
@@ -127,7 +101,7 @@ def directional_sweep(grid, direction: str,
         else:
             out[:, idx] = z
     rec = _record("sweep", out.shape, x=x, out=out, direction=direction, params=params)
-    return SweepOutput(activations=out, direction=direction), rec
+    return out, rec
 
 
 def _sweep_backward(rec: OpRecord, up: np.ndarray):
@@ -165,20 +139,6 @@ def _sweep_backward(rec: OpRecord, up: np.ndarray):
     return dx, {"wx": d_wx, "wz": d_wz, "bias": d_bias}
 
 
-_OPPOSITE = {"down": "up", "up": "down", "right": "left", "left": "right"}
-
-
-def couple_pair(a: SweepOutput, b: SweepOutput) -> np.ndarray:
-    """Channel-concatenate two opposite sweeps of the same axis: (n,m,2U)."""
-    if _OPPOSITE[a.direction] != b.direction:
-        raise ShapeError(f"cannot couple {a.direction} with {b.direction}: "
-                         "pair must be opposite directions of one axis")
-    if a.activations.shape != b.activations.shape:
-        raise ShapeError(f"coupled sweeps disagree on shape: "
-                         f"{a.activations.shape} vs {b.activations.shape}")
-    return np.concatenate([a.activations, b.activations], axis=2)
-
-
 @dataclass
 class RenetParams:
     down: SweepParams
@@ -197,11 +157,11 @@ def renet_block(feature: np.ndarray, params: RenetParams, w_p: int,
     grid = split_patches(feature, w_p, h_p)
     down, rec_down = directional_sweep(grid, "down", params.down)
     upo, rec_up = directional_sweep(grid, "up", params.up)
-    vertical = couple_pair(down, upo)
+    vertical = np.concatenate([down, upo], axis=2)
     right, rec_right = directional_sweep(vertical, "right", params.right)
     left, rec_left = directional_sweep(vertical, "left", params.left)
-    out = couple_pair(right, left)
-    rec = _record("renet_block", out.shape, grid=grid, units=params.down.units,
+    out = np.concatenate([right, left], axis=2)
+    rec = _record("renet_block", out.shape, w_p=w_p, h_p=h_p, units=params.down.units,
                   rec_down=rec_down, rec_up=rec_up, rec_right=rec_right,
                   rec_left=rec_left)
     return out, rec
@@ -209,15 +169,12 @@ def renet_block(feature: np.ndarray, params: RenetParams, w_p: int,
 
 def _block_backward(rec: OpRecord, up: np.ndarray):
     u = rec.saved["units"]
-    grid: PatchGrid = rec.saved["grid"]
     d_vert_r, g_right = op_backward(rec.saved["rec_right"], up[:, :, :u])
     d_vert_l, g_left = op_backward(rec.saved["rec_left"], up[:, :, u:])
     d_vertical = d_vert_r + d_vert_l
     d_grid_d, g_down = op_backward(rec.saved["rec_down"], d_vertical[:, :, :u])
     d_grid_u, g_up = op_backward(rec.saved["rec_up"], d_vertical[:, :, u:])
-    d_patches = d_grid_d + d_grid_u
-    d_feature = merge_patches(PatchGrid(n=grid.n, m=grid.m, h_p=grid.h_p,
-                                        w_p=grid.w_p, c=grid.c, patches=d_patches))
+    d_feature = merge_patches(d_grid_d + d_grid_u, rec.saved["w_p"], rec.saved["h_p"])
     grads = {}
     for name, sub in [("down", g_down), ("up", g_up), ("right", g_right), ("left", g_left)]:
         for key, val in sub.items():

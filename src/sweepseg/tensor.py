@@ -30,35 +30,14 @@ _INV_2_53 = 2.0 ** -53
 
 CHECKPOINT_MAGIC = b"RSEG"
 CHECKPOINT_VERSION = 1
-
-
-def tensor_create(shape: Iterable[int], fill: float) -> np.ndarray:
-    """Return a float32 tensor of `shape` with every element set to `fill`."""
-    dims = list(shape)
-    if not dims or any(int(d) < 1 or int(d) != d for d in dims):
-        raise ShapeError(f"invalid shape {dims}: dimensions must be positive integers")
-    return np.full(dims, fill, dtype=np.float32)
-
-
-def rng_next(state: int) -> tuple[float, int]:
-    """One xorshift64* step: returns (uniform value in [0,1), new state).
-
-    Update: x ^= x>>12; x ^= x<<25; x ^= x>>27; output = x * 2685821657736338717
-    (all mod 2^64). The value is the top 53 bits of the output scaled to [0,1).
-    """
-    if state == 0:
-        raise InvalidSeedError("rng state must be nonzero")
-    x = state & _MASK64
-    x ^= x >> 12
-    x = (x ^ (x << 25)) & _MASK64
-    x ^= x >> 27
-    out = (x * _MULTIPLIER) & _MASK64
-    return (out >> 11) * _INV_2_53, x
+_READ_CHUNK = 1 << 20  # largest single read, whatever size a header declares
 
 
 class Rng:
-    """Mutable wrapper around the xorshift64* state.
+    """Mutable xorshift64* state.
 
+    Update: x ^= x>>12; x ^= x<<25; x ^= x>>27; output = x * 2685821657736338717
+    (all mod 2^64). A draw is the top 53 bits of the output scaled to [0,1).
     `next()` advances the stream by one draw; `fill(n)` advances it by n
     draws. Consumption order is what makes every downstream artifact
     reproducible, so callers must draw in a fixed, documented order.
@@ -72,8 +51,12 @@ class Rng:
             raise InvalidSeedError("rng seed must be nonzero modulo 2^64")
 
     def next(self) -> float:
-        value, self.state = rng_next(self.state)
-        return value
+        x = self.state
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _MASK64
+        x ^= x >> 27
+        self.state = x
+        return (((x * _MULTIPLIER) & _MASK64) >> 11) * _INV_2_53
 
     def fill(self, count: int) -> np.ndarray:
         """Draw `count` uniforms into a float64 array (row-major order)."""
@@ -149,10 +132,16 @@ def load_checkpoint(source: BinaryIO) -> dict[str, np.ndarray]:
     """Read a checkpoint stream back into an ordered name->tensor mapping."""
 
     def take(n: int, what: str) -> bytes:
-        data = source.read(n)
-        if len(data) != n:
-            raise TruncatedStreamError(f"checkpoint stream truncated while reading {what}")
-        return data
+        # bounded reads: a declared size larger than the stream ends in
+        # TruncatedStreamError rather than in one allocation of that size
+        parts = []
+        while n:
+            part = source.read(min(n, _READ_CHUNK))
+            if not part:
+                raise TruncatedStreamError(f"checkpoint stream truncated while reading {what}")
+            parts.append(part)
+            n -= len(part)
+        return b"".join(parts)
 
     magic = take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
@@ -172,7 +161,7 @@ def load_checkpoint(source: BinaryIO) -> dict[str, np.ndarray]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         if not dims or any(d < 1 for d in dims):
             raise CheckpointError(f"invalid shape {dims} for entry {name!r}")
-        n_elem = int(np.prod(dims))
+        n_elem = math.prod(dims)
         raw = take(4 * n_elem, f"data of {name!r}")
         entries[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(dims)
     return entries

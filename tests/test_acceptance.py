@@ -29,17 +29,10 @@ from sweepseg.model import (
     predict_mask,
     train,
 )
-from sweepseg.renet import (
-    RenetParams,
-    SweepParams,
-    couple_pair,
-    directional_sweep,
-    merge_patches,
-    split_patches,
-)
+from sweepseg.renet import SweepParams, directional_sweep, merge_patches, split_patches
 from sweepseg.tensor import Rng
 
-LINEAR_CHECKS = {"dense", "conv3x3", "conv3x3_s2", "tconv4x4_s2", "crop"}
+LINEAR_CHECKS = {"conv3x3", "conv3x3_s2", "tconv4x4_s2", "crop"}
 
 
 def report(ok: bool, name: str, detail: str) -> None:
@@ -126,7 +119,7 @@ def test_patch_algebra():
     for _ in range(20):
         feature = draw(rng, (8, 12, 3))
         grid = split_patches(feature, 2, 2)
-        identity_ok &= np.array_equal(merge_patches(grid), feature)
+        identity_ok &= np.array_equal(merge_patches(grid, 2, 2), feature)
 
         mk = lambda: SweepParams(wx=draw(rng, (12, 4), lo=-0.5, hi=0.5),
                                  wz=draw(rng, (4, 4), lo=-0.5, hi=0.5),
@@ -134,24 +127,22 @@ def test_patch_algebra():
         down_p, up_p = mk(), mk()
         down1, _ = directional_sweep(grid, "down", down_p)
         up1, _ = directional_sweep(grid, "up", up_p)
-        coupled1 = couple_pair(down1, up1)
+        coupled1 = np.concatenate([down1, up1], axis=2)
 
         up_p2 = SweepParams(wx=up_p.wx + 0.1, wz=up_p.wz - 0.1, bias=up_p.bias + 1.0)
         down2, _ = directional_sweep(grid, "down", down_p)
         up2, _ = directional_sweep(grid, "up", up_p2)
-        coupled2 = couple_pair(down2, up2)
+        coupled2 = np.concatenate([down2, up2], axis=2)
         decouple_ok &= np.array_equal(coupled1[:, :, :4], coupled2[:, :, :4])
-        decouple_ok &= down1.activations.tobytes() == down2.activations.tobytes()
+        decouple_ok &= down1.tobytes() == down2.tobytes()
 
         # an up sweep over the row-reversed patch grid mirrors the down sweep
-        up_f, _ = directional_sweep(grid.patches[::-1].copy(), "up", down_p)
-        mirror_worst = max(mirror_worst, float(np.abs(
-            down1.activations - up_f.activations[::-1]).max()))
+        up_f, _ = directional_sweep(grid[::-1].copy(), "up", down_p)
+        mirror_worst = max(mirror_worst, float(np.abs(down1 - up_f[::-1]).max()))
         right_p = mk()
         right1, _ = directional_sweep(grid, "right", right_p)
-        left_f, _ = directional_sweep(grid.patches[:, ::-1].copy(), "left", right_p)
-        mirror_worst = max(mirror_worst, float(np.abs(
-            right1.activations - left_f.activations[:, ::-1]).max()))
+        left_f, _ = directional_sweep(grid[:, ::-1].copy(), "left", right_p)
+        mirror_worst = max(mirror_worst, float(np.abs(right1 - left_f[:, ::-1]).max()))
     ok = identity_ok and decouple_ok and mirror_worst <= 1e-6
     report(ok, "patch algebra",
            f"merge(split) identity {identity_ok}, decoupling bit-identical "

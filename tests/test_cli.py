@@ -1,6 +1,7 @@
 """Tests for the command-line interface: flags, exit codes, artifacts."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sweepseg.data import read_pnm, write_pnm
 from sweepseg.errors import ConfigError
 from sweepseg.gradcheck import CheckResult
 from sweepseg.model import ModelConfig
+from sweepseg.tensor import load_checkpoint, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -210,6 +212,29 @@ class TestInfer:
                         "--image", str(img),
                         "--out", str(tmp_path / "o.pgm")]) == 2
 
+    def test_incomplete_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        with open(ckpt, "rb") as fh:
+            entries = load_checkpoint(fh)
+        del entries["enc1.bias"]
+        broken = tmp_path / "broken.ckpt"
+        with open(broken, "wb") as fh:
+            save_checkpoint(entries, fh)
+        assert run_cli(["infer", "--model", str(broken),
+                        "--image", str(data / "synth000.ppm"),
+                        "--out", str(tmp_path / "o.pgm")]) == 2
+        assert "enc1.bias" in capsys.readouterr().err
+
+    def test_huge_declared_tensor_exits_2(self, trained, tmp_path, capsys):
+        data, _ = trained
+        huge = tmp_path / "huge.ckpt"  # one 2^19 x 2^19 tensor, no payload
+        huge.write_bytes(b"RSEG" + struct.pack("<III", 1, 1, 1) + b"w"
+                         + struct.pack("<III", 2, 1 << 19, 1 << 19))
+        assert run_cli(["infer", "--model", str(huge),
+                        "--image", str(data / "synth000.ppm"),
+                        "--out", str(tmp_path / "o.pgm")]) == 2
+        assert "truncated" in capsys.readouterr().err
+
     def test_deterministic_output(self, trained, tmp_path, capsys):
         data, ckpt = trained
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -290,7 +315,7 @@ class TestGradcheckCommand:
     def test_passes_and_prints_every_layer(self, capsys):
         assert run_cli(["gradcheck", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        for name in ("dense", "conv3x3", "tconv4x4_s2", "maxpool2x2",
+        for name in ("conv3x3", "tconv4x4_s2", "maxpool2x2",
                      "relu", "tanh", "sigmoid", "bce", "sweep_down",
                      "renet_block"):
             assert name in out
@@ -300,7 +325,7 @@ class TestGradcheckCommand:
         import sweepseg.cli as cli_module
 
         def fake_suite(seed):
-            return [CheckResult("dense", 0.5, 1e-6)]
+            return [CheckResult("conv3x3", 0.5, 1e-6)]
 
         monkeypatch.setattr(cli_module, "run_suite", fake_suite)
         assert run_cli(["gradcheck"]) == 3

@@ -14,12 +14,12 @@ from sweepseg.gradcheck import (
 from sweepseg.layers import finite_diff_check
 
 EXPECTED_NAMES = [
-    "dense", "conv3x3", "conv3x3_s2", "tconv4x4_s2", "crop",
+    "conv3x3", "conv3x3_s2", "tconv4x4_s2", "crop",
     "maxpool2x2", "relu", "tanh", "sigmoid", "bce",
     "sweep_down", "sweep_up", "sweep_right", "sweep_left", "renet_block",
 ]
 
-LINEAR_NAMES = {"dense", "conv3x3", "conv3x3_s2", "tconv4x4_s2", "crop"}
+LINEAR_NAMES = {"conv3x3", "conv3x3_s2", "tconv4x4_s2", "crop"}
 
 
 class TestRunSuite:
@@ -86,13 +86,13 @@ class TestCheckerDetectsErrors:
 class TestFormatting:
     def test_one_line_per_check_with_status(self):
         results = [
-            CheckResult("dense", 1.5e-9, 1e-6),
+            CheckResult("conv3x3", 1.5e-9, 1e-6),
             CheckResult("tanh", 2.0e-3, 1e-4),
         ]
         text = format_results(results)
         lines = text.splitlines()
         assert len(lines) == 2
-        assert "dense" in lines[0] and lines[0].endswith("ok")
+        assert "conv3x3" in lines[0] and lines[0].endswith("ok")
         assert "tanh" in lines[1] and lines[1].endswith("FAIL")
 
     def test_reports_error_and_tolerance(self):

@@ -16,7 +16,6 @@ from sweepseg.layers import (
     bce_loss,
     conv2d_forward,
     crop2d_forward,
-    dense_forward,
     finite_diff_check,
     maxpool2x2_forward,
     tconv_forward,
@@ -177,21 +176,6 @@ class TestActivations:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             activation_forward(np.zeros(3), "gelu")
-
-
-class TestDense:
-    def test_value(self):
-        x = np.array([1.0, 2.0, 3.0])
-        w = np.arange(6, dtype=np.float64).reshape(3, 2)
-        b = np.array([10.0, 20.0])
-        out, _ = dense_forward(x, w, b)
-        assert np.array_equal(out, x @ w + b)
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            dense_forward(np.zeros(3), np.zeros((4, 2)), np.zeros(2))
-        with pytest.raises(ShapeError):
-            dense_forward(np.zeros(3), np.zeros((3, 2)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +400,6 @@ class TestGradients:
             _, rec = activation_forward(x, kind)
             dx, _ = backward(rec, r)
             assert finite_diff_check(f, [x], [dx]) < tol, kind
-
-    def test_dense_gradients(self):
-        rng = np.random.default_rng(47)
-        x = rng.standard_normal(6)
-        w = rng.standard_normal((6, 4)) * 0.5
-        b = rng.standard_normal(4) * 0.1
-        r = proj(rng, (4,))
-
-        def f():
-            y, _ = dense_forward(x, w, b)
-            return float((y * r).sum())
-
-        _, rec = dense_forward(x, w, b)
-        dx, grads = backward(rec, r)
-        err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
-        assert err < 1e-6
 
     def test_tconv_gradients(self):
         rng = np.random.default_rng(53)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import sweepseg.model as model_module
 from sweepseg.data import generate_synthetic
 from sweepseg.errors import CheckpointError, ConfigError, DataError, ShapeError
 from sweepseg.layers import finite_diff_check
@@ -14,9 +15,9 @@ from sweepseg.model import (
     ModelConfig,
     ModelParams,
     TrainTrace,
+    _decode_tape,
+    _encode_tape,
     build_model,
-    decode,
-    encode,
     forward,
     load_model,
     loss_and_gradients,
@@ -25,7 +26,7 @@ from sweepseg.model import (
     sgd_update,
     train,
 )
-from sweepseg.tensor import Rng, save_checkpoint
+from sweepseg.tensor import Rng, load_checkpoint, save_checkpoint
 
 
 def small_config(**kw):
@@ -60,16 +61,24 @@ class TestBuild:
 
     def test_buffer_shapes_agree(self):
         params = build_model(small_config(), Rng(5))
+        assert list(params.momentum) == list(params.values)
         for k, v in params.values.items():
-            assert params.grads[k].shape == v.shape
             assert params.momentum[k].shape == v.shape
 
     def test_mismatched_buffers_rejected(self):
         params = build_model(small_config(), Rng(5))
-        grads = dict(params.grads)
-        grads["out.bias"] = np.zeros(2, dtype=np.float32)
+        momentum = dict(params.momentum)
+        momentum["out.bias"] = np.zeros(2, dtype=np.float32)
         with pytest.raises(ShapeError):
-            ModelParams(values=params.values, grads=grads, momentum=params.momentum)
+            ModelParams(values=params.values, momentum=momentum)
+
+
+def encode(image, params):
+    return _encode_tape(image, params)[0]
+
+
+def decode(renet_out, params):
+    return _decode_tape(renet_out, params)[0]
 
 
 class TestEncodeDecode:
@@ -95,11 +104,6 @@ class TestEncodeDecode:
         params = zeroed(build_model(ModelConfig(), Rng(9)))
         out = decode(np.zeros((8, 8, 64), np.float32), params)
         assert np.all(out == 0.5)
-
-    def test_decode_channel_mismatch(self):
-        params = build_model(ModelConfig(), Rng(9))
-        with pytest.raises(ShapeError):
-            decode(np.zeros((8, 8, 32), np.float32), params)
 
 
 class TestForward:
@@ -270,6 +274,19 @@ class TestTrain:
         losses = [l for _, l, _ in trace.entries]
         assert losses[-1] < losses[0]
 
+    def test_decoder_matrices_built_once_per_step(self, monkeypatch):
+        calls = []
+        original = model_module.decoder_matrices
+
+        def counted(params, grid):
+            calls.append(grid)
+            return original(params, grid)
+
+        monkeypatch.setattr(model_module, "decoder_matrices", counted)
+        config = small_config(epochs=3, batch_size=4)
+        train(config, generate_synthetic(5, 8, 16), Rng(config.seed))
+        assert len(calls) == 6  # 2 steps per epoch, 3 epochs
+
     def test_trace_serialization_format(self):
         trace = TrainTrace(entries=[(1, 0.6931471805, 0.25), (2, 0.5, 1.0)])
         assert trace.serialize() == "1,0.693147,0.250000\n2,0.500000,1.000000\n"
@@ -305,3 +322,52 @@ class TestCheckpointRoundtrip:
         save_checkpoint({"enc1.weights": np.zeros((3, 3, 3, 16), np.float32)}, sink)
         with pytest.raises(CheckpointError):
             load_model(io.BytesIO(sink.getvalue()))
+
+
+def checkpoint_with(edit):
+    """A small model's checkpoint stream after `edit` changes its entries."""
+    config = small_config()
+    sink = io.BytesIO()
+    save_model(build_model(config, Rng(59)), config, sink)
+    entries = load_checkpoint(io.BytesIO(sink.getvalue()))
+    edit(entries)
+    sink = io.BytesIO()
+    save_checkpoint(entries, sink)
+    return io.BytesIO(sink.getvalue())
+
+
+class TestCheckpointSchema:
+    def test_missing_tensor_rejected(self):
+        stream = checkpoint_with(lambda e: e.pop("enc1.bias"))
+        with pytest.raises(CheckpointError, match="enc1.bias"):
+            load_model(stream)
+
+    def test_mis_shaped_decoder_weights_rejected(self):
+        # the first decoder stage must read the 2U channels of the sweeps
+        def edit(entries):
+            entries["dec1.weights"] = np.zeros((4, 4, 4, 32), np.float32)
+
+        with pytest.raises(CheckpointError, match="dec1.weights"):
+            load_model(checkpoint_with(edit))
+
+    def test_unknown_tensor_rejected(self):
+        def edit(entries):
+            entries["extra.weights"] = np.zeros(3, np.float32)
+
+        with pytest.raises(CheckpointError, match="extra.weights"):
+            load_model(checkpoint_with(edit))
+
+    def test_non_finite_meta_rejected(self):
+        for bad in (np.nan, np.inf):
+            def edit(entries):
+                entries["meta.patch"] = np.array([bad], np.float32)
+
+            with pytest.raises(CheckpointError, match="finite"):
+                load_model(checkpoint_with(edit))
+
+    def test_load_makes_no_rng_draws(self, monkeypatch):
+        stream = checkpoint_with(lambda e: None)
+        drew = lambda *args: pytest.fail("loading a checkpoint drew from the rng")
+        monkeypatch.setattr(Rng, "fill", drew)
+        monkeypatch.setattr(Rng, "next", drew)
+        load_model(stream)

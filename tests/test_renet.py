@@ -11,11 +11,8 @@ import pytest
 from sweepseg.errors import ShapeError
 from sweepseg.layers import backward, finite_diff_check
 from sweepseg.renet import (
-    PatchGrid,
     RenetParams,
-    SweepOutput,
     SweepParams,
-    couple_pair,
     directional_sweep,
     merge_patches,
     renet_block,
@@ -94,10 +91,10 @@ class TestPatches:
     def test_worked_example(self):
         x = np.arange(1, 17, dtype=np.float32).reshape(4, 4, 1)
         grid = split_patches(x, 2, 2)
-        assert (grid.n, grid.m) == (2, 2)
-        assert np.array_equal(grid.patches[0, 0], [1, 2, 5, 6])
-        assert np.array_equal(grid.patches[0, 1], [3, 4, 7, 8])
-        assert np.array_equal(grid.patches[1, 0], [9, 10, 13, 14])
+        assert grid.shape == (2, 2, 4)
+        assert np.array_equal(grid[0, 0], [1, 2, 5, 6])
+        assert np.array_equal(grid[0, 1], [3, 4, 7, 8])
+        assert np.array_equal(grid[1, 0], [9, 10, 13, 14])
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(101)
@@ -108,16 +105,15 @@ class TestPatches:
             m = int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
             x = rng.standard_normal((n * h_p, m * w_p, c)).astype(np.float32)
-            grid = split_patches(x, w_p, h_p)
-            assert np.array_equal(grid.patches, split_oracle(x, w_p, h_p))
+            assert np.array_equal(split_patches(x, w_p, h_p), split_oracle(x, w_p, h_p))
 
     def test_whole_image_patch(self):
         rng = np.random.default_rng(103)
         x = rng.standard_normal((3, 5, 2)).astype(np.float32)
         grid = split_patches(x, 5, 3)
-        assert grid.patches.shape == (1, 1, 30)
-        assert np.array_equal(grid.patches[0, 0], x.reshape(-1))
-        assert np.array_equal(merge_patches(grid), x)
+        assert grid.shape == (1, 1, 30)
+        assert np.array_equal(grid[0, 0], x.reshape(-1))
+        assert np.array_equal(merge_patches(grid, 5, 3), x)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError):
@@ -131,11 +127,13 @@ class TestPatches:
             x = rng.standard_normal((h_p * int(rng.integers(1, 5)),
                                      w_p * int(rng.integers(1, 5)),
                                      int(rng.integers(1, 4)))).astype(np.float32)
-            assert np.array_equal(merge_patches(split_patches(x, w_p, h_p)), x)
+            assert np.array_equal(merge_patches(split_patches(x, w_p, h_p), w_p, h_p), x)
 
     def test_malformed_grid_rejected(self):
         with pytest.raises(ShapeError):
-            PatchGrid(n=2, m=2, h_p=2, w_p=2, c=1, patches=np.zeros((2, 2, 5), np.float32))
+            merge_patches(np.zeros((2, 2, 5), np.float32), 2, 2)
+        with pytest.raises(ShapeError):
+            merge_patches(np.zeros((2, 8), np.float32), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,7 @@ class TestSweep:
         params = SweepParams(wx=np.zeros((5, 2)), wz=np.zeros((2, 2)), bias=np.zeros(2))
         for d in ("down", "up", "right", "left"):
             out, _ = directional_sweep(x, d, params)
-            assert not out.activations.any()
+            assert not out.any()
 
     def test_single_row_has_no_recurrence(self):
         rng = np.random.default_rng(113)
@@ -157,14 +155,14 @@ class TestSweep:
         params = make_params(rng, 3, 2)
         out, _ = directional_sweep(x, "down", params)
         want = np.tanh(x @ params.wx + params.bias)
-        assert np.allclose(out.activations, want, atol=1e-12)
+        assert np.allclose(out, want, atol=1e-12)
 
     def test_three_step_column_matches_unrolled_oracle(self):
         rng = np.random.default_rng(127)
         x = rng.standard_normal((3, 2, 4))
         params = make_params(rng, 4, 3)
         out, _ = directional_sweep(x, "down", params)
-        assert np.allclose(out.activations, sweep_oracle(x, params.wx, params.wz,
+        assert np.allclose(out, sweep_oracle(x, params.wx, params.wz,
                                                          params.bias, "down"), atol=1e-6)
 
     def test_all_directions_match_oracle(self):
@@ -174,16 +172,17 @@ class TestSweep:
             params = make_params(rng, 3, 4)
             out, _ = directional_sweep(x, d, params)
             want = sweep_oracle(x, params.wx, params.wz, params.bias, d)
-            assert np.allclose(out.activations, want, atol=1e-10), d
+            assert np.allclose(out, want, atol=1e-10), d
 
     def test_accepts_patch_grid_and_raw_map(self):
+        # a split patch grid is a plain (n, m, len) map to the sweep
         rng = np.random.default_rng(137)
         x = rng.standard_normal((4, 4, 2)).astype(np.float32)
         grid = split_patches(x, 2, 2)
-        params = make_params(rng, grid.length, 3)
+        params = make_params(rng, grid.shape[2], 3)
         a, _ = directional_sweep(grid, "right", params)
-        b, _ = directional_sweep(grid.patches, "right", params)
-        assert np.array_equal(a.activations, b.activations)
+        b, _ = directional_sweep(split_oracle(x, 2, 2), "right", params)
+        assert np.array_equal(a, b)
 
     def test_length_mismatch_rejected(self):
         params = SweepParams(wx=np.zeros((5, 2)), wz=np.zeros((2, 2)), bias=np.zeros(2))
@@ -197,37 +196,27 @@ class TestSweep:
 
 
 class TestCouple:
+    """Opposite sweeps of one axis are coupled by channel concatenation."""
+
     def test_coupled_channel_count(self):
-        a = SweepOutput(np.zeros((8, 8, 32)), "down")
-        b = SweepOutput(np.zeros((8, 8, 32)), "up")
-        assert couple_pair(a, b).shape == (8, 8, 64)
+        rng = np.random.default_rng(139)
+        params = make_block_params(rng, 2 * 2 * 3, 5)
+        out, rec = renet_block(rng.standard_normal((8, 8, 3)), params, 2, 2)
+        assert out.shape == (4, 4, 10)
+        assert rec.saved["rec_right"].saved["x"].shape == (4, 4, 10)  # vertical pair
 
     def test_layout_first_then_second(self):
         rng = np.random.default_rng(139)
-        act = rng.standard_normal((2, 3, 4))
-        a = SweepOutput(act, "right")
-        b = SweepOutput(np.zeros((2, 3, 4)), "left")
-        out = couple_pair(a, b)
-        assert np.array_equal(out[:, :, :4], act)
+        x = rng.standard_normal((4, 6, 2))
+        params = make_block_params(rng, 2 * 2 * 2, 4)
+        params.left = SweepParams(wx=np.zeros((8, 4)), wz=np.zeros((4, 4)), bias=np.zeros(4))
+        out, _ = renet_block(x, params, 2, 2)
+        grid = split_oracle(x, 2, 2)
+        down, _ = directional_sweep(grid, "down", params.down)
+        up, _ = directional_sweep(grid, "up", params.up)
+        right, _ = directional_sweep(np.concatenate([down, up], axis=2), "right", params.right)
+        assert np.array_equal(out[:, :, :4], right)
         assert not out[:, :, 4:].any()
-
-    def test_cross_axis_pairing_rejected(self):
-        a = SweepOutput(np.zeros((2, 2, 3)), "down")
-        b = SweepOutput(np.zeros((2, 2, 3)), "right")
-        with pytest.raises(ShapeError):
-            couple_pair(a, b)
-
-    def test_same_direction_pairing_rejected(self):
-        a = SweepOutput(np.zeros((2, 2, 3)), "down")
-        b = SweepOutput(np.zeros((2, 2, 3)), "down")
-        with pytest.raises(ShapeError):
-            couple_pair(a, b)
-
-    def test_shape_mismatch_rejected(self):
-        a = SweepOutput(np.zeros((2, 2, 3)), "down")
-        b = SweepOutput(np.zeros((2, 2, 4)), "up")
-        with pytest.raises(ShapeError):
-            couple_pair(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +264,8 @@ class TestProperties:
         params = make_params(rng, 4, 3)
         right_on_mirror, _ = directional_sweep(x[:, ::-1].copy(), "right", params)
         left_on_input, _ = directional_sweep(x, "left", params)
-        assert np.allclose(right_on_mirror.activations,
-                           left_on_input.activations[:, ::-1], atol=1e-6)
+        assert np.allclose(right_on_mirror,
+                           left_on_input[:, ::-1], atol=1e-6)
 
     def test_mirror_symmetry_up_down(self):
         rng = np.random.default_rng(167)
@@ -284,8 +273,8 @@ class TestProperties:
         params = make_params(rng, 4, 3)
         down_on_flip, _ = directional_sweep(x[::-1].copy(), "down", params)
         up_on_input, _ = directional_sweep(x, "up", params)
-        assert np.allclose(down_on_flip.activations,
-                           up_on_input.activations[::-1], atol=1e-6)
+        assert np.allclose(down_on_flip,
+                           up_on_input[::-1], atol=1e-6)
 
     def test_decoupling_perturbing_up_leaves_down_bit_identical(self):
         rng = np.random.default_rng(173)
@@ -295,7 +284,7 @@ class TestProperties:
         params.up.wx += 1.0
         params.up.bias += 0.5
         down_after, _ = directional_sweep(split_patches(x, 2, 2), "down", params.down)
-        assert np.array_equal(down_before.activations, down_after.activations)
+        assert np.array_equal(down_before, down_after)
 
     def test_down_sweep_causality(self):
         rng = np.random.default_rng(179)
@@ -307,7 +296,7 @@ class TestProperties:
                 bumped = x.copy()
                 bumped[pi, pj] += 1.0
                 out, _ = directional_sweep(bumped, "down", params)
-                changed = np.any(out.activations != base.activations, axis=2)
+                changed = np.any(out != base, axis=2)
                 for i in range(4):
                     for j in range(3):
                         if j != pj or i < pi:
@@ -322,7 +311,7 @@ class TestProperties:
 
             def f():
                 out, _ = directional_sweep(x, d, params)
-                return float((out.activations * r).sum())
+                return float((out * r).sum())
 
             _, rec = directional_sweep(x, d, params)
             dx, grads = backward(rec, r)

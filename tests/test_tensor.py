@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -11,14 +12,7 @@ from sweepseg.errors import (
     TruncatedStreamError,
     VersionMismatchError,
 )
-from sweepseg.tensor import (
-    Rng,
-    glorot_init,
-    load_checkpoint,
-    rng_next,
-    save_checkpoint,
-    tensor_create,
-)
+from sweepseg.tensor import Rng, glorot_init, load_checkpoint, save_checkpoint
 
 
 def reference_xorshift64star(seed, count):
@@ -36,49 +30,15 @@ def reference_xorshift64star(seed, count):
     return values
 
 
-class TestTensorCreate:
-    def test_zero_fill(self):
-        t = tensor_create([2, 2], 0.0)
-        assert t.shape == (2, 2)
-        assert t.dtype == np.float32
-        assert np.all(t == 0.0)
-
-    def test_constant_fill(self):
-        t = tensor_create([3], 1.5)
-        np.testing.assert_array_equal(t, np.array([1.5, 1.5, 1.5], dtype=np.float32))
-
-    def test_degenerate_dimension(self):
-        with pytest.raises(ShapeError):
-            tensor_create([2, 0], 1.0)
-
-    def test_empty_shape(self):
-        with pytest.raises(ShapeError):
-            tensor_create([], 1.0)
-
-    def test_randomized_shapes_respect_length(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            shape = [int(d) for d in rng.integers(1, 6, size=rng.integers(1, 5))]
-            t = tensor_create(shape, 2.0)
-            assert t.size == int(np.prod(shape))
-            assert list(t.shape) == shape
-
-
 class TestRng:
     def test_matches_reference_for_seed_1(self):
-        expected = reference_xorshift64star(1, 20)
-        state = 1
-        for exp in expected:
-            value, state = rng_next(state)
-            assert value == exp
+        rng = Rng(1)
+        assert [rng.next() for _ in range(20)] == reference_xorshift64star(1, 20)
 
     def test_matches_reference_for_other_seeds(self):
         for seed in (2, 42, 123456789, (1 << 63) + 5):
-            expected = reference_xorshift64star(seed, 10)
-            state = seed
-            for exp in expected:
-                value, state = rng_next(state)
-                assert value == exp
+            rng = Rng(seed)
+            assert [rng.next() for _ in range(10)] == reference_xorshift64star(seed, 10)
 
     def test_same_seed_same_prefix(self):
         a = Rng(99).fill(1000)
@@ -92,9 +52,9 @@ class TestRng:
 
     def test_zero_seed_rejected(self):
         with pytest.raises(InvalidSeedError):
-            rng_next(0)
-        with pytest.raises(InvalidSeedError):
             Rng(0)
+        with pytest.raises(InvalidSeedError):
+            Rng(1 << 64)  # zero modulo 2^64
 
     def test_values_in_unit_interval(self):
         u = Rng(5).fill(10000)
@@ -184,6 +144,21 @@ class TestCheckpoint:
             load_checkpoint(io.BytesIO(raw[:-5]))
         with pytest.raises(TruncatedStreamError):
             load_checkpoint(io.BytesIO(raw[:7]))
+
+    def test_huge_declared_sizes_in_a_file(self, tmp_path):
+        # a real file: its reader would allocate a whole oversized read up front
+        header = b"RSEG" + struct.pack("<II", 1, 1)
+        cases = {
+            "data": struct.pack("<I", 1) + b"w" + struct.pack("<III", 2, 1 << 19, 1 << 19),
+            "name": struct.pack("<I", 0xFFFFFFFF) + b"w",
+            "dims": struct.pack("<I", 1) + b"w" + struct.pack("<I", 0xFFFFFFFF),
+        }
+        for what, body in cases.items():
+            path = tmp_path / f"{what}.ckpt"
+            path.write_bytes(header + body)
+            with open(path, "rb") as fh, pytest.raises(TruncatedStreamError, match=what):
+                load_checkpoint(fh)
+        assert (tmp_path / "data.ckpt").stat().st_size == 29
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(CheckpointError):
