@@ -3,7 +3,9 @@
 Every subcommand is deterministic given its flags; all randomness flows
 from the single seed and no output embeds a timestamp. Exit codes:
 0 success, 1 usage error, 2 data or parse error, 3 failed check
-(gradient suite above tolerance, or eval below --min-jaccard).
+(gradient suite above tolerance, or eval below --min-jaccard), 4 training
+diverged or died (non-finite loss, gradient or parameter, or an epoch of
+exactly-zero gradients); no checkpoint or trace is written.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     InvalidTargetError,
     PnmError,
     ShapeError,
+    TrainingDivergedError,
 )
 from .gradcheck import format_results, run_suite
 from .metrics import evaluate_dataset, format_report, format_report_kv
@@ -234,6 +237,9 @@ def run_cli(argv=None) -> int:
     except _DATA_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except TrainingDivergedError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -25,6 +25,10 @@ class InvalidTargetError(ValueError):
     """Loss or metric target that is not strictly binary."""
 
 
+class TrainingDivergedError(ValueError):
+    """Training produced a non-finite loss, gradient or parameter, or a dead network."""
+
+
 class CheckpointError(ValueError):
     """Base for checkpoint (de)serialization failures."""
 

@@ -33,7 +33,6 @@ from .layers import (
     finite_diff_check,
     maxpool2x2_forward,
     tconv_forward,
-    tconv_sparse_matrix,
 )
 from .renet import RenetParams, SweepParams, directional_sweep, renet_block
 from .tensor import Rng
@@ -113,13 +112,11 @@ def _check_tconv(rng: Rng) -> float:
     x = _draw(rng, (3, 4, 3))
     w = _draw(rng, (4, 4, 3, 2))
     b = _draw(rng, (2,))
-    matrix = tconv_sparse_matrix(w, (3, 4), stride=2)
-    out, rec = tconv_forward(x, matrix, b, matrix.out_dims)
+    out, rec = tconv_forward(x, w, b, stride=2)
     probe = _draw(rng, out.shape)
 
     def f() -> float:
-        m = tconv_sparse_matrix(w, (3, 4), stride=2)
-        y, _ = tconv_forward(x, m, b, m.out_dims)
+        y, _ = tconv_forward(x, w, b, stride=2)
         return float(np.sum(y * probe))
 
     dx, gr = backward(rec, probe)

@@ -9,11 +9,14 @@ Conventions used throughout:
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
 
-The fractionally strided (transposed) convolution is deliberately computed
-as a sparse-matrix / flattened-input product: the matrix rows enumerate
-output cells, the columns enumerate input cells, and the stored values are
-kernel elements. Its backward pass multiplies by the transpose of the same
-matrix.
+The fractionally strided (transposed) convolution is, by definition, a
+sparse matrix times the flattened input: the rows enumerate output cells,
+the columns enumerate input cells and the stored values are kernel
+elements. `tconv_sparse_matrix` builds that matrix literally and the tests
+keep it as the oracle. `tconv_forward` computes the same map as one GEMM
+per kernel tap scattered into a strided slice of the output, and its
+backward pass, the product with the matrix's transpose, gathers the same
+slices back; neither holds an array the size of the matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidTargetError, ShapeError
@@ -187,7 +189,7 @@ def _activation_backward(rec: OpRecord, up: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# fractionally strided convolution as an explicit sparse matrix
+# fractionally strided convolution
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -195,10 +197,8 @@ class SparseMatrix:
     """COO triplets sorted by (row, col), duplicate-free.
 
     For a transposed convolution the rows enumerate flattened output cells
-    (row-major spatial, then channel), the columns enumerate flattened input
-    cells, and `kernel_idx` remembers which flat kernel element each entry
-    carries, so the kernel gradient can be accumulated from the same
-    structure.
+    (row-major spatial, then channel) and the columns enumerate flattened
+    input cells.
     """
 
     rows: int
@@ -206,39 +206,17 @@ class SparseMatrix:
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
-    kernel_idx: np.ndarray | None = None
-    kernel_shape: tuple | None = None
-    stride: int = 1
-    in_dims: tuple | None = None
-    out_dims: tuple | None = None
-
-    def __post_init__(self):
-        self._csr = None
-        self._csr_t = None
+    out_dims: tuple
 
     @property
     def nnz(self) -> int:
         return self.row.size
 
-    def _matrix(self):
-        if self._csr is None or self._csr.dtype != self.val.dtype:
-            indptr = np.searchsorted(self.row, np.arange(self.rows + 1))
-            self._csr = sp.csr_matrix((self.val, self.col, indptr),
-                                      shape=(self.rows, self.cols))
-            self._csr_t = self._csr.T
-        return self._csr
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.cols,):
             raise ShapeError(f"matvec expects vector of length {self.cols}, got {x.shape}")
-        return self._matrix() @ x
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Multiply by the transpose (used by the backward pass)."""
-        if y.shape != (self.rows,):
-            raise ShapeError(f"rmatvec expects vector of length {self.rows}, got {y.shape}")
-        self._matrix()
-        return self._csr_t @ y
+        return np.bincount(self.row, weights=self.val * x[self.col],
+                           minlength=self.rows).astype(x.dtype)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.rows, self.cols), dtype=self.val.dtype)
@@ -246,17 +224,25 @@ class SparseMatrix:
         return dense
 
 
-# sorted index structure per (kernel, stride, input dims, channels); the
-# values change every optimizer step but the sparsity pattern never does
-_STRUCTURE_CACHE: dict[tuple, tuple] = {}
+def _check_tconv_weights(weights: np.ndarray, stride: int) -> None:
+    if weights.ndim != 4 or weights.shape[0] != weights.shape[1]:
+        raise ShapeError(f"tconv weights must be (k,k,c_in,c_out), got {weights.shape}")
+    if stride < 1:
+        raise ShapeError("stride must be >= 1")
 
 
-def _tconv_structure(k: int, in_h: int, in_w: int, ci: int, co: int, stride: int):
-    key = (k, in_h, in_w, ci, co, stride)
-    cached = _STRUCTURE_CACHE.get(key)
-    if cached is not None:
-        return cached
+def tconv_sparse_matrix(weights: np.ndarray, in_dims: tuple[int, int],
+                        stride: int) -> SparseMatrix:
+    """Build the (out cells) x (in cells) matrix of a transposed convolution.
 
+    weights: (k, k, c_in, c_out); output spatial size is (in-1)*stride + k per
+    axis. Every structural entry is stored even when the kernel value is 0.
+    This is the literal definition of the op; `tconv_forward` computes the
+    same map without materializing it.
+    """
+    _check_tconv_weights(weights, stride)
+    k, _, ci, co = weights.shape
+    in_h, in_w = in_dims
     out_h = (in_h - 1) * stride + k
     out_w = (in_w - 1) * stride + k
     i, j, ki, kj, c_in, c_out = np.meshgrid(
@@ -268,74 +254,62 @@ def _tconv_structure(k: int, in_h: int, in_w: int, ci: int, co: int, stride: int
     col = np.broadcast_to((i * in_w + j) * ci + c_in, full).reshape(-1)
     kidx = np.broadcast_to(((ki * k + kj) * ci + c_in) * co + c_out, full).reshape(-1)
     order = np.lexsort((col, row))
-    structure = (row[order].astype(np.int64), col[order].astype(np.int64),
-                 kidx[order].astype(np.int64), (out_h, out_w))
-    _STRUCTURE_CACHE[key] = structure
-    return structure
-
-
-def tconv_sparse_matrix(weights: np.ndarray, in_dims: tuple[int, int],
-                        stride: int) -> SparseMatrix:
-    """Build the (out cells) x (in cells) matrix of a transposed convolution.
-
-    weights: (k, k, c_in, c_out); output spatial size is (in-1)*stride + k per
-    axis. Every structural entry is stored even when the kernel value is 0.
-    """
-    if weights.ndim != 4 or weights.shape[0] != weights.shape[1]:
-        raise ShapeError(f"tconv weights must be (k,k,c_in,c_out), got {weights.shape}")
-    if stride < 1:
-        raise ShapeError("stride must be >= 1")
-    k, _, ci, co = weights.shape
-    in_h, in_w = in_dims
-    row, col, kidx, (out_h, out_w) = _tconv_structure(k, in_h, in_w, ci, co, stride)
     return SparseMatrix(
         rows=out_h * out_w * co,
         cols=in_h * in_w * ci,
-        row=row, col=col,
-        val=weights.reshape(-1)[kidx],
-        kernel_idx=kidx,
-        kernel_shape=weights.shape,
-        stride=stride,
-        in_dims=(in_h, in_w, ci),
+        row=row[order], col=col[order],
+        val=weights.reshape(-1)[kidx[order]],
         out_dims=(out_h, out_w, co),
     )
 
 
-def tconv_forward(x: np.ndarray, matrix: SparseMatrix, bias: np.ndarray,
-                  out_dims: tuple[int, int, int]) -> tuple[np.ndarray, OpRecord]:
-    """reshape(matrix @ flatten(x)) + bias; the inner product form of upsampling."""
-    oh, ow, co = out_dims
-    if x.size != matrix.cols:
-        raise ShapeError(f"input size {x.size} != matrix cols {matrix.cols}")
-    if oh * ow * co != matrix.rows:
-        raise ShapeError(f"output dims {out_dims} != matrix rows {matrix.rows}")
+def _tap(up: np.ndarray, ki: int, kj: int, s: int, in_h: int, in_w: int) -> np.ndarray:
+    """The strided (in_h, in_w) slice of an output map that kernel tap (ki, kj) writes."""
+    return up[ki:ki + s * (in_h - 1) + 1:s, kj:kj + s * (in_w - 1) + 1:s]
+
+
+def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                  stride: int) -> tuple[np.ndarray, OpRecord]:
+    """Transposed convolution: out[s*i+ki, s*j+kj] += x[i, j] @ weights[ki, kj], plus bias.
+
+    x: (h, w, c_in), weights: (k, k, c_in, c_out); the output is
+    ((h-1)*s + k, (w-1)*s + k, c_out). One GEMM per kernel tap, accumulated
+    into the tap's strided slice of the output.
+    """
+    _check_tconv_weights(weights, stride)
+    k, _, ci, co = weights.shape
+    if x.ndim != 3 or x.shape[2] != ci:
+        raise ShapeError(f"tconv input shape {x.shape} does not match c_in={ci}")
     if bias.shape != (co,):
         raise ShapeError(f"tconv bias shape {bias.shape} != ({co},)")
-    out = matrix.matvec(x.reshape(-1)).reshape(oh, ow, co) + bias
-    rec = _record("tconv", out.shape, x=x, matrix=matrix)
+    h, w = x.shape[:2]
+    s = stride
+    out = np.zeros(((h - 1) * s + k, (w - 1) * s + k, co),
+                   dtype=np.result_type(x, weights))
+    x_mat = x.reshape(h * w, ci)
+    for ki in range(k):
+        for kj in range(k):
+            _tap(out, ki, kj, s, h, w)[...] += (x_mat @ weights[ki, kj]).reshape(h, w, co)
+    out += bias
+    rec = _record("tconv", out.shape, x=x, weights=weights, stride=stride)
     return out, rec
 
 
 def _tconv_backward(rec: OpRecord, up: np.ndarray):
-    matrix: SparseMatrix = rec.saved["matrix"]
     x = rec.saved["x"]
-    dx = matrix.rmatvec(up.reshape(-1)).reshape(x.shape)
-    d_bias = up.sum(axis=(0, 1))
-
-    grads = {"bias": d_bias}
-    if matrix.kernel_shape is not None:
-        k = matrix.kernel_shape[0]
-        s = matrix.stride
-        in_h, in_w, ci = matrix.in_dims
-        co = matrix.kernel_shape[3]
-        x_mat = x.reshape(in_h * in_w, ci)
-        d_weights = np.empty(matrix.kernel_shape, dtype=up.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                sub = up[ki:ki + s * (in_h - 1) + 1:s, kj:kj + s * (in_w - 1) + 1:s]
-                d_weights[ki, kj] = x_mat.T @ sub.reshape(in_h * in_w, co)
-        grads["weights"] = d_weights
-    return dx, grads
+    weights = rec.saved["weights"]
+    s = rec.saved["stride"]
+    k, _, ci, co = weights.shape
+    in_h, in_w = x.shape[:2]
+    x_mat = x.reshape(in_h * in_w, ci)
+    dx = np.zeros((in_h * in_w, ci), dtype=up.dtype)
+    d_weights = np.empty(weights.shape, dtype=up.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            sub = _tap(up, ki, kj, s, in_h, in_w).reshape(in_h * in_w, co)
+            dx += sub @ weights[ki, kj].T
+            d_weights[ki, kj] = x_mat.T @ sub
+    return dx.reshape(x.shape), {"weights": d_weights, "bias": up.sum(axis=(0, 1))}
 
 
 # ---------------------------------------------------------------------------

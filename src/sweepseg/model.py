@@ -3,7 +3,7 @@
 Topology: a 7-convolution / 2-pool encoder (3x3 kernels, padding 1, relu),
 one four-direction recurrent sweep block over 2x2 patches of the encoded
 map, and a decoder of three stride-2 fractionally strided convolutions
-(each realized as a sparse-matrix product and cropped by 1 per side to hit
+(each computed as one GEMM per kernel tap and cropped by 1 per side to hit
 an exact x2), finished by a 1x1 convolution and a sigmoid. Output is a
 per-pixel foreground probability at the input resolution.
 
@@ -16,11 +16,12 @@ data produce bit-identical checkpoints and traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DataError, ShapeError
+from .errors import CheckpointError, ConfigError, DataError, ShapeError, TrainingDivergedError
 from .layers import (
     ConvSpec,
     activation_forward,
@@ -203,8 +204,8 @@ def _encode_tape(image: np.ndarray, params: ModelParams):
 def decoder_matrices(params: ModelParams, grid: int) -> list:
     """Sparse matrices of the three upsampling stages for a given grid size.
 
-    Rebuild whenever the weights change; the sparsity structure is cached
-    internally, only the values are regathered.
+    The paper's literal form of the decoder, kept as the reference that
+    tests compare `_decode_tape` against; the network never builds them.
     """
     mats = []
     dim = grid
@@ -215,12 +216,11 @@ def decoder_matrices(params: ModelParams, grid: int) -> list:
     return mats
 
 
-def _decode_tape(x: np.ndarray, params: ModelParams, matrices=None):
-    if matrices is None:
-        matrices = decoder_matrices(params, x.shape[0])
+def _decode_tape(x: np.ndarray, params: ModelParams):
     tape = []
-    for k, matrix in enumerate(matrices, start=1):
-        x, rec = tconv_forward(x, matrix, params.values[f"dec{k}.bias"], matrix.out_dims)
+    for k in range(1, len(DECODER_CHANNELS) + 1):
+        x, rec = tconv_forward(x, params.values[f"dec{k}.weights"],
+                               params.values[f"dec{k}.bias"], TCONV_STRIDE)
         tape.append((f"dec{k}", rec))
         x, rec = crop2d_forward(x, 1)  # (2g+2) -> 2g per side
         tape.append((None, rec))
@@ -235,14 +235,14 @@ def _decode_tape(x: np.ndarray, params: ModelParams, matrices=None):
     return x, tape
 
 
-def _forward_tape(image: np.ndarray, params: ModelParams, matrices=None):
+def _forward_tape(image: np.ndarray, params: ModelParams):
     x, tape = _encode_tape(image, params)
     patch = _infer_patch(params)
     if x.shape[0] % patch or x.shape[1] % patch:
         raise ShapeError(f"encoded map {x.shape[:2]} not divisible by patch {patch}")
     x, rec = renet_block(x, _renet_params(params), patch, patch)
     tape.append(("renet", rec))
-    x, decode_tape = _decode_tape(x, params, matrices)
+    x, decode_tape = _decode_tape(x, params)
     return x, tape + decode_tape
 
 
@@ -252,18 +252,12 @@ def forward(image: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def _batch_step(batch, params: ModelParams):
-    """Mean loss, mean gradients, and per-sample probabilities for one batch.
-
-    The decoder matrices are built once here, from the weights as they
-    stand before this step's update, and shared by every sample.
-    """
-    grid = batch[0][0].shape[0] // 4 // _infer_patch(params)
-    matrices = decoder_matrices(params, grid)
+    """Mean loss, mean gradients, and per-sample probabilities for one batch."""
     loss_total = 0.0
     grads = {k: np.zeros_like(v) for k, v in params.values.items()}
     probs = []
     for image, mask in batch:
-        prob, tape = _forward_tape(image, params, matrices)
+        prob, tape = _forward_tape(image, params)
         sample_loss, bce_rec = bce_loss(prob, mask)
         loss_total += sample_loss
         probs.append(prob)
@@ -318,11 +312,21 @@ def _fisher_yates(n: int, rng: Rng) -> list[int]:
     return order
 
 
+def _squared_norm(grads: dict[str, np.ndarray]) -> float:
+    """Sum of every squared gradient entry, accumulated in float64."""
+    return sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values())
+
+
 def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTrace]:
     """Minibatch SGD from scratch; returns final parameters and the trace.
 
     The training Dice of an epoch pools confusion counts of every batch's
     predictions taken just before that batch's update.
+
+    Raises TrainingDivergedError, and returns no parameters, on a non-finite
+    step loss or gradient, and after an epoch that leaves a parameter
+    non-finite or whose gradients were all exactly 0 (every unit dead: no
+    later step can change the network).
     """
     pairs = []
     for rec in dataset:
@@ -341,16 +345,29 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
     trace = TrainTrace()
     for epoch in range(1, config.epochs + 1):
         order = _fisher_yates(len(pairs), rng)
-        loss_sum = 0.0
+        loss_sum = grad_sq = 0.0
         counts = ConfusionCounts(0, 0, 0, 0)
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
             batch = [pairs[i] for i in chunk]
             loss, grads, probs = _batch_step(batch, params)
+            step_sq = _squared_norm(grads)
+            if not (math.isfinite(loss) and math.isfinite(step_sq)):
+                raise TrainingDivergedError(
+                    f"training diverged in epoch {epoch}: loss {loss}, "
+                    f"gradient norm {math.sqrt(step_sq)}")
+            grad_sq += step_sq
             loss_sum += loss * len(batch)
             for prob, (_, mask) in zip(probs, batch):
                 counts = counts + confusion_counts(predict_mask(prob, config.threshold), mask)
             sgd_update(params, grads, config.lr, config.momentum)
+        if not all(np.isfinite(v).all() for v in params.values.values()):
+            raise TrainingDivergedError(f"training diverged in epoch {epoch}: "
+                                        "a parameter is no longer finite")
+        if grad_sq == 0.0:
+            raise TrainingDivergedError(
+                f"training died in epoch {epoch}: every gradient was exactly 0, "
+                "so no later step can change the network (try a lower lr)")
         dice = metrics_from_counts(counts).di
         trace.entries.append((epoch, loss_sum / len(pairs), dice))
     return params, trace

@@ -158,6 +158,18 @@ class TestTrain:
         assert run_cli(["train", "--data", str(data), "--config", str(cfg),
                         "--out", str(tmp_path / "m.ckpt")]) == 2
 
+    def test_dead_network_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        # the quick-start set at lr 1000: every gradient is 0 from step 2 on
+        data = make_dataset(tmp_path, count=8, seed=42, size=64)
+        cfg = write_config(tmp_path / "c.json", image_size=64, rnn_units=32,
+                           epochs=3, lr=1000)
+        ckpt = tmp_path / "m.ckpt"
+        trace = tmp_path / "t.csv"
+        assert run_cli(["train", "--data", str(data), "--config", str(cfg),
+                        "--out", str(ckpt), "--trace", str(trace)]) == 4
+        assert "error: training died" in capsys.readouterr().err
+        assert not ckpt.exists() and not trace.exists()
+
     def test_indivisible_image_size_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
         cfg = write_config(tmp_path / "c.json", image_size=20)

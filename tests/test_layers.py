@@ -273,19 +273,48 @@ class TestTconvForward:
             kern = rng.standard_normal((k, k, ci, co))
             x = rng.standard_normal((h, w, ci))
             b = rng.standard_normal(co)
-            m = tconv_sparse_matrix(kern, (h, w), stride)
-            out, _ = tconv_forward(x, m, b, m.out_dims)
+            out, _ = tconv_forward(x, kern, b, stride)
             assert np.allclose(out, tconv_oracle(x, kern, b, stride), atol=1e-10)
+
+    def test_per_tap_form_equals_sparse_matrix_and_its_transpose(self):
+        # the matrix is the op's literal definition; the forward is its
+        # product and the backward dx the product with its transpose
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            k = int(rng.integers(1, 5))
+            stride = int(rng.integers(1, 4))
+            h = int(rng.integers(1, 6))
+            w = int(rng.integers(1, 6))
+            ci = int(rng.integers(1, 4))
+            co = int(rng.integers(1, 4))
+            kern = rng.standard_normal((k, k, ci, co))
+            x = rng.standard_normal((h, w, ci))
+            dense = tconv_sparse_matrix(kern, (h, w), stride).to_dense()
+            out, rec = tconv_forward(x, kern, np.zeros(co), stride)
+            want = dense @ x.reshape(-1)
+            scale = max(np.abs(want).max(), 1e-12)
+            assert np.abs(out.reshape(-1) - want).max() <= 1e-6 * scale
+            up = rng.standard_normal(out.shape)
+            dx, _ = backward(rec, up)
+            want = dense.T @ up.reshape(-1)
+            scale = max(np.abs(want).max(), 1e-12)
+            assert np.abs(dx.reshape(-1) - want).max() <= 1e-6 * scale
 
     def test_shape_validation(self):
         kern = np.ones((2, 2, 1, 1))
-        m = tconv_sparse_matrix(kern, (2, 2), 2)
+        x = np.zeros((2, 2, 1))
+        with pytest.raises(ShapeError):  # x channels vs the kernel's c_in
+            tconv_forward(np.zeros((2, 2, 2)), kern, np.zeros(1), 2)
+        with pytest.raises(ShapeError):  # x not (h, w, c)
+            tconv_forward(np.zeros((2, 2)), kern, np.zeros(1), 2)
+        with pytest.raises(ShapeError):  # non-square kernel
+            tconv_forward(x, np.ones((2, 3, 1, 1)), np.zeros(1), 2)
+        with pytest.raises(ShapeError):  # kernel not 4-D
+            tconv_forward(x, np.ones((2, 2, 1)), np.zeros(1), 2)
+        with pytest.raises(ShapeError):  # bias vs c_out
+            tconv_forward(x, kern, np.zeros(2), 2)
         with pytest.raises(ShapeError):
-            tconv_forward(np.zeros((3, 3, 1)), m, np.zeros(1), m.out_dims)
-        with pytest.raises(ShapeError):
-            tconv_forward(np.zeros((2, 2, 1)), m, np.zeros(1), (5, 5, 1))
-        with pytest.raises(ShapeError):
-            tconv_forward(np.zeros((2, 2, 1)), m, np.zeros(2), m.out_dims)
+            tconv_forward(x, kern, np.zeros(1), 0)
 
 
 class TestCrop:
@@ -407,15 +436,13 @@ class TestGradients:
         w = rng.standard_normal((2, 2, 2, 2)) * 0.5
         b = rng.standard_normal(2) * 0.1
         stride = 2
-        m0 = tconv_sparse_matrix(w, (3, 3), stride)
-        r = proj(rng, m0.out_dims)
+        r = proj(rng, (6, 6, 2))
 
         def f():
-            m = tconv_sparse_matrix(w, (3, 3), stride)
-            y, _ = tconv_forward(x, m, b, m.out_dims)
+            y, _ = tconv_forward(x, w, b, stride)
             return float((y * r).sum())
 
-        _, rec = tconv_forward(x, m0, b, m0.out_dims)
+        _, rec = tconv_forward(x, w, b, stride)
         dx, grads = backward(rec, r)
         err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
         assert err < 1e-6
@@ -425,15 +452,13 @@ class TestGradients:
         x = rng.standard_normal((3, 4, 2))
         w = rng.standard_normal((3, 3, 2, 1)) * 0.5
         b = rng.standard_normal(1) * 0.1
-        m0 = tconv_sparse_matrix(w, (3, 4), 1)
-        r = proj(rng, m0.out_dims)
+        r = proj(rng, (5, 6, 1))
 
         def f():
-            m = tconv_sparse_matrix(w, (3, 4), 1)
-            y, _ = tconv_forward(x, m, b, m.out_dims)
+            y, _ = tconv_forward(x, w, b, 1)
             return float((y * r).sum())
 
-        _, rec = tconv_forward(x, m0, b, m0.out_dims)
+        _, rec = tconv_forward(x, w, b, 1)
         dx, grads = backward(rec, r)
         err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
         assert err < 1e-6

@@ -2,15 +2,29 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sweepseg.model as model_module
 from sweepseg.data import generate_synthetic
-from sweepseg.errors import CheckpointError, ConfigError, DataError, ShapeError
-from sweepseg.layers import finite_diff_check
+from sweepseg.errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    ShapeError,
+    TrainingDivergedError,
+)
+from sweepseg.layers import (
+    ConvSpec,
+    activation_forward,
+    conv2d_forward,
+    crop2d_forward,
+    finite_diff_check,
+)
 from sweepseg.model import (
+    DECODER_CHANNELS,
     ENCODER_CHANNELS,
     ModelConfig,
     ModelParams,
@@ -18,6 +32,7 @@ from sweepseg.model import (
     _decode_tape,
     _encode_tape,
     build_model,
+    decoder_matrices,
     forward,
     load_model,
     loss_and_gradients,
@@ -105,6 +120,26 @@ class TestEncodeDecode:
         out = decode(np.zeros((8, 8, 64), np.float32), params)
         assert np.all(out == 0.5)
 
+    def test_decode_matches_the_sparse_matrix_decoder(self):
+        # the paper's literal decoder: each stage a sparse matrix times the
+        # flattened map, then the same crop, relu and 1x1 head
+        params = build_model(ModelConfig(), Rng(9))
+        rng = np.random.default_rng(3)
+        for size in (64, 128):
+            grid = size // 8
+            x = rng.uniform(-1.0, 1.0, (grid, grid, 64)).astype(np.float32)
+            got = decode(x, params)
+            for k, matrix in enumerate(decoder_matrices(params, grid), start=1):
+                x = matrix.matvec(x.reshape(-1)).reshape(matrix.out_dims)
+                x, _ = crop2d_forward(x + params.values[f"dec{k}.bias"], 1)
+                x, _ = activation_forward(x, "relu")
+            w = params.values["out.weights"]
+            x, _ = conv2d_forward(x, w, params.values["out.bias"],
+                                  ConvSpec(DECODER_CHANNELS[-1], 1, (1, 1)))
+            want, _ = activation_forward(x, "sigmoid")
+            assert got.shape == want.shape == (size, size, 1)
+            assert np.abs(got - want).max() <= 1e-5
+
 
 class TestForward:
     def test_output_matches_input_resolution(self):
@@ -119,6 +154,21 @@ class TestForward:
         rng = np.random.default_rng(3)
         image = rng.uniform(size=(32, 32, 3)).astype(np.float32)
         assert np.array_equal(forward(image, params), forward(image, params))
+
+    def test_memory_is_bounded_and_released(self):
+        # a 128 px forward peaks at tens of MB and keeps nothing once it returns
+        params = build_model(ModelConfig(), Rng(17))
+        image = np.random.default_rng(5).uniform(size=(128, 128, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = forward(image, params)
+            del out
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64e6
+        assert held - before < 1e6
 
     def test_samples_are_independent(self):
         params = build_model(small_config(), Rng(19))
@@ -274,18 +324,38 @@ class TestTrain:
         losses = [l for _, l, _ in trace.entries]
         assert losses[-1] < losses[0]
 
-    def test_decoder_matrices_built_once_per_step(self, monkeypatch):
+    def test_training_builds_no_decoder_matrix(self, monkeypatch):
+        # the sparse matrices are the decoder's reference form only; the
+        # training step runs the per-tap transposed convs
         calls = []
-        original = model_module.decoder_matrices
 
-        def counted(params, grid):
-            calls.append(grid)
-            return original(params, grid)
+        def counting(name):
+            original = getattr(model_module, name)
 
-        monkeypatch.setattr(model_module, "decoder_matrices", counted)
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+            return counted
+
+        for name in ("decoder_matrices", "tconv_sparse_matrix"):
+            monkeypatch.setattr(model_module, name, counting(name))
         config = small_config(epochs=3, batch_size=4)
         train(config, generate_synthetic(5, 8, 16), Rng(config.seed))
-        assert len(calls) == 6  # 2 steps per epoch, 3 epochs
+        assert calls == []
+
+    def test_dead_network_raises(self):
+        # lr 1000 kills every relu after the first step: the loss then
+        # sticks with every gradient exactly 0 while the parameters stay finite
+        config = ModelConfig(epochs=3, lr=1000)
+        with pytest.raises(TrainingDivergedError, match="exactly 0"):
+            train(config, generate_synthetic(42, 8, 64), Rng(config.seed))
+
+    def test_nan_pixel_raises(self):
+        recs = generate_synthetic(3, 4, 16)
+        recs[2].image[5, 7, 1] = np.nan
+        config = small_config()
+        with pytest.raises(TrainingDivergedError, match="loss nan"):
+            train(config, recs, Rng(config.seed))
 
     def test_trace_serialization_format(self):
         trace = TrainTrace(entries=[(1, 0.6931471805, 0.25), (2, 0.5, 1.0)])
