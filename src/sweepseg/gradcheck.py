@@ -1,10 +1,11 @@
 """Finite-difference verification of every backward implementation.
 
-Each check builds a small float64 problem, computes analytic gradients
-through the layer's backward, and compares them against 64-bit central
-differences at h=1e-3. Inputs are constructed so no piecewise boundary
-(relu kink, pool tie, bce clamp) sits within h of a sample point, which
-keeps the quotient meaningful for the piecewise-linear ops.
+Each check builds a small float64 problem (a batch of one sample),
+computes analytic gradients through the layer's backward, and compares
+them against 64-bit central differences at h=1e-3. Inputs are
+constructed so no piecewise boundary (relu kink, pool tie, bce clamp)
+sits within h of a sample point, which keeps the quotient meaningful for
+the piecewise-linear ops.
 
 Pointwise and convolutional ops use an element-wise relative quotient.
 The recurrent checks normalize by each gradient array's magnitude
@@ -94,7 +95,7 @@ def _spread(rng: Rng, shape, gap: float = 0.1) -> np.ndarray:
 def _check_conv(rng: Rng, stride: int) -> float:
     spec = ConvSpec(kernel=(3, 3), stride=stride, padding=1,
                     in_channels=3, out_channels=4)
-    x = _draw(rng, (6, 6, 3))
+    x = _draw(rng, (1, 6, 6, 3))
     w = _draw(rng, (3, 3, 3, 4))
     b = _draw(rng, (4,))
     out, rec = conv2d_forward(x, w, b, spec)
@@ -109,7 +110,7 @@ def _check_conv(rng: Rng, stride: int) -> float:
 
 
 def _check_tconv(rng: Rng) -> float:
-    x = _draw(rng, (3, 4, 3))
+    x = _draw(rng, (1, 3, 4, 3))
     w = _draw(rng, (4, 4, 3, 2))
     b = _draw(rng, (2,))
     out, rec = tconv_forward(x, w, b, stride=2)
@@ -124,7 +125,7 @@ def _check_tconv(rng: Rng) -> float:
 
 
 def _check_crop(rng: Rng) -> float:
-    x = _draw(rng, (6, 6, 2))
+    x = _draw(rng, (1, 6, 6, 2))
     out, rec = crop2d_forward(x, 1)
     probe = _draw(rng, out.shape)
 
@@ -137,7 +138,7 @@ def _check_crop(rng: Rng) -> float:
 
 
 def _check_maxpool(rng: Rng) -> float:
-    x = _spread(rng, (6, 6, 2))
+    x = _spread(rng, (1, 6, 6, 2))
     out, rec = maxpool2x2_forward(x)
     probe = _draw(rng, out.shape)
 
@@ -167,12 +168,12 @@ def _check_activation(rng: Rng, kind: str) -> float:
 def _check_bce(rng: Rng) -> float:
     # curvature ~1/p^2 makes the h^2 truncation term of the central
     # difference exceed 1e-4 for p outside roughly [0.1, 0.9]
-    pred = _draw(rng, (6, 6), lo=0.15, hi=0.85)
-    target = (rng.fill(36).reshape(6, 6) > 0.5).astype(np.float64)
+    pred = _draw(rng, (1, 6, 6), lo=0.15, hi=0.85)
+    target = (rng.fill(36).reshape(1, 6, 6) > 0.5).astype(np.float64)
     _, rec = bce_loss(pred, target)
 
     def f() -> float:
-        return bce_loss(pred, target)[0]
+        return float(bce_loss(pred, target)[0][0])
 
     dpred, _ = backward(rec, 1.0)
     return finite_diff_check(f, [pred], [dpred])
@@ -187,7 +188,7 @@ def _sweep_params(rng: Rng, length: int, units: int) -> SweepParams:
 
 
 def _check_sweep(rng: Rng, direction: str) -> float:
-    x = _draw(rng, (3, 4, 5), lo=-0.5, hi=0.5)
+    x = _draw(rng, (1, 3, 4, 5), lo=-0.5, hi=0.5)
     params = _sweep_params(rng, 5, 3)
     out, rec = directional_sweep(x, direction, params)
     probe = _draw(rng, out.shape)
@@ -206,7 +207,7 @@ def _check_sweep(rng: Rng, direction: str) -> float:
 
 def _check_renet_block(rng: Rng) -> float:
     units = 2
-    feature = _draw(rng, (8, 8, 3), lo=-0.5, hi=0.5)
+    feature = _draw(rng, (1, 8, 8, 3), lo=-0.5, hi=0.5)
     params = RenetParams(
         down=_sweep_params(rng, 12, units),
         up=_sweep_params(rng, 12, units),

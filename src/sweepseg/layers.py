@@ -2,21 +2,31 @@
 
 Conventions used throughout:
 
-* feature maps are channel-last ndarrays (h, w, c); vectors are 1-D
+* every op runs on a batch: feature maps are channel-last ndarrays
+  (N, h, w, c), one sample per index of the leading axis; vectors are 1-D
 * convolution means cross-correlation (no kernel flip)
 * every forward returns (output, OpRecord); `backward(record, upstream)`
-  returns (input_gradient, {param_name: gradient})
+  returns (input_gradient, {param_name: gradient}), with each parameter
+  gradient summed over the batch
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
+
+A convolution is an implicit GEMM. The zero-padded batch, flattened to
+one row of c_in values per padded cell, puts the input cell that kernel
+tap (ki, kj) reads for output row r at row r + ki*(w+2p) + kj. So each
+tap is one GEMM over a contiguous block of rows, accumulated into one
+buffer, and no patch matrix is ever copied; the rows that straddle a
+border or two samples are junk and are sliced off at the end.
 
 The fractionally strided (transposed) convolution is, by definition, a
 sparse matrix times the flattened input: the rows enumerate output cells,
 the columns enumerate input cells and the stored values are kernel
 elements. `tconv_sparse_matrix` builds that matrix literally and the tests
 keep it as the oracle. `tconv_forward` computes the same map as one GEMM
-per kernel tap scattered into a strided slice of the output, and its
-backward pass, the product with the matrix's transpose, gathers the same
-slices back; neither holds an array the size of the matrix.
+per kernel tap, accumulated into a strided slice of the output; its
+backward pass, the product with the matrix's transpose, gathers all the
+taps' slices into one block and needs one GEMM per gradient. Neither holds
+an array the size of the matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidTargetError, ShapeError
 
@@ -64,90 +74,130 @@ def _record(kind: str, out_shape, **saved) -> OpRecord:
     return OpRecord(kind=kind, out_shape=tuple(out_shape), saved=saved)
 
 
+def _check_batch(x: np.ndarray, op: str) -> None:
+    if x.ndim != 4:
+        raise ShapeError(f"{op} expects an (N, h, w, c) batch, got {x.shape}")
+
+
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
-def _im2col(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(h, w, c) -> (out_h*out_w, kh*kw*c) patch matrix, kh-major layout."""
-    windows = sliding_window_view(padded, (kh, kw), axis=(0, 1))[::stride, ::stride]
-    oh, ow = windows.shape[:2]
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 4, 2))
-    return cols.reshape(oh * ow, kh * kw * padded.shape[2]), oh, ow
+def _tap_rows(spec: ConvSpec, in_shape) -> tuple[list[tuple[int, int, int]], int]:
+    """Each tap's (ki, kj, row offset) and the row count every tap GEMM spans."""
+    n, h, w, _ = in_shape
+    kh, kw = spec.kernel
+    hp, wp = h + 2 * spec.padding, w + 2 * spec.padding
+    taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
+    return taps, n * hp * wp - taps[-1][2]
+
+
+def _strided_cells(grid: np.ndarray, oh: int, ow: int, s: int) -> np.ndarray:
+    """The (N, oh, ow, c) cells of a stride-1 map that a stride-s conv keeps."""
+    return grid[:, :s * (oh - 1) + 1:s, :s * (ow - 1) + 1:s]
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                    spec: ConvSpec) -> tuple[np.ndarray, OpRecord]:
-    """Cross-correlation plus bias. x: (h,w,c_in), weights: (kh,kw,c_in,c_out)."""
-    if x.ndim != 3 or x.shape[2] != spec.in_channels:
+    """Cross-correlation plus bias. x: (N,h,w,c_in), weights: (kh,kw,c_in,c_out).
+
+    One GEMM per kernel tap over the flattened padded batch (see the module
+    docstring); stride s keeps every s-th cell of the stride-1 map.
+    """
+    _check_batch(x, "conv")
+    if x.shape[3] != spec.in_channels:
         raise ShapeError(f"conv input shape {x.shape} does not match in_channels={spec.in_channels}")
     kh, kw = spec.kernel
-    if weights.shape != (kh, kw, spec.in_channels, spec.out_channels):
-        raise ShapeError(f"conv weights shape {weights.shape} != {(kh, kw, spec.in_channels, spec.out_channels)}")
-    if bias.shape != (spec.out_channels,):
-        raise ShapeError(f"conv bias shape {bias.shape} != ({spec.out_channels},)")
-    oh = spec.out_dim(x.shape[0], 0)
-    ow = spec.out_dim(x.shape[1], 1)
+    ci, co = spec.in_channels, spec.out_channels
+    if weights.shape != (kh, kw, ci, co):
+        raise ShapeError(f"conv weights shape {weights.shape} != {(kh, kw, ci, co)}")
+    if bias.shape != (co,):
+        raise ShapeError(f"conv bias shape {bias.shape} != ({co},)")
+    n, h, w, _ = x.shape
+    oh = spec.out_dim(h, 0)
+    ow = spec.out_dim(w, 1)
 
     p = spec.padding
-    padded = np.pad(x, ((p, p), (p, p), (0, 0))) if p else x
-    cols, oh2, ow2 = _im2col(padded, kh, kw, spec.stride)
-    assert (oh2, ow2) == (oh, ow)
-    out = cols @ weights.reshape(kh * kw * spec.in_channels, spec.out_channels)
+    dtype = np.result_type(x, weights)
+    padded = np.zeros((n, h + 2 * p, w + 2 * p, ci), dtype=x.dtype)
+    padded[:, p:p + h, p:p + w] = x
+    rows = padded.reshape(-1, ci)
+    taps, length = _tap_rows(spec, x.shape)
+    acc = np.empty((rows.shape[0], co), dtype=dtype)
+    prod = np.empty((length, co), dtype=dtype)
+    for t, (ki, kj, off) in enumerate(taps):
+        np.matmul(rows[off:off + length], weights[ki, kj], out=acc[:length] if t == 0 else prod)
+        if t:
+            acc[:length] += prod
+    out = _strided_cells(acc.reshape(padded.shape[:3] + (co,)), oh, ow, spec.stride)
     out += bias
-    out = out.reshape(oh, ow, spec.out_channels)
-    rec = _record("conv2d", out.shape, cols=cols, weights=weights,
+    rec = _record("conv2d", out.shape, rows=rows, weights=weights,
                   in_shape=x.shape, spec=spec)
     return out, rec
 
 
-def _conv2d_backward(rec: OpRecord, up: np.ndarray):
-    cols = rec.saved["cols"]
+def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
+    rows = rec.saved["rows"]
     weights = rec.saved["weights"]
     spec: ConvSpec = rec.saved["spec"]
-    h, w, ci = rec.saved["in_shape"]
-    kh, kw = spec.kernel
-    oh, ow, co = rec.out_shape
-    s, p = spec.stride, spec.padding
+    n, h, w, ci = rec.saved["in_shape"]
+    _, oh, ow, co = rec.out_shape
+    p = spec.padding
+    taps, length = _tap_rows(spec, (n, h, w, ci))
 
-    up_mat = up.reshape(oh * ow, co)
-    d_weights = (cols.T @ up_mat).reshape(kh, kw, ci, co)
-    d_bias = up_mat.sum(axis=0)
+    # the upstream gradient on the padded grid, zero on every junk row
+    grid = np.zeros((n, h + 2 * p, w + 2 * p, co), dtype=up.dtype)
+    _strided_cells(grid, oh, ow, spec.stride)[...] = up
+    up_rows = grid.reshape(-1, co)[:length]
+    d_weights = np.empty(weights.shape, dtype=up.dtype)
+    for ki, kj, off in taps:
+        d_weights[ki, kj] = rows[off:off + length].T @ up_rows
+    grads = {"weights": d_weights, "bias": up.sum(axis=(0, 1, 2))}
+    if not input_grad:
+        return None, grads
 
-    d_cols = (up_mat @ weights.reshape(-1, co).T).reshape(oh, ow, kh, kw, ci)
-    dxp = np.zeros((h + 2 * p, w + 2 * p, ci), dtype=up.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            dxp[ki:ki + s * (oh - 1) + 1:s, kj:kj + s * (ow - 1) + 1:s] += d_cols[:, :, ki, kj]
-    dx = dxp[p:p + h, p:p + w] if p else dxp
-    return dx, {"weights": d_weights, "bias": d_bias}
+    d_rows = np.zeros((rows.shape[0], ci), dtype=up.dtype)
+    prod = np.empty((length, ci), dtype=up.dtype)
+    for ki, kj, off in taps:
+        np.matmul(up_rows, weights[ki, kj].T, out=prod)
+        d_rows[off:off + length] += prod
+    dx = d_rows.reshape(n, h + 2 * p, w + 2 * p, ci)[:, p:p + h, p:p + w]
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
 # max pooling
 # ---------------------------------------------------------------------------
 
+def _window_cells(x: np.ndarray) -> list[np.ndarray]:
+    """The four cells of every disjoint 2x2 window, in row-major order."""
+    return [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
+# the row-major index of each cell of a window, laid out as (row, ., col, .)
+_CELL_INDEX = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
+
+
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, OpRecord]:
     """Disjoint 2x2 window max per channel; ties go to the first cell row-major."""
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool expects (h,w,c), got {x.shape}")
-    h, w, c = x.shape
+    _check_batch(x, "maxpool")
+    _, h, w, _ = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-    windows = x.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 1, 3, 4).reshape(h // 2, w // 2, 4, c)
-    argmax = windows.argmax(axis=2)
-    out = np.take_along_axis(windows, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-    rec = _record("maxpool2x2", out.shape, argmax=argmax, in_shape=x.shape)
+    cells = _window_cells(x)
+    out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    winner = np.full(out.shape, 3, dtype=np.uint8)
+    for k in (2, 1, 0):  # descending, so the first maximal cell has the last word
+        winner[cells[k] == out] = k
+    rec = _record("maxpool2x2", out.shape, winner=winner, in_shape=x.shape)
     return out, rec
 
 
 def _maxpool_backward(rec: OpRecord, up: np.ndarray):
-    h, w, c = rec.saved["in_shape"]
-    argmax = rec.saved["argmax"]
-    scattered = np.zeros((h // 2, w // 2, 4, c), dtype=up.dtype)
-    np.put_along_axis(scattered, argmax[:, :, None, :], up[:, :, None, :], axis=2)
-    dx = scattered.reshape(h // 2, w // 2, 2, 2, c).transpose(0, 2, 1, 3, 4).reshape(h, w, c)
-    return dx, {}
+    n, h, w, c = rec.saved["in_shape"]
+    winner = rec.saved["winner"][:, :, None, :, None, :]
+    dx = (winner == _CELL_INDEX) * up[:, :, None, :, None, :]
+    return dx.reshape(n, h, w, c), {}
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +205,7 @@ def _maxpool_backward(rec: OpRecord, up: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def activation_forward(x: np.ndarray, kind: str) -> tuple[np.ndarray, OpRecord]:
+    """Elementwise relu, tanh or sigmoid of an array of any shape."""
     if kind == "relu":
         out = np.maximum(x, 0)
         rec = _record("activation", out.shape, act=kind, mask=x > 0)
@@ -197,8 +248,8 @@ class SparseMatrix:
     """COO triplets sorted by (row, col), duplicate-free.
 
     For a transposed convolution the rows enumerate flattened output cells
-    (row-major spatial, then channel) and the columns enumerate flattened
-    input cells.
+    (row-major spatial, then channel) and the columns enumerate input
+    cells, both of one sample.
     """
 
     rows: int
@@ -237,8 +288,8 @@ def tconv_sparse_matrix(weights: np.ndarray, in_dims: tuple[int, int],
 
     weights: (k, k, c_in, c_out); output spatial size is (in-1)*stride + k per
     axis. Every structural entry is stored even when the kernel value is 0.
-    This is the literal definition of the op; `tconv_forward` computes the
-    same map without materializing it.
+    This is the literal definition of the op on one sample; `tconv_forward`
+    computes the same map without materializing it.
     """
     _check_tconv_weights(weights, stride)
     k, _, ci, co = weights.shape
@@ -264,32 +315,33 @@ def tconv_sparse_matrix(weights: np.ndarray, in_dims: tuple[int, int],
 
 
 def _tap(up: np.ndarray, ki: int, kj: int, s: int, in_h: int, in_w: int) -> np.ndarray:
-    """The strided (in_h, in_w) slice of an output map that kernel tap (ki, kj) writes."""
-    return up[ki:ki + s * (in_h - 1) + 1:s, kj:kj + s * (in_w - 1) + 1:s]
+    """The strided (N, in_h, in_w, c) slice of an output batch that tap (ki, kj) writes."""
+    return up[:, ki:ki + s * (in_h - 1) + 1:s, kj:kj + s * (in_w - 1) + 1:s]
 
 
 def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                   stride: int) -> tuple[np.ndarray, OpRecord]:
     """Transposed convolution: out[s*i+ki, s*j+kj] += x[i, j] @ weights[ki, kj], plus bias.
 
-    x: (h, w, c_in), weights: (k, k, c_in, c_out); the output is
-    ((h-1)*s + k, (w-1)*s + k, c_out). One GEMM per kernel tap, accumulated
-    into the tap's strided slice of the output.
+    x: (N, h, w, c_in), weights: (k, k, c_in, c_out); the output is
+    (N, (h-1)*s + k, (w-1)*s + k, c_out). One GEMM per kernel tap,
+    accumulated into the tap's strided slice of the output.
     """
     _check_tconv_weights(weights, stride)
     k, _, ci, co = weights.shape
-    if x.ndim != 3 or x.shape[2] != ci:
+    _check_batch(x, "tconv")
+    if x.shape[3] != ci:
         raise ShapeError(f"tconv input shape {x.shape} does not match c_in={ci}")
     if bias.shape != (co,):
         raise ShapeError(f"tconv bias shape {bias.shape} != ({co},)")
-    h, w = x.shape[:2]
+    n, h, w, _ = x.shape
     s = stride
-    out = np.zeros(((h - 1) * s + k, (w - 1) * s + k, co),
+    out = np.zeros((n, (h - 1) * s + k, (w - 1) * s + k, co),
                    dtype=np.result_type(x, weights))
-    x_mat = x.reshape(h * w, ci)
+    x_mat = x.reshape(n * h * w, ci)
     for ki in range(k):
         for kj in range(k):
-            _tap(out, ki, kj, s, h, w)[...] += (x_mat @ weights[ki, kj]).reshape(h, w, co)
+            _tap(out, ki, kj, s, h, w)[...] += (x_mat @ weights[ki, kj]).reshape(n, h, w, co)
     out += bias
     rec = _record("tconv", out.shape, x=x, weights=weights, stride=stride)
     return out, rec
@@ -300,16 +352,17 @@ def _tconv_backward(rec: OpRecord, up: np.ndarray):
     weights = rec.saved["weights"]
     s = rec.saved["stride"]
     k, _, ci, co = weights.shape
-    in_h, in_w = x.shape[:2]
-    x_mat = x.reshape(in_h * in_w, ci)
-    dx = np.zeros((in_h * in_w, ci), dtype=up.dtype)
-    d_weights = np.empty(weights.shape, dtype=up.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            sub = _tap(up, ki, kj, s, in_h, in_w).reshape(in_h * in_w, co)
-            dx += sub @ weights[ki, kj].T
-            d_weights[ki, kj] = x_mat.T @ sub
-    return dx.reshape(x.shape), {"weights": d_weights, "bias": up.sum(axis=(0, 1))}
+    n, in_h, in_w, _ = x.shape
+    # taps[n, i, j, ki, kj] = up[n, s*i + ki, s*j + kj]: every tap's slice of
+    # the upstream gradient, gathered into one block by a single copy
+    sn, sh, sw, sc = up.strides
+    taps = as_strided(up, (n, in_h, in_w, k, k, co), (sn, s * sh, s * sw, sh, sw, sc),
+                      writeable=False)
+    taps = np.ascontiguousarray(taps).reshape(n * in_h * in_w, k * k * co)
+    dx = taps @ weights.transpose(0, 1, 3, 2).reshape(k * k * co, ci)
+    d_weights = (x.reshape(-1, ci).T @ taps).reshape(ci, k, k, co).transpose(1, 2, 0, 3)
+    return dx.reshape(x.shape), {"weights": np.ascontiguousarray(d_weights),
+                                 "bias": up.sum(axis=(0, 1, 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +370,20 @@ def _tconv_backward(rec: OpRecord, up: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def crop2d_forward(x: np.ndarray, margin: int) -> tuple[np.ndarray, OpRecord]:
-    h, w, _ = x.shape
+    _check_batch(x, "crop")
+    _, h, w, _ = x.shape
     if h <= 2 * margin or w <= 2 * margin:
         raise ShapeError(f"cannot crop {margin} from {h}x{w}")
-    out = x[margin:h - margin, margin:w - margin]
+    out = x[:, margin:h - margin, margin:w - margin]
     rec = _record("crop2d", out.shape, in_shape=x.shape, margin=margin)
     return out, rec
 
 
 def _crop2d_backward(rec: OpRecord, up: np.ndarray):
-    h, w, c = rec.saved["in_shape"]
+    _, h, w, _ = rec.saved["in_shape"]
     m = rec.saved["margin"]
-    dx = np.zeros((h, w, c), dtype=up.dtype)
-    dx[m:h - m, m:w - m] = up
+    dx = np.zeros(rec.saved["in_shape"], dtype=up.dtype)
+    dx[:, m:h - m, m:w - m] = up
     return dx, {}
 
 
@@ -337,20 +391,26 @@ def _crop2d_backward(rec: OpRecord, up: np.ndarray):
 # binary cross-entropy
 # ---------------------------------------------------------------------------
 
-def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, OpRecord]:
-    """Mean of -[t ln p + (1-t) ln(1-p)] with p clamped to [1e-7, 1-1e-7].
+def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, OpRecord]:
+    """Per-sample mean of -[t ln p + (1-t) ln(1-p)] with p clamped to [1e-7, 1-1e-7].
 
-    The reduction runs in float64 regardless of input dtype.
+    pred and target are (N, ...) batches; the result is a float64 array of
+    N losses, one mean over each sample's entries. The reductions run in
+    float64 regardless of input dtype. `backward(record, g)` is the
+    gradient of g times the sum of the N losses.
     """
     if pred.shape != target.shape:
         raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
+    if pred.ndim < 2:
+        raise ShapeError(f"bce expects an (N, ...) batch, got {pred.shape}")
     if not np.all((target == 0) | (target == 1)):
         raise InvalidTargetError("bce target must contain only 0 and 1")
     p = np.clip(pred.astype(np.float64), BCE_EPS, 1.0 - BCE_EPS)
     t = target.astype(np.float64)
-    loss = float(-np.mean(t * np.log(p) + (1.0 - t) * np.log1p(-p)))
+    terms = t * np.log(p) + (1.0 - t) * np.log1p(-p)
+    losses = -np.mean(terms.reshape(len(pred), -1), axis=1)
     rec = _record("bce", (), pred=pred, target=target)
-    return loss, rec
+    return losses, rec
 
 
 def _bce_backward(rec: OpRecord, up):
@@ -358,7 +418,7 @@ def _bce_backward(rec: OpRecord, up):
     target = rec.saved["target"]
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS).astype(pred.dtype)
     inside = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
-    dpred = (p - target) / (p * (1.0 - p)) / pred.size
+    dpred = (p - target) / (p * (1.0 - p)) / (pred.size // len(pred))
     dpred = np.where(inside, dpred, 0.0).astype(pred.dtype)
     return dpred * up, {}
 
@@ -382,14 +442,24 @@ def register_backward(kind: str, fn: Callable) -> None:
     _BACKWARD[kind] = fn
 
 
-def backward(rec: OpRecord, upstream) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Run one op's backward pass. `upstream` must match the recorded output shape."""
+def backward(rec: OpRecord, upstream,
+             input_grad: bool = True) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+    """Run one op's backward pass. `upstream` must match the recorded output shape.
+
+    With input_grad=False a conv computes only its parameter gradients and
+    returns None for the input's: a network's first conv reads the images,
+    whose gradient nothing uses.
+    """
     if rec.kind == "bce":
         up = float(upstream)
     else:
         up = np.asarray(upstream)
         if up.shape != rec.out_shape:
             raise ShapeError(f"upstream shape {up.shape} != recorded output shape {rec.out_shape}")
+    if not input_grad:
+        if rec.kind != "conv2d":
+            raise ValueError(f"op kind {rec.kind!r} always returns its input gradient")
+        return _conv2d_backward(rec, up, input_grad=False)
     fn = _BACKWARD.get(rec.kind)
     if fn is None:
         raise ValueError(f"no backward registered for op kind {rec.kind!r}")

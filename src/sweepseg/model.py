@@ -3,15 +3,18 @@
 Topology: a 7-convolution / 2-pool encoder (3x3 kernels, padding 1, relu),
 one four-direction recurrent sweep block over 2x2 patches of the encoded
 map, and a decoder of three stride-2 fractionally strided convolutions
-(each computed as one GEMM per kernel tap and cropped by 1 per side to hit
-an exact x2), finished by a 1x1 convolution and a sigmoid. Output is a
-per-pixel foreground probability at the input resolution.
+(each computed as per-tap GEMMs and cropped by 1 per side to hit an exact
+x2), finished by a 1x1 convolution and a sigmoid. Output is a per-pixel
+foreground probability at the input resolution.
+
+A training step runs its whole batch through one forward and one backward
+pass, every op taking the (N, h, w, c) batch at once.
 
 Everything is deterministic: parameters come from one seeded stream in
-declaration order, shuffling is Fisher-Yates on the same stream, samples
-inside a batch are processed in fixed order, and all arithmetic is float32
-with float64 loss accumulation. Two runs with the same seed, config, and
-data produce bit-identical checkpoints and traces.
+declaration order, shuffling is Fisher-Yates on the same stream, the
+per-sample losses are accumulated in sample order, and all arithmetic is
+float32 with float64 loss accumulation. Two runs with the same seed,
+config, and data produce bit-identical checkpoints and traces.
 """
 
 from __future__ import annotations
@@ -181,13 +184,13 @@ def _renet_params(params: ModelParams) -> RenetParams:
                        right=sweep("right"), left=sweep("left"))
 
 
-def _encode_tape(image: np.ndarray, params: ModelParams):
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ShapeError(f"expected an (h, w, 3) image, got {image.shape}")
-    if image.shape[0] % 4 or image.shape[1] % 4:
-        raise ShapeError(f"image dims {image.shape[:2]} must be divisible by 4")
+def _encode_tape(images: np.ndarray, params: ModelParams):
+    if images.ndim != 4 or images.shape[3] != 3:
+        raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
+    if images.shape[1] % 4 or images.shape[2] % 4:
+        raise ShapeError(f"image dims {images.shape[1:3]} must be divisible by 4")
     tape = []
-    x = image
+    x = images
     for i in range(1, len(ENCODER_CHANNELS) + 1):
         w = params.values[f"enc{i}.weights"]
         spec = ConvSpec(w.shape[2], w.shape[3], (3, 3), stride=1, padding=1)
@@ -235,11 +238,12 @@ def _decode_tape(x: np.ndarray, params: ModelParams):
     return x, tape
 
 
-def _forward_tape(image: np.ndarray, params: ModelParams):
-    x, tape = _encode_tape(image, params)
+def _forward_tape(images: np.ndarray, params: ModelParams):
+    """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape."""
+    x, tape = _encode_tape(images, params)
     patch = _infer_patch(params)
-    if x.shape[0] % patch or x.shape[1] % patch:
-        raise ShapeError(f"encoded map {x.shape[:2]} not divisible by patch {patch}")
+    if x.shape[1] % patch or x.shape[2] % patch:
+        raise ShapeError(f"encoded map {x.shape[1:3]} not divisible by patch {patch}")
     x, rec = renet_block(x, _renet_params(params), patch, patch)
     tape.append(("renet", rec))
     x, decode_tape = _decode_tape(x, params)
@@ -248,29 +252,30 @@ def _forward_tape(image: np.ndarray, params: ModelParams):
 
 def forward(image: np.ndarray, params: ModelParams) -> np.ndarray:
     """Full network: probability mask with the input's spatial shape."""
-    return _forward_tape(image, params)[0]
+    return _forward_tape(image[None], params)[0][0]
 
 
 def _batch_step(batch, params: ModelParams):
     """Mean loss, mean gradients, and per-sample probabilities for one batch."""
+    images = np.stack([image for image, _ in batch])
+    masks = np.stack([mask for _, mask in batch])
+    prob, tape = _forward_tape(images, params)
+    losses, bce_rec = bce_loss(prob, masks)
     loss_total = 0.0
-    grads = {k: np.zeros_like(v) for k, v in params.values.items()}
-    probs = []
-    for image, mask in batch:
-        prob, tape = _forward_tape(image, params)
-        sample_loss, bce_rec = bce_loss(prob, mask)
-        loss_total += sample_loss
-        probs.append(prob)
-        g, _ = backward(bce_rec, 1.0)
-        for prefix, rec in reversed(tape):
-            g, param_grads = backward(rec, g)
-            if prefix is not None:
-                for key, val in param_grads.items():
-                    grads[f"{prefix}.{key}"] += val
+    for sample_loss in losses:
+        loss_total += float(sample_loss)
+    g, _ = backward(bce_rec, 1.0)
+    summed = {}
+    for i in range(len(tape) - 1, -1, -1):
+        prefix, rec = tape[i]
+        # the first op reads the images, whose gradient nothing uses
+        g, param_grads = backward(rec, g, input_grad=i > 0)
+        if prefix is not None:
+            for key, val in param_grads.items():
+                summed[f"{prefix}.{key}"] = val
     scale = np.float32(1.0 / len(batch))
-    for key in grads:
-        grads[key] *= scale
-    return loss_total / len(batch), grads, probs
+    grads = {name: summed[name] * scale for name in params.values}
+    return loss_total / len(batch), grads, list(prob)
 
 
 def loss_and_gradients(batch, params: ModelParams):
@@ -281,6 +286,9 @@ def loss_and_gradients(batch, params: ModelParams):
     for image, mask in batch:
         if image.shape[:2] != mask.shape[:2]:
             raise ShapeError(f"image {image.shape} and mask {mask.shape} disagree")
+        if image.shape != batch[0][0].shape or mask.shape != batch[0][1].shape:
+            raise ShapeError(f"image {image.shape} and mask {mask.shape} differ in shape "
+                             f"from the batch's first pair")
     loss, grads, _ = _batch_step(batch, params)
     return loss, grads
 

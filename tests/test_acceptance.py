@@ -99,15 +99,15 @@ def test_shape_contract():
     for size in (32, 64):
         config = ModelConfig(image_size=size)
         params = build_model(config, Rng(5))
-        image = draw(Rng(6), (size, size, 3), lo=0.0, hi=1.0)
-        out, tape = _forward_tape(image, params)
-        _, enc_tape = _encode_tape(image, params)
+        images = draw(Rng(6), (2, size, size, 3), lo=0.0, hi=1.0)
+        out, tape = _forward_tape(images, params)
+        _, enc_tape = _encode_tape(images, params)
         convs = sum(1 for _, rec in enc_tape if rec.kind == "conv2d")
         pools = sum(1 for _, rec in enc_tape if rec.kind == "maxpool2x2")
-        coupled = next(rec.out_shape[2] for _, rec in tape if rec.kind == "renet_block")
-        ok &= (out.shape == (size, size, 1) and convs == 7 and pools == 2
+        coupled = next(rec.out_shape[3] for _, rec in tape if rec.kind == "renet_block")
+        ok &= (out.shape == (2, size, size, 1) and convs == 7 and pools == 2
                and coupled == 2 * config.rnn_units)
-        details.append(f"{size}px -> {out.shape[0]}x{out.shape[1]}, "
+        details.append(f"{size}px -> {out.shape[1]}x{out.shape[2]}, "
                        f"{convs} convs, {pools} pools, {coupled} coupled channels")
     report(ok, "shape contract", "; ".join(details))
 
@@ -117,7 +117,7 @@ def test_patch_algebra():
     identity_ok = decouple_ok = True
     mirror_worst = 0.0
     for _ in range(20):
-        feature = draw(rng, (8, 12, 3))
+        feature = draw(rng, (1, 8, 12, 3))
         grid = split_patches(feature, 2, 2)
         identity_ok &= np.array_equal(merge_patches(grid, 2, 2), feature)
 
@@ -127,22 +127,22 @@ def test_patch_algebra():
         down_p, up_p = mk(), mk()
         down1, _ = directional_sweep(grid, "down", down_p)
         up1, _ = directional_sweep(grid, "up", up_p)
-        coupled1 = np.concatenate([down1, up1], axis=2)
+        coupled1 = np.concatenate([down1, up1], axis=3)
 
         up_p2 = SweepParams(wx=up_p.wx + 0.1, wz=up_p.wz - 0.1, bias=up_p.bias + 1.0)
         down2, _ = directional_sweep(grid, "down", down_p)
         up2, _ = directional_sweep(grid, "up", up_p2)
-        coupled2 = np.concatenate([down2, up2], axis=2)
-        decouple_ok &= np.array_equal(coupled1[:, :, :4], coupled2[:, :, :4])
+        coupled2 = np.concatenate([down2, up2], axis=3)
+        decouple_ok &= np.array_equal(coupled1[..., :4], coupled2[..., :4])
         decouple_ok &= down1.tobytes() == down2.tobytes()
 
         # an up sweep over the row-reversed patch grid mirrors the down sweep
-        up_f, _ = directional_sweep(grid[::-1].copy(), "up", down_p)
-        mirror_worst = max(mirror_worst, float(np.abs(down1 - up_f[::-1]).max()))
+        up_f, _ = directional_sweep(grid[:, ::-1].copy(), "up", down_p)
+        mirror_worst = max(mirror_worst, float(np.abs(down1 - up_f[:, ::-1]).max()))
         right_p = mk()
         right1, _ = directional_sweep(grid, "right", right_p)
-        left_f, _ = directional_sweep(grid[:, ::-1].copy(), "left", right_p)
-        mirror_worst = max(mirror_worst, float(np.abs(right1 - left_f[:, ::-1]).max()))
+        left_f, _ = directional_sweep(grid[:, :, ::-1].copy(), "left", right_p)
+        mirror_worst = max(mirror_worst, float(np.abs(right1 - left_f[:, :, ::-1]).max()))
     ok = identity_ok and decouple_ok and mirror_worst <= 1e-6
     report(ok, "patch algebra",
            f"merge(split) identity {identity_ok}, decoupling bit-identical "

@@ -1,8 +1,10 @@
 """Tests for the differentiable primitives.
 
 Every op is checked against an independent oracle written from the plain
-definition (explicit loops, scatter-accumulate), and every backward pass is
-checked against central finite differences in float64.
+definition (explicit loops, scatter-accumulate) applied sample by sample,
+every backward pass is checked against central finite differences in
+float64 on a batch of two, and every op on a batch of three is checked
+against stacking its results on one sample at a time.
 """
 
 import numpy as np
@@ -83,12 +85,12 @@ def proj(rng, shape):
 
 class TestConv:
     def test_worked_example(self):
-        x = np.arange(1, 10, dtype=np.float32).reshape(3, 3, 1)
+        x = np.arange(1, 10, dtype=np.float32).reshape(1, 3, 3, 1)
         w = np.ones((2, 2, 1, 1), dtype=np.float32)
         b = np.zeros(1, dtype=np.float32)
         out, _ = conv2d_forward(x, w, b, ConvSpec(1, 1, (2, 2)))
-        assert out.shape == (2, 2, 1)
-        assert np.array_equal(out[:, :, 0], [[12, 16], [24, 28]])
+        assert out.shape == (1, 2, 2, 1)
+        assert np.array_equal(out[0, :, :, 0], [[12, 16], [24, 28]])
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(7)
@@ -102,25 +104,29 @@ class TestConv:
             pad = int(rng.integers(0, 2))
             if (h + 2 * pad - k) < 0 or (w + 2 * pad - k) < 0:
                 continue
-            x = rng.standard_normal((h, w, ci))
+            x = rng.standard_normal((int(rng.integers(1, 4)), h, w, ci))
             kern = rng.standard_normal((k, k, ci, co))
             b = rng.standard_normal(co)
             out, _ = conv2d_forward(x, kern, b, ConvSpec(ci, co, (k, k), stride, pad))
-            assert np.allclose(out, conv_oracle(x, kern, b, stride, pad), atol=1e-10)
+            want = np.stack([conv_oracle(sample, kern, b, stride, pad) for sample in x])
+            assert np.allclose(out, want, atol=1e-10)
 
     def test_one_by_one_is_channel_mix(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((5, 4, 3))
+        x = rng.standard_normal((2, 5, 4, 3))
         w = rng.standard_normal((1, 1, 3, 2))
         b = rng.standard_normal(2)
         out, _ = conv2d_forward(x, w, b, ConvSpec(3, 2, (1, 1)))
         assert np.allclose(out, x @ w[0, 0] + b)
 
     def test_shape_validation(self):
-        x = np.zeros((4, 4, 2), dtype=np.float32)
+        x = np.zeros((1, 4, 4, 2), dtype=np.float32)
         with pytest.raises(ShapeError):
             conv2d_forward(x, np.zeros((3, 3, 3, 1), np.float32), np.zeros(1, np.float32),
                            ConvSpec(3, 1, (3, 3)))
+        with pytest.raises(ShapeError):  # a sample without its batch axis
+            conv2d_forward(x[0], np.zeros((3, 3, 2, 1), np.float32), np.zeros(1, np.float32),
+                           ConvSpec(2, 1, (3, 3)))
         with pytest.raises(ShapeError):
             conv2d_forward(x, np.zeros((3, 3, 2, 1), np.float32), np.zeros(2, np.float32),
                            ConvSpec(2, 1, (3, 3)))
@@ -131,9 +137,9 @@ class TestConv:
 
 class TestMaxpool:
     def test_worked_example(self):
-        x = np.arange(1, 17, dtype=np.float32).reshape(4, 4, 1)
+        x = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4, 1)
         out, _ = maxpool2x2_forward(x)
-        assert np.array_equal(out[:, :, 0], [[6, 8], [14, 16]])
+        assert np.array_equal(out[0, :, :, 0], [[6, 8], [14, 16]])
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(11)
@@ -141,20 +147,20 @@ class TestMaxpool:
             h = 2 * int(rng.integers(1, 6))
             w = 2 * int(rng.integers(1, 6))
             c = int(rng.integers(1, 5))
-            x = rng.standard_normal((h, w, c)).astype(np.float32)
+            x = rng.standard_normal((int(rng.integers(1, 4)), h, w, c)).astype(np.float32)
             out, _ = maxpool2x2_forward(x)
-            assert np.array_equal(out, pool_oracle(x))
+            assert np.array_equal(out, np.stack([pool_oracle(sample) for sample in x]))
 
     def test_ties_route_gradient_to_first_cell_row_major(self):
-        x = np.full((2, 2, 1), 5.0, dtype=np.float32)
+        x = np.full((1, 2, 2, 1), 5.0, dtype=np.float32)
         out, rec = maxpool2x2_forward(x)
-        assert out[0, 0, 0] == 5.0
-        dx, _ = backward(rec, np.ones((1, 1, 1), dtype=np.float32))
-        assert np.array_equal(dx[:, :, 0], [[1, 0], [0, 0]])
+        assert out[0, 0, 0, 0] == 5.0
+        dx, _ = backward(rec, np.ones((1, 1, 1, 1), dtype=np.float32))
+        assert np.array_equal(dx[0, :, :, 0], [[1, 0], [0, 0]])
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool2x2_forward(np.zeros((3, 4, 1), np.float32))
+            maxpool2x2_forward(np.zeros((1, 3, 4, 1), np.float32))
 
 
 class TestActivations:
@@ -271,10 +277,11 @@ class TestTconvForward:
             co = int(rng.integers(1, 3))
             stride = int(rng.integers(1, 3))
             kern = rng.standard_normal((k, k, ci, co))
-            x = rng.standard_normal((h, w, ci))
+            x = rng.standard_normal((int(rng.integers(1, 4)), h, w, ci))
             b = rng.standard_normal(co)
             out, _ = tconv_forward(x, kern, b, stride)
-            assert np.allclose(out, tconv_oracle(x, kern, b, stride), atol=1e-10)
+            want = np.stack([tconv_oracle(sample, kern, b, stride) for sample in x])
+            assert np.allclose(out, want, atol=1e-10)
 
     def test_per_tap_form_equals_sparse_matrix_and_its_transpose(self):
         # the matrix is the op's literal definition; the forward is its
@@ -288,7 +295,7 @@ class TestTconvForward:
             ci = int(rng.integers(1, 4))
             co = int(rng.integers(1, 4))
             kern = rng.standard_normal((k, k, ci, co))
-            x = rng.standard_normal((h, w, ci))
+            x = rng.standard_normal((1, h, w, ci))
             dense = tconv_sparse_matrix(kern, (h, w), stride).to_dense()
             out, rec = tconv_forward(x, kern, np.zeros(co), stride)
             want = dense @ x.reshape(-1)
@@ -302,11 +309,11 @@ class TestTconvForward:
 
     def test_shape_validation(self):
         kern = np.ones((2, 2, 1, 1))
-        x = np.zeros((2, 2, 1))
+        x = np.zeros((1, 2, 2, 1))
         with pytest.raises(ShapeError):  # x channels vs the kernel's c_in
-            tconv_forward(np.zeros((2, 2, 2)), kern, np.zeros(1), 2)
-        with pytest.raises(ShapeError):  # x not (h, w, c)
-            tconv_forward(np.zeros((2, 2)), kern, np.zeros(1), 2)
+            tconv_forward(np.zeros((1, 2, 2, 2)), kern, np.zeros(1), 2)
+        with pytest.raises(ShapeError):  # x not (N, h, w, c)
+            tconv_forward(np.zeros((2, 2, 1)), kern, np.zeros(1), 2)
         with pytest.raises(ShapeError):  # non-square kernel
             tconv_forward(x, np.ones((2, 3, 1, 1)), np.zeros(1), 2)
         with pytest.raises(ShapeError):  # kernel not 4-D
@@ -319,49 +326,58 @@ class TestTconvForward:
 
 class TestCrop:
     def test_crops_symmetric_margin(self):
-        x = np.arange(25, dtype=np.float32).reshape(5, 5, 1)
+        x = np.arange(50, dtype=np.float32).reshape(2, 5, 5, 1)
         out, _ = crop2d_forward(x, 1)
-        assert np.array_equal(out, x[1:4, 1:4])
+        assert np.array_equal(out, x[:, 1:4, 1:4])
 
     def test_too_small_rejected(self):
         with pytest.raises(ShapeError):
-            crop2d_forward(np.zeros((2, 2, 1)), 1)
+            crop2d_forward(np.zeros((1, 2, 2, 1)), 1)
 
 
 class TestBce:
     def test_hand_value(self):
-        pred = np.array([0.8, 0.2])
-        target = np.array([1.0, 0.0])
+        pred = np.array([[0.8, 0.2]])
+        target = np.array([[1.0, 0.0]])
         loss, _ = bce_loss(pred, target)
-        assert abs(loss - (-np.log(0.8))) < 1e-12
+        assert loss.shape == (1,) and abs(loss[0] - (-np.log(0.8))) < 1e-12
 
     def test_clamp_keeps_loss_finite(self):
-        pred = np.array([0.0, 1.0])
-        target = np.array([1.0, 0.0])
+        pred = np.array([[0.0, 1.0]])
+        target = np.array([[1.0, 0.0]])
         loss, _ = bce_loss(pred, target)
-        assert np.isfinite(loss)
-        assert abs(loss - (-np.log(1e-7))) < 1e-4
+        assert np.isfinite(loss).all()
+        assert abs(loss[0] - (-np.log(1e-7))) < 1e-4
 
     def test_perfect_prediction_near_zero(self):
-        pred = np.array([1.0, 0.0])
-        target = np.array([1.0, 0.0])
+        pred = np.array([[1.0, 0.0]])
+        target = np.array([[1.0, 0.0]])
         loss, _ = bce_loss(pred, target)
-        assert loss < 1e-6
+        assert loss[0] < 1e-6
 
     def test_non_binary_target_rejected(self):
         with pytest.raises(InvalidTargetError):
-            bce_loss(np.array([0.5]), np.array([0.5]))
+            bce_loss(np.array([[0.5]]), np.array([[0.5]]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            bce_loss(np.zeros(3), np.zeros(4))
+            bce_loss(np.zeros((1, 3)), np.zeros((1, 4)))
+        with pytest.raises(ShapeError):  # no batch axis
+            bce_loss(np.zeros(3), np.zeros(3))
 
     def test_reduction_accumulates_in_float64(self):
         # float32 summation of 1e6 identical terms drifts; float64 does not
-        pred = np.full(10 ** 6, 0.75, dtype=np.float32)
-        target = np.ones(10 ** 6, dtype=np.float32)
+        pred = np.full((1, 10 ** 6), 0.75, dtype=np.float32)
+        target = np.ones((1, 10 ** 6), dtype=np.float32)
         loss, _ = bce_loss(pred, target)
-        assert abs(loss - (-np.log(np.float64(np.float32(0.75))))) < 1e-9
+        assert loss.dtype == np.float64
+        assert abs(loss[0] - (-np.log(np.float64(np.float32(0.75))))) < 1e-9
+
+    def test_one_mean_per_sample(self):
+        pred = np.array([[[0.8], [0.2]], [[0.5], [0.5]]])
+        target = np.array([[[1.0], [0.0]], [[1.0], [1.0]]])
+        loss, _ = bce_loss(pred, target)
+        assert np.allclose(loss, [-np.log(0.8), -np.log(0.5)], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +387,11 @@ class TestBce:
 class TestGradients:
     def test_conv_gradients(self):
         rng = np.random.default_rng(31)
-        x = rng.standard_normal((5, 5, 2))
+        x = rng.standard_normal((2, 5, 5, 2))
         w = rng.standard_normal((3, 3, 2, 3)) * 0.5
         b = rng.standard_normal(3) * 0.1
         spec = ConvSpec(2, 3, (3, 3), stride=1, padding=1)
-        r = proj(rng, (5, 5, 3))
+        r = proj(rng, (2, 5, 5, 3))
 
         def f():
             y, _ = conv2d_forward(x, w, b, spec)
@@ -388,7 +404,7 @@ class TestGradients:
 
     def test_conv_strided_gradients(self):
         rng = np.random.default_rng(37)
-        x = rng.standard_normal((6, 7, 2))
+        x = rng.standard_normal((2, 6, 7, 2))
         w = rng.standard_normal((2, 2, 2, 2)) * 0.5
         b = rng.standard_normal(2) * 0.1
         spec = ConvSpec(2, 2, (2, 2), stride=2, padding=0)
@@ -405,8 +421,8 @@ class TestGradients:
 
     def test_maxpool_gradients(self):
         rng = np.random.default_rng(41)
-        x = rng.standard_normal((6, 4, 3))
-        r = proj(rng, (3, 2, 3))
+        x = rng.standard_normal((2, 6, 4, 3))
+        r = proj(rng, (2, 3, 2, 3))
 
         def f():
             y, _ = maxpool2x2_forward(x)
@@ -432,11 +448,11 @@ class TestGradients:
 
     def test_tconv_gradients(self):
         rng = np.random.default_rng(53)
-        x = rng.standard_normal((3, 3, 2))
+        x = rng.standard_normal((2, 3, 3, 2))
         w = rng.standard_normal((2, 2, 2, 2)) * 0.5
         b = rng.standard_normal(2) * 0.1
         stride = 2
-        r = proj(rng, (6, 6, 2))
+        r = proj(rng, (2, 6, 6, 2))
 
         def f():
             y, _ = tconv_forward(x, w, b, stride)
@@ -449,10 +465,10 @@ class TestGradients:
 
     def test_tconv_overlapping_stride_gradients(self):
         rng = np.random.default_rng(59)
-        x = rng.standard_normal((3, 4, 2))
+        x = rng.standard_normal((2, 3, 4, 2))
         w = rng.standard_normal((3, 3, 2, 1)) * 0.5
         b = rng.standard_normal(1) * 0.1
-        r = proj(rng, (5, 6, 1))
+        r = proj(rng, (2, 5, 6, 1))
 
         def f():
             y, _ = tconv_forward(x, w, b, 1)
@@ -465,8 +481,8 @@ class TestGradients:
 
     def test_crop_gradients(self):
         rng = np.random.default_rng(61)
-        x = rng.standard_normal((5, 5, 2))
-        r = proj(rng, (3, 3, 2))
+        x = rng.standard_normal((2, 5, 5, 2))
+        r = proj(rng, (2, 3, 3, 2))
 
         def f():
             y, _ = crop2d_forward(x, 1)
@@ -478,12 +494,12 @@ class TestGradients:
 
     def test_bce_gradients(self):
         rng = np.random.default_rng(67)
-        pred = rng.uniform(0.05, 0.95, size=(4, 4, 1))
-        target = (rng.uniform(size=(4, 4, 1)) < 0.5).astype(np.float64)
+        pred = rng.uniform(0.05, 0.95, size=(2, 4, 4, 1))
+        target = (rng.uniform(size=(2, 4, 4, 1)) < 0.5).astype(np.float64)
 
         def f():
             loss, _ = bce_loss(pred, target)
-            return loss
+            return float(loss.sum())
 
         _, rec = bce_loss(pred, target)
         dpred, _ = backward(rec, 1.0)
@@ -493,11 +509,11 @@ class TestGradients:
         # conv -> relu -> pool -> sigmoid -> bce composes through the
         # per-op records exactly like the model-level tape will
         rng = np.random.default_rng(71)
-        x = rng.standard_normal((4, 4, 2))
+        x = rng.standard_normal((1, 4, 4, 2))
         w = rng.standard_normal((3, 3, 2, 3)) * 0.5
         b = rng.standard_normal(3) * 0.1
         spec = ConvSpec(2, 3, (3, 3), stride=1, padding=1)
-        target = (rng.uniform(size=(2, 2, 3)) < 0.5).astype(np.float64)
+        target = (rng.uniform(size=(1, 2, 2, 3)) < 0.5).astype(np.float64)
 
         def run():
             y1, r1 = conv2d_forward(x, w, b, spec)
@@ -505,7 +521,7 @@ class TestGradients:
             y3, r3 = maxpool2x2_forward(y2)
             y4, r4 = activation_forward(y3, "sigmoid")
             loss, r5 = bce_loss(y4, target)
-            return loss, (r1, r2, r3, r4, r5)
+            return float(loss.sum()), (r1, r2, r3, r4, r5)
 
         loss, (r1, r2, r3, r4, r5) = run()
         g, _ = backward(r5, 1.0)
@@ -519,15 +535,128 @@ class TestGradients:
 
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(73)
-        x = rng.standard_normal((4, 4, 2))
+        x = rng.standard_normal((2, 4, 4, 2))
         w = rng.standard_normal((3, 3, 2, 2))
         b = rng.standard_normal(2)
         _, rec = conv2d_forward(x, w, b, ConvSpec(2, 2, (3, 3), padding=1))
-        dx, grads = backward(rec, np.zeros((4, 4, 2)))
+        dx, grads = backward(rec, np.zeros((2, 4, 4, 2)))
         assert not dx.any() and not grads["weights"].any() and not grads["bias"].any()
 
     def test_upstream_shape_mismatch_rejected(self):
-        x = np.zeros((4, 4, 1), dtype=np.float32)
+        x = np.zeros((1, 4, 4, 1), dtype=np.float32)
         _, rec = maxpool2x2_forward(x)
         with pytest.raises(ShapeError):
-            backward(rec, np.zeros((4, 4, 1), dtype=np.float32))
+            backward(rec, np.zeros((1, 4, 4, 1), dtype=np.float32))
+
+    def test_conv_strided_padded_gradients(self):
+        # the network's 3x3 kernel with padding 1, at stride 2: the
+        # backward scatters into the stride-1 grid of the padded batch
+        rng = np.random.default_rng(79)
+        x = rng.standard_normal((2, 6, 5, 2))
+        w = rng.standard_normal((3, 3, 2, 3)) * 0.5
+        b = rng.standard_normal(3) * 0.1
+        spec = ConvSpec(2, 3, (3, 3), stride=2, padding=1)
+        _, rec = conv2d_forward(x, w, b, spec)
+        r = proj(rng, rec.out_shape)
+
+        def f():
+            y, _ = conv2d_forward(x, w, b, spec)
+            return float((y * r).sum())
+
+        dx, grads = backward(rec, r)
+        err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
+        assert err < 1e-6
+
+    def test_conv_skips_only_the_input_gradient(self):
+        rng = np.random.default_rng(83)
+        x = rng.standard_normal((2, 5, 5, 2))
+        w = rng.standard_normal((3, 3, 2, 3))
+        _, rec = conv2d_forward(x, w, np.zeros(3), ConvSpec(2, 3, (3, 3), padding=1))
+        up = proj(rng, rec.out_shape)
+        _, full = backward(rec, up)
+        dx, grads = backward(rec, up, input_grad=False)
+        assert dx is None
+        assert all(np.array_equal(grads[k], full[k]) for k in full)
+        _, pool = maxpool2x2_forward(np.zeros((1, 2, 2, 1)))
+        with pytest.raises(ValueError):
+            backward(pool, np.zeros((1, 1, 1, 1)), input_grad=False)
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: N samples at once equal N runs on one sample
+# ---------------------------------------------------------------------------
+
+def relative_gap(got, want):
+    return float(np.abs(got - want).max()) / max(float(np.abs(want).max()), 1e-300)
+
+
+def assert_batch_equals_stacked_samples(op, x, tol=1e-10):
+    """op on the whole batch equals op on each sample, forward and backward.
+
+    Input gradients stack like the outputs; parameter gradients of the
+    batch are the sums of the samples' gradients.
+    """
+    rng = np.random.default_rng(97)
+    out, rec = op(x)
+    up = rng.uniform(-1.0, 1.0, size=out.shape)
+    dx, grads = backward(rec, up)
+    outs, dxs, sums = [], [], {}
+    for n in range(len(x)):
+        o, r = op(x[n:n + 1])
+        d, g = backward(r, up[n:n + 1])
+        outs.append(o)
+        dxs.append(d)
+        for key, val in g.items():
+            sums[key] = sums.get(key, 0.0) + val
+    assert relative_gap(out, np.concatenate(outs)) <= tol
+    assert relative_gap(dx, np.concatenate(dxs)) <= tol
+    assert set(grads) == set(sums)
+    for key in grads:
+        assert relative_gap(grads[key], sums[key]) <= tol, key
+
+
+class TestBatchAxis:
+    def test_conv(self):
+        rng = np.random.default_rng(211)
+        x = rng.standard_normal((3, 7, 6, 3))
+        for k, stride, pad in [(3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0)]:
+            w = rng.standard_normal((k, k, 3, 4))
+            b = rng.standard_normal(4)
+            spec = ConvSpec(3, 4, (k, k), stride, pad)
+            assert_batch_equals_stacked_samples(lambda a: conv2d_forward(a, w, b, spec), x)
+
+    def test_maxpool(self):
+        rng = np.random.default_rng(223)
+        assert_batch_equals_stacked_samples(maxpool2x2_forward,
+                                            rng.standard_normal((3, 6, 4, 2)))
+
+    def test_activations(self):
+        rng = np.random.default_rng(227)
+        x = rng.standard_normal((3, 4, 5, 2))
+        for kind in ("relu", "tanh", "sigmoid"):
+            assert_batch_equals_stacked_samples(lambda a: activation_forward(a, kind), x)
+
+    def test_tconv(self):
+        rng = np.random.default_rng(229)
+        x = rng.standard_normal((3, 3, 4, 2))
+        for k, stride in [(4, 2), (3, 1), (2, 3)]:
+            w = rng.standard_normal((k, k, 2, 3))
+            b = rng.standard_normal(3)
+            assert_batch_equals_stacked_samples(lambda a: tconv_forward(a, w, b, stride), x)
+
+    def test_crop(self):
+        rng = np.random.default_rng(233)
+        assert_batch_equals_stacked_samples(lambda a: crop2d_forward(a, 1),
+                                            rng.standard_normal((3, 5, 6, 2)))
+
+    def test_bce(self):
+        rng = np.random.default_rng(239)
+        pred = rng.uniform(0.05, 0.95, size=(3, 4, 4, 1))
+        target = (rng.uniform(size=(3, 4, 4, 1)) < 0.5).astype(np.float64)
+        losses, rec = bce_loss(pred, target)
+        dpred, _ = backward(rec, 0.5)
+        for n in range(3):
+            loss, r = bce_loss(pred[n:n + 1], target[n:n + 1])
+            d, _ = backward(r, 0.5)
+            assert relative_gap(losses[n:n + 1], loss) <= 1e-10
+            assert relative_gap(dpred[n:n + 1], d) <= 1e-10
