@@ -65,7 +65,7 @@ def load_config(path) -> ModelConfig:
     """Parse a JSON config with a closed key set; missing keys default."""
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except (json.JSONDecodeError, UnicodeError) as e:
+    except ValueError as e:  # bad JSON, non-ASCII bytes, or an over-long integer
         raise ConfigError(f"config {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")

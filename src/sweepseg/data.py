@@ -240,7 +240,9 @@ def _generate_one(rng: Rng, size: int, index: int) -> tuple[ImageRecord, dict]:
 
 def generate_synthetic(seed: int, count: int, size: int) -> list[ImageRecord]:
     """Deterministic lesion images with exact masks; hairs touch the image only."""
-    if size % 8:
-        raise ConfigError(f"synthetic size must be divisible by 8, got {size}")
+    if size < 8 or size % 8:
+        raise ConfigError(f"synthetic size must be a positive multiple of 8, got {size}")
+    if count < 1:
+        raise ConfigError(f"synthetic count must be at least 1, got {count}")
     rng = Rng(seed)
     return [_generate_one(rng, size, k)[0] for k in range(count)]

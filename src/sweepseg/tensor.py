@@ -27,6 +27,18 @@ from .errors import (
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 2685821657736338717
 _INV_2_53 = 2.0 ** -53
+_U1, _U11, _U12, _U25, _U27 = (np.uint64(v) for v in (1, 11, 12, 25, 27))
+_UMULTIPLIER = np.uint64(_MULTIPLIER)
+_BIT_INDEX = np.arange(64, dtype=np.uint64)
+_JUMP_BLOCK = 128  # states per (block, 64) bit table in _jump
+_LANE_BITS = 6
+_LANE = 1 << _LANE_BITS  # consecutive draws per lane in fill()
+# fill() steps lanes from this many draws up and runs the serial loop below
+# it. The two cost the same near 800 draws: the serial loop takes 0.40 us a
+# draw, the lanes about 0.31 ms whatever the count up to a few thousand
+# (0.31 vs 0.32 ms at 768 draws, 0.36 vs 0.32 ms at 896; medians of 9
+# calls, one Xeon core, numpy 2.4).
+_VECTOR_MIN = 800
 
 CHECKPOINT_MAGIC = b"RSEG"
 CHECKPOINT_VERSION = 1
@@ -41,6 +53,18 @@ class Rng:
     `next()` advances the stream by one draw; `fill(n)` advances it by n
     draws. Consumption order is what makes every downstream artifact
     reproducible, so callers must draw in a fixed, documented order.
+
+    `fill(n)` returns exactly the draws, and leaves exactly the state, of n
+    calls to `next()`. From _VECTOR_MIN draws up it cuts the stream into
+    n // 64 lanes of 64 consecutive draws and steps every lane at once in
+    uint64 arithmetic (the multiply wraps mod 2^64), writing lane k's draws
+    to positions 64k..64k+63; the last n % 64 draws continue the last lane
+    one at a time. The update is linear over GF(2), so lane k starts from
+    M^(64k) applied to the state, where M is the 64x64 bit matrix of one
+    update: the lane starts double level by level, each level applying the
+    jump M^(64 * 2^level) from the fixed table _LANE_JUMPS to the starts
+    found so far (Haramoto et al., "Efficient jump ahead for F2-linear
+    random number generators", INFORMS JoC 2008).
     """
 
     def __init__(self, seed: int):
@@ -61,15 +85,77 @@ class Rng:
     def fill(self, count: int) -> np.ndarray:
         """Draw `count` uniforms into a float64 array (row-major order)."""
         out = np.empty(count, dtype=np.float64)
+        lanes = count // _LANE if count >= _VECTOR_MIN else 0
         state = self.state
-        for i in range(count):
-            state ^= state >> 12
-            state = (state ^ (state << 25)) & _MASK64
-            state ^= state >> 27
-            out[i] = ((state * _MULTIPLIER) & _MASK64) >> 11
-        self.state = state
+        if lanes:
+            state = _fill_lanes(state, out[:lanes * _LANE].reshape(lanes, _LANE))
+        self.state = _fill_serial(state, out[lanes * _LANE:])
         out *= _INV_2_53
         return out
+
+
+def _fill_serial(state: int, out: np.ndarray) -> int:
+    """Write the top 53 bits of each next output to `out`; return the state."""
+    for i in range(len(out)):
+        state ^= state >> 12
+        state = (state ^ (state << 25)) & _MASK64
+        state ^= state >> 27
+        out[i] = ((state * _MULTIPLIER) & _MASK64) >> 11
+    return state
+
+
+def _step(s: np.ndarray, tmp: np.ndarray) -> None:
+    """One xorshift update of every state in `s`, in place."""
+    np.right_shift(s, _U12, out=tmp)
+    s ^= tmp
+    np.left_shift(s, _U25, out=tmp)
+    s ^= tmp
+    np.right_shift(s, _U27, out=tmp)
+    s ^= tmp
+
+
+def _jump(states: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
+    """Write to `out` the GF(2) matrix with these 64 column words times each state.
+
+    Works in blocks, so the (block, 64) table of state bits stays small.
+    """
+    for i in range(0, len(states), _JUMP_BLOCK):
+        bits = states[i:i + _JUMP_BLOCK, None] >> _BIT_INDEX
+        bits &= _U1
+        bits *= columns
+        np.bitwise_xor.reduce(bits, axis=1, out=out[i:i + _JUMP_BLOCK])
+
+
+def _fill_lanes(state: int, grid: np.ndarray) -> int:
+    """Fill `grid` (lanes, _LANE) with the draws' top 53 bits; return the state."""
+    lanes = grid.shape[0]
+    s = np.empty(lanes, dtype=np.uint64)
+    s[0] = state
+    known = 1  # lane starts found so far; each level doubles them
+    for columns in _LANE_JUMPS[:(lanes - 1).bit_length()]:
+        new = min(known, lanes - known)
+        _jump(s[:new], columns, s[known:known + new])
+        known += new
+    tmp = np.empty_like(s)
+    for t in range(_LANE):
+        _step(s, tmp)
+        np.multiply(s, _UMULTIPLIER, out=tmp)
+        np.right_shift(tmp, _U11, out=grid[:, t])
+    return int(s[-1])
+
+
+def _lane_jumps() -> np.ndarray:
+    """Row k: the column words of M^(_LANE * 2^k), M being one update."""
+    columns = np.left_shift(_U1, _BIT_INDEX)
+    _step(columns, np.empty_like(columns))
+    table = np.empty((_LANE_BITS + 64, 64), dtype=np.uint64)
+    table[0] = columns
+    for k in range(1, len(table)):  # square: M^(2^k)
+        _jump(table[k - 1], table[k - 1], table[k])
+    return table[_LANE_BITS:]  # 64 levels: up to 2^64 lanes
+
+
+_LANE_JUMPS = _lane_jumps()
 
 
 def glorot_init(shape: Iterable[int], fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
@@ -154,7 +240,11 @@ def load_checkpoint(source: BinaryIO) -> dict[str, np.ndarray]:
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        raw_name = take(name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"entry name {raw_name!r} is not UTF-8") from None
         if name in entries:
             raise CheckpointError(f"duplicate entry name in stream: {name!r}")
         (rank,) = struct.unpack("<I", take(4, "rank"))

@@ -3,7 +3,7 @@
 `sweepbench/run.py` traces the program by replacing module globals by
 name, so a renamed or bypassed function makes its per-layer metric read 0
 without any error, and a broken call path ends the run with no result.
-One short traced run per network workload catches both.
+One short traced run per workload catches both.
 """
 
 import json
@@ -18,8 +18,11 @@ ROOT = Path(__file__).resolve().parent.parent
 NONZERO = {
     "train64": ["layers.conv2d_forward.ms", "layers.conv2d_backward.ms",
                 "layers.maxpool2x2_forward.ms", "layers.tconv_forward.ms",
-                "layers.tconv_backward.ms", "renet.renet_block.ms", "model.sgd_update.ms"],
+                "layers.tconv_backward.ms", "renet.renet_block.ms", "model.sgd_update.ms",
+                "model.build_model.ms"],
     "infer_mixed": ["model.forward.ms_64", "model.forward.ms_128"],
+    "synth_io": ["tensor.Rng.fill.draws_per_s", "data.generate_synthetic.ms",
+                 "data.read_pnm.ms", "metrics.confusion_counts.ms"],
 }
 
 

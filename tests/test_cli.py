@@ -2,9 +2,12 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sweepseg.cli import CONFIG_KEYS, load_config, run_cli
 from sweepseg.data import read_pnm, write_pnm
@@ -80,6 +83,33 @@ class TestLoadConfig:
             load_config(p)
 
 
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2))
+_DOCUMENTS = st.one_of(
+    st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=3), _JSON_VALUES,
+                    max_size=4),
+    _JSON_VALUES)
+
+
+class TestLoadConfigFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(text='{"epochs": ' + "1" * 5000 + "}")  # past Python's int-parse limit
+    @example(text='{"seed": "\u00e9"}')  # not ASCII
+    @given(text=st.one_of(
+        st.builds(json.dumps, _DOCUMENTS, ensure_ascii=st.booleans()),
+        st.text(max_size=40)))
+    def test_any_document_raises_only_config_errors(self, tmp_path, text):
+        p = tmp_path / "c.json"
+        p.write_text(text, encoding="utf-8")
+        try:
+            config = load_config(p)
+        except ConfigError:
+            return
+        assert isinstance(config, ModelConfig)
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["bogus"]) == 1
@@ -126,6 +156,18 @@ class TestSynth:
                         "--count", "1", "--seed", "0"]) == 2
 
 
+    @pytest.mark.parametrize("flags", [["--size", "0"], ["--size", "-8"],
+                                       ["--count", "0"], ["--count", "-2"]])
+    def test_unusable_size_or_count_exits_2_before_drawing(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "Mean of empty slice" included
+            assert run_cli(["synth", "--out", str(out), "--count", "1",
+                            "--seed", "1"] + flags) == 2
+        assert flags[0][2:] in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_writes_checkpoint_and_trace(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
@@ -169,6 +211,13 @@ class TestTrain:
                         "--out", str(ckpt), "--trace", str(trace)]) == 4
         assert "error: training died" in capsys.readouterr().err
         assert not ckpt.exists() and not trace.exists()
+
+    def test_overlong_integer_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"epochs": ' + "1" * 5000 + "}")
+        assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
+                        "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert "4300 digits" in capsys.readouterr().err
 
     def test_indivisible_image_size_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
@@ -246,6 +295,16 @@ class TestInfer:
                         "--image", str(data / "synth000.ppm"),
                         "--out", str(tmp_path / "o.pgm")]) == 2
         assert "truncated" in capsys.readouterr().err
+
+    def test_non_utf8_entry_name_exits_2(self, trained, tmp_path, capsys):
+        data, _ = trained
+        bad = tmp_path / "bad.ckpt"  # one 1-element tensor named b"\xff\xfe"
+        bad.write_bytes(b"RSEG" + struct.pack("<III", 1, 1, 2) + b"\xff\xfe"
+                        + struct.pack("<III", 1, 1, 0))
+        assert run_cli(["infer", "--model", str(bad),
+                        "--image", str(data / "synth000.ppm"),
+                        "--out", str(tmp_path / "o.pgm")]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_deterministic_output(self, trained, tmp_path, capsys):
         data, ckpt = trained

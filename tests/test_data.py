@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sweepseg.data import (
     ImageRecord,
@@ -68,6 +70,35 @@ class TestReadPnm:
     def test_malformed_dimension(self):
         with pytest.raises(PnmError):
             read_pnm(b"P5 two 2 255 " + bytes(4))
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 8).map(lambda v: str(v).encode()),
+    st.sampled_from([b"255", b"65535", b"1" * 5000, b"+2", b"0x2", b"2.0", b"\xff", b""]),
+    st.binary(max_size=3))
+_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#c\n", b" #c", b""])
+
+
+@st.composite
+def pnm_headers(draw):
+    """A P5/P6 (or other) magic, then up to four mutated fields, then payload bytes."""
+    data = draw(st.sampled_from([b"P5", b"P6"]) | st.binary(max_size=2))
+    for token in draw(st.lists(_TOKENS, max_size=4)):
+        data += draw(_SEPARATORS) + token
+    return data + draw(_SEPARATORS) + draw(st.binary(max_size=200))
+
+
+class TestReadPnmFuzz:
+    @settings(max_examples=400, deadline=None)
+    @example(data=b"P6 2 2 " + b"9" * 5000 + b" ")
+    @given(data=st.one_of(st.binary(max_size=64), pnm_headers()))
+    def test_any_bytes_raise_only_pnm_errors(self, data):
+        try:
+            t = read_pnm(data)
+        except PnmError:
+            return
+        assert t.dtype == np.float32 and t.ndim == 3 and t.shape[2] in (1, 3)
+        assert t.min() >= 0.0 and t.max() <= 1.0
 
 
 class TestWritePnm:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sweepseg.errors import (
     BadMagicError,
@@ -12,11 +14,23 @@ from sweepseg.errors import (
     TruncatedStreamError,
     VersionMismatchError,
 )
-from sweepseg.tensor import Rng, glorot_init, load_checkpoint, save_checkpoint
+from sweepseg.tensor import (
+    _LANE,
+    _VECTOR_MIN,
+    Rng,
+    glorot_init,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def reference_xorshift64star(seed, count):
     """Independent xorshift64* oracle on numpy uint64 arithmetic."""
+    return reference_stream(seed, count)[0]
+
+
+def reference_stream(seed, count):
+    """The oracle's `count` draws and the state it ends in."""
     values = []
     state = np.uint64(seed)
     mult = np.uint64(2685821657736338717)
@@ -27,7 +41,20 @@ def reference_xorshift64star(seed, count):
             state ^= state >> np.uint64(27)
             out = state * mult
             values.append(float(out >> np.uint64(11)) * 2.0**-53)
-    return values
+    return values, int(state)
+
+
+SEEDS = st.integers(1, (1 << 64) - 1)
+# the serial/lane crossover, and whole lane counts at jump-table levels
+# (16 -> 17 and 32 -> 33 lanes add a level) and at one 64 and one 128 px
+# synthetic image (2304 and 9216 lanes), each with its neighbours
+BOUNDARY_COUNTS = sorted(
+    {0, 1, _LANE - 1, _LANE, _LANE + 1, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1}
+    | {lanes * _LANE + d for lanes in (12, 13, 16, 17, 32, 33, 2304, 9216) for d in (-1, 0, 1)})
+SMALL_COUNTS = st.one_of(st.sampled_from([c for c in BOUNDARY_COUNTS if c <= 5000]),
+                         st.integers(0, 5000))
+COUNTS = st.one_of(st.sampled_from(BOUNDARY_COUNTS), st.integers(0, 5000),
+                   st.integers(0, 600_000))
 
 
 class TestRng:
@@ -60,6 +87,33 @@ class TestRng:
         u = Rng(5).fill(10000)
         assert np.all(u >= 0.0)
         assert np.all(u < 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @example(seed=1, count=0)
+    @example(seed=(1 << 64) - 1, count=1)
+    @example(seed=1, count=9216 * _LANE + 1)
+    @example(seed=(1 << 64) - 1, count=600_000)
+    @given(seed=SEEDS, count=COUNTS)
+    def test_fill_equals_the_scalar_recurrence(self, seed, count):
+        rng = Rng(seed)
+        got = rng.fill(count)
+        want, state = reference_stream(seed, count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.float64))
+        assert rng.state == state  # count 0: the seed itself
+
+    @settings(max_examples=30, deadline=None)
+    @example(seed=1, calls=[None, _VECTOR_MIN, None, _LANE + 1, _VECTOR_MIN + _LANE - 1])
+    @given(seed=SEEDS, calls=st.lists(st.one_of(st.none(), SMALL_COUNTS), max_size=8))
+    def test_interleaved_next_and_fill_are_one_stream(self, seed, calls):
+        """None is one next(); a number is one fill(number)."""
+        rng = Rng(seed)
+        got = []
+        for call in calls:
+            got.extend([rng.next()] if call is None else rng.fill(call).tolist())
+        want, state = reference_stream(seed, len(got))
+        assert got == want
+        assert rng.state == state
 
     def test_fill_matches_next(self):
         r1, r2 = Rng(17), Rng(17)
@@ -164,9 +218,48 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             save_checkpoint([("a", np.ones(1, np.float32)), ("a", np.ones(1, np.float32))], io.BytesIO())
 
+    def test_non_utf8_entry_name(self):
+        raw = b"RSEG" + struct.pack("<III", 1, 1, 2) + b"\xff\xfe" \
+            + struct.pack("<III", 1, 1, 0)
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(io.BytesIO(raw))
+
     def test_byte_count_matches_stream(self):
         sink = io.BytesIO()
         n = save_checkpoint({"ab": np.ones((2, 3), np.float32)}, sink)
         assert n == len(sink.getvalue())
         # 12 header + (4 + 2 name + 4 rank + 8 dims + 24 data)
         assert n == 12 + 4 + 2 + 4 + 8 + 24
+
+
+def _valid_checkpoint() -> bytes:
+    sink = io.BytesIO()
+    save_checkpoint({"enc1.weights": np.ones((2, 3), np.float32),
+                     "b": np.arange(2, dtype=np.float32)}, sink)
+    return sink.getvalue()
+
+
+_HEADER = b"RSEG" + struct.pack("<I", 1)  # valid magic and version
+_VALID_TAIL = _valid_checkpoint()[len(_HEADER):]
+
+
+@st.composite
+def mutated_tails(draw):
+    """The body of a valid checkpoint with a few bytes overwritten, then cut."""
+    tail = bytearray(_VALID_TAIL)
+    for _ in range(draw(st.integers(1, 3))):
+        tail[draw(st.integers(0, len(tail) - 1))] = draw(st.integers(0, 255))
+    return bytes(tail[:draw(st.integers(0, len(tail)))])
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(tail=st.one_of(st.binary(max_size=64), mutated_tails()))
+    def test_arbitrary_body_raises_only_checkpoint_errors(self, tail):
+        try:
+            entries = load_checkpoint(io.BytesIO(_HEADER + tail))
+        except CheckpointError:
+            return
+        for name, value in entries.items():
+            assert isinstance(name, str)
+            assert value.dtype == np.float32 and value.ndim >= 1
