@@ -11,6 +11,7 @@ exactly-zero gradients); no checkpoint or trace is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -224,10 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser for every run_cli call in a process, built on first use."""
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)

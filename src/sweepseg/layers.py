@@ -22,11 +22,13 @@ The fractionally strided (transposed) convolution is, by definition, a
 sparse matrix times the flattened input: the rows enumerate output cells,
 the columns enumerate input cells and the stored values are kernel
 elements. `tconv_sparse_matrix` builds that matrix literally and the tests
-keep it as the oracle. `tconv_forward` computes the same map as one GEMM
-per kernel tap, accumulated into a strided slice of the output; its
-backward pass, the product with the matrix's transpose, gathers all the
-taps' slices into one block and needs one GEMM per gradient. Neither holds
-an array the size of the matrix.
+keep it as the oracle. `tconv_forward` computes the same map as a phase-
+split convolution: a stride-s transposed conv is a stride-1 conv whose
+s*s output channel blocks are the s*s phases of the output grid, followed
+by a depth-to-space shuffle (the sub-pixel convolution). Its backward
+pass, the product with the matrix's transpose, gathers all the taps'
+slices of the upstream gradient into one block and needs one GEMM per
+gradient. Neither holds an array the size of the matrix.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ def _check_batch(x: np.ndarray, op: str) -> None:
 # convolution
 # ---------------------------------------------------------------------------
 
+# Rows per block of the conv forward's tap loop: one block's input rows,
+# product and accumulator stay in L2 across its taps. A 16->16 conv, one
+# BLAS thread on a 2-vCPU Xeon VM, best of 5x30 calls, took 3.8 ms
+# unblocked and 2.5 / 2.0 / 2.9 ms with blocks of 1024 / 2048 / 4096 rows
+# at N=4, 64 px (3.9 ms and 3.1 / 2.7 / 3.4 ms at N=1, 128 px).
+_BLOCK_ROWS = 2048
+
+
 def _tap_rows(spec: ConvSpec, in_shape) -> tuple[list[tuple[int, int, int]], int]:
     """Each tap's (ki, kj, row offset) and the row count every tap GEMM spans."""
     n, h, w, _ = in_shape
@@ -102,7 +112,8 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     """Cross-correlation plus bias. x: (N,h,w,c_in), weights: (kh,kw,c_in,c_out).
 
     One GEMM per kernel tap over the flattened padded batch (see the module
-    docstring); stride s keeps every s-th cell of the stride-1 map.
+    docstring), run block by block of _BLOCK_ROWS rows; stride s keeps every
+    s-th cell of the stride-1 map.
     """
     _check_batch(x, "conv")
     if x.shape[3] != spec.in_channels:
@@ -124,16 +135,26 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     rows = padded.reshape(-1, ci)
     taps, length = _tap_rows(spec, x.shape)
     acc = np.empty((rows.shape[0], co), dtype=dtype)
-    prod = np.empty((length, co), dtype=dtype)
-    for t, (ki, kj, off) in enumerate(taps):
-        np.matmul(rows[off:off + length], weights[ki, kj], out=acc[:length] if t == 0 else prod)
-        if t:
-            acc[:length] += prod
+    prod = np.empty((min(length, _BLOCK_ROWS), co), dtype=dtype)
+    for start in range(0, length, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, length)
+        block = acc[start:stop]
+        for t, (ki, kj, off) in enumerate(taps):
+            np.matmul(rows[start + off:stop + off], weights[ki, kj],
+                      out=block if t == 0 else prod[:stop - start])
+            if t:
+                block += prod[:stop - start]
+        block += bias
     out = _strided_cells(acc.reshape(padded.shape[:3] + (co,)), oh, ow, spec.stride)
-    out += bias
     rec = _record("conv2d", out.shape, rows=rows, weights=weights,
                   in_shape=x.shape, spec=spec)
     return out, rec
+
+
+def _bias_grad(up: np.ndarray) -> np.ndarray:
+    """The channel sums of an (N, h, w, c) gradient, as one GEMV."""
+    rows = up.reshape(-1, up.shape[-1])
+    return np.ones(rows.shape[0], dtype=up.dtype) @ rows
 
 
 def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
@@ -152,7 +173,7 @@ def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
     d_weights = np.empty(weights.shape, dtype=up.dtype)
     for ki, kj, off in taps:
         d_weights[ki, kj] = rows[off:off + length].T @ up_rows
-    grads = {"weights": d_weights, "bias": up.sum(axis=(0, 1, 2))}
+    grads = {"weights": d_weights, "bias": _bias_grad(up)}
     if not input_grad:
         return None, grads
 
@@ -174,10 +195,6 @@ def _window_cells(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
-# the row-major index of each cell of a window, laid out as (row, ., col, .)
-_CELL_INDEX = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
-
-
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, OpRecord]:
     """Disjoint 2x2 window max per channel; ties go to the first cell row-major."""
     _check_batch(x, "maxpool")
@@ -186,18 +203,25 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, OpRecord]:
         raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
     cells = _window_cells(x)
     out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
-    winner = np.full(out.shape, 3, dtype=np.uint8)
-    for k in (2, 1, 0):  # descending, so the first maximal cell has the last word
-        winner[cells[k] == out] = k
-    rec = _record("maxpool2x2", out.shape, winner=winner, in_shape=x.shape)
+    rec = _record("maxpool2x2", out.shape, x=x, out=out)
     return out, rec
 
 
 def _maxpool_backward(rec: OpRecord, up: np.ndarray):
-    n, h, w, c = rec.saved["in_shape"]
-    winner = rec.saved["winner"][:, :, None, :, None, :]
-    dx = (winner == _CELL_INDEX) * up[:, :, None, :, None, :]
-    return dx.reshape(n, h, w, c), {}
+    """Each window's gradient goes to its first maximal cell in row-major
+    order, or to its last cell when none matches (a NaN window)."""
+    out = rec.saved["out"]
+    cells = _window_cells(rec.saved["x"])
+    dx = np.empty(rec.saved["x"].shape, dtype=up.dtype)
+    d_cells = _window_cells(dx)
+    free = np.ones(out.shape, dtype=bool)  # windows whose winner is still open
+    for k in range(3):
+        won = np.equal(cells[k], out)
+        won &= free
+        np.multiply(up, won, out=d_cells[k])
+        free ^= won
+    np.multiply(up, free, out=d_cells[3])
+    return dx, {}
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +245,10 @@ def activation_forward(x: np.ndarray, kind: str) -> tuple[np.ndarray, OpRecord]:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x)
+    # below; min(x, -x) is -|x| with a NaN's sign kept, as exp(x) keeps it
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _activation_backward(rec: OpRecord, up: np.ndarray):
@@ -314,18 +336,14 @@ def tconv_sparse_matrix(weights: np.ndarray, in_dims: tuple[int, int],
     )
 
 
-def _tap(up: np.ndarray, ki: int, kj: int, s: int, in_h: int, in_w: int) -> np.ndarray:
-    """The strided (N, in_h, in_w, c) slice of an output batch that tap (ki, kj) writes."""
-    return up[:, ki:ki + s * (in_h - 1) + 1:s, kj:kj + s * (in_w - 1) + 1:s]
-
-
 def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                   stride: int) -> tuple[np.ndarray, OpRecord]:
     """Transposed convolution: out[s*i+ki, s*j+kj] += x[i, j] @ weights[ki, kj], plus bias.
 
     x: (N, h, w, c_in), weights: (k, k, c_in, c_out); the output is
-    (N, (h-1)*s + k, (w-1)*s + k, c_out). One GEMM per kernel tap,
-    accumulated into the tap's strided slice of the output.
+    (N, (h-1)*s + k, (w-1)*s + k, c_out). Computed as a stride-1 conv with
+    s*s output phases (see `_phase_kernel`), padding q-1 with q = ceil(k/s),
+    then a depth-to-space shuffle and a crop of the overshoot.
     """
     _check_tconv_weights(weights, stride)
     k, _, ci, co = weights.shape
@@ -336,15 +354,32 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"tconv bias shape {bias.shape} != ({co},)")
     n, h, w, _ = x.shape
     s = stride
-    out = np.zeros((n, (h - 1) * s + k, (w - 1) * s + k, co),
-                   dtype=np.result_type(x, weights))
-    x_mat = x.reshape(n * h * w, ci)
-    for ki in range(k):
-        for kj in range(k):
-            _tap(out, ki, kj, s, h, w)[...] += (x_mat @ weights[ki, kj]).reshape(n, h, w, co)
-    out += bias
+    q = -(-k // s)
+    phases, _ = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s),
+                               ConvSpec(ci, s * s * co, (q, q), padding=q - 1))
+    # depth to space: phase (rh, rw) of cell (m, l) is output cell (s*m+rh, s*l+rw)
+    ph, pw = phases.shape[1:3]
+    full = phases.reshape(n, ph, pw, s, s, co).transpose(0, 1, 3, 2, 4, 5)
+    full = full.reshape(n, ph * s, pw * s, co)
+    out = full[:, :(h - 1) * s + k, :(w - 1) * s + k]
     rec = _record("tconv", out.shape, x=x, weights=weights, stride=stride)
     return out, rec
+
+
+def _phase_kernel(weights: np.ndarray, s: int) -> np.ndarray:
+    """The (q, q, c_in, s*s*c_out) conv kernel of a stride-s transposed conv.
+
+    With the kernel zero-padded to q*s taps per axis and tap a = s*u + r,
+    output cell s*m + r sums x[m-u] @ weights[s*u+r] over u: a correlation,
+    at padding q-1, of x with the u-flipped kernel, one output channel
+    block per phase (r_h, r_w).
+    """
+    k, _, ci, co = weights.shape
+    q = -(-k // s)
+    padded = np.zeros((q * s, q * s, ci, co), dtype=weights.dtype)
+    padded[:k, :k] = weights
+    split = padded.reshape(q, s, q, s, ci, co)[::-1, :, ::-1]
+    return split.transpose(0, 2, 4, 1, 3, 5).reshape(q, q, ci, s * s * co)
 
 
 def _tconv_backward(rec: OpRecord, up: np.ndarray):
@@ -362,7 +397,7 @@ def _tconv_backward(rec: OpRecord, up: np.ndarray):
     dx = taps @ weights.transpose(0, 1, 3, 2).reshape(k * k * co, ci)
     d_weights = (x.reshape(-1, ci).T @ taps).reshape(ci, k, k, co).transpose(1, 2, 0, 3)
     return dx.reshape(x.shape), {"weights": np.ascontiguousarray(d_weights),
-                                 "bias": up.sum(axis=(0, 1, 2))}
+                                 "bias": _bias_grad(up)}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Topology: a 7-convolution / 2-pool encoder (3x3 kernels, padding 1, relu),
 one four-direction recurrent sweep block over 2x2 patches of the encoded
 map, and a decoder of three stride-2 fractionally strided convolutions
-(each computed as per-tap GEMMs and cropped by 1 per side to hit an exact
-x2), finished by a 1x1 convolution and a sigmoid. Output is a per-pixel
-foreground probability at the input resolution.
+(each computed as a phase-split conv plus depth-to-space and cropped by 1
+per side to hit an exact x2), finished by a 1x1 convolution and a sigmoid.
+Output is a per-pixel foreground probability at the input resolution.
 
 A training step runs its whole batch through one forward and one backward
 pass, every op taking the (N, h, w, c) batch at once.
@@ -20,6 +20,7 @@ config, and data produce bit-identical checkpoints and traces.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,10 @@ class ModelConfig:
             raise ConfigError("epochs must be non-negative")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must lie in [0,1]")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be a finite number above 0, got {self.lr}")
+        if not (math.isfinite(self.momentum) and 0.0 <= self.momentum < 1.0):
+            raise ConfigError(f"momentum must lie in [0,1), got {self.momentum}")
         return self
 
 
@@ -184,12 +189,14 @@ def _renet_params(params: ModelParams) -> RenetParams:
                        right=sweep("right"), left=sweep("left"))
 
 
-def _encode_tape(images: np.ndarray, params: ModelParams):
+def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
+    """Encoder output and the op tape: (prefix, record) pairs appended to
+    `sink`, a fresh list when it is None."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
     if images.shape[1] % 4 or images.shape[2] % 4:
         raise ShapeError(f"image dims {images.shape[1:3]} must be divisible by 4")
-    tape = []
+    tape = [] if sink is None else sink
     x = images
     for i in range(1, len(ENCODER_CHANNELS) + 1):
         w = params.values[f"enc{i}.weights"]
@@ -219,8 +226,8 @@ def decoder_matrices(params: ModelParams, grid: int) -> list:
     return mats
 
 
-def _decode_tape(x: np.ndarray, params: ModelParams):
-    tape = []
+def _decode_tape(x: np.ndarray, params: ModelParams, sink=None):
+    tape = [] if sink is None else sink
     for k in range(1, len(DECODER_CHANNELS) + 1):
         x, rec = tconv_forward(x, params.values[f"dec{k}.weights"],
                                params.values[f"dec{k}.bias"], TCONV_STRIDE)
@@ -238,21 +245,24 @@ def _decode_tape(x: np.ndarray, params: ModelParams):
     return x, tape
 
 
-def _forward_tape(images: np.ndarray, params: ModelParams):
+def _forward_tape(images: np.ndarray, params: ModelParams, sink=None):
     """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape."""
-    x, tape = _encode_tape(images, params)
+    x, tape = _encode_tape(images, params, sink)
     patch = _infer_patch(params)
     if x.shape[1] % patch or x.shape[2] % patch:
         raise ShapeError(f"encoded map {x.shape[1:3]} not divisible by patch {patch}")
     x, rec = renet_block(x, _renet_params(params), patch, patch)
     tape.append(("renet", rec))
-    x, decode_tape = _decode_tape(x, params)
-    return x, tape + decode_tape
+    return _decode_tape(x, params, tape)
 
 
 def forward(image: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Full network: probability mask with the input's spatial shape."""
-    return _forward_tape(image[None], params)[0][0]
+    """Full network: probability mask with the input's spatial shape.
+
+    No backward pass follows, so the tape is a sink that keeps nothing:
+    each op's record is dropped once the next op has run.
+    """
+    return _forward_tape(image[None], params, deque(maxlen=0))[0][0]
 
 
 def _batch_step(batch, params: ModelParams):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sweepseg.cli import CONFIG_KEYS, load_config, run_cli
+from sweepseg import cli
+from sweepseg.cli import CONFIG_KEYS, build_parser, load_config, run_cli
 from sweepseg.data import read_pnm, write_pnm
 from sweepseg.errors import ConfigError
 from sweepseg.gradcheck import CheckResult
@@ -75,6 +76,21 @@ class TestLoadConfig:
         p.write_text('{"epochs": true}')
         with pytest.raises(ConfigError):
             load_config(p)
+
+    @pytest.mark.parametrize("doc", [
+        '{"lr": NaN}', '{"lr": Infinity}', '{"lr": 0}', '{"lr": -0.01}',
+        '{"momentum": 5.0}', '{"momentum": 1}', '{"momentum": -0.1}',
+        '{"momentum": NaN}', '{"momentum": -Infinity}'])
+    def test_lr_and_momentum_out_of_range_rejected(self, tmp_path, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc)
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+
+    def test_lr_and_momentum_edges_accepted(self, tmp_path):
+        for lr, momentum in [(1000, 0), (1e-30, 0.999)]:
+            config = load_config(write_config(tmp_path / "c.json", lr=lr, momentum=momentum))
+            assert (config.lr, config.momentum) == (lr, momentum)
 
     def test_fractional_int_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
@@ -218,6 +234,17 @@ class TestTrain:
         assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
                         "--out", str(tmp_path / "m.ckpt")]) == 2
         assert "4300 digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ['{"lr": NaN}', '{"momentum": 5.0}'])
+    def test_bad_lr_or_momentum_exits_2_and_writes_nothing(self, tmp_path, capsys, doc):
+        data = make_dataset(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc)
+        ckpt, trace = tmp_path / "m.ckpt", tmp_path / "t.csv"
+        assert run_cli(["train", "--data", str(data), "--config", str(cfg),
+                        "--out", str(ckpt), "--trace", str(trace)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not ckpt.exists() and not trace.exists()
 
     def test_indivisible_image_size_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
@@ -380,6 +407,34 @@ class TestEval:
 
     def test_no_mode_is_usage_error(self, tmp_path, capsys):
         assert run_cli(["eval", "--report", str(tmp_path / "r.txt")]) == 1
+
+
+class TestSharedParser:
+    def test_one_parser_per_process_and_a_fresh_one_per_build(self):
+        assert cli._shared_parser() is cli._shared_parser()
+        assert build_parser() is not build_parser()
+
+    def test_consecutive_calls_are_independent(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir()
+        gt.mkdir()
+        name = "synth000_segmentation.pgm"
+        (gt / name).write_bytes((data / name).read_bytes())
+        infer = ["infer", "--model", str(ckpt), "--image", str(data / "synth000.ppm"),
+                 "--out", str(pred / name)]
+        assert run_cli(infer) == 0
+        mask = (pred / name).read_bytes()
+        evaluate = ["eval", "--pred", str(pred), "--gt", str(gt)]
+        assert run_cli(evaluate + ["--report", str(tmp_path / "a.txt"),
+                                   "--min-jaccard", "1.1"]) == 3
+        # no --min-jaccard left over from the call before
+        assert run_cli(evaluate + ["--report", str(tmp_path / "b.txt")]) == 0
+        assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text()
+        assert run_cli(["infer", "--model", str(ckpt)]) == 1
+        (pred / name).unlink()
+        assert run_cli(infer) == 0
+        assert (pred / name).read_bytes() == mask
 
 
 class TestGradcheckCommand:

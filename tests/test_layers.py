@@ -12,7 +12,9 @@ import pytest
 
 from sweepseg.errors import InvalidTargetError, ShapeError
 from sweepseg.layers import (
+    _BLOCK_ROWS,
     ConvSpec,
+    _tap_rows,
     activation_forward,
     backward,
     bce_loss,
@@ -63,6 +65,33 @@ def tconv_oracle(x, kern, b, stride):
     return out + b
 
 
+def conv_float64(x, w, b, stride, pad):
+    """The conv of a batch in float64, one strided window product per tap."""
+    x = np.pad(x.astype(np.float64), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    kh, kw = w.shape[:2]
+    oh = (x.shape[1] - kh) // stride + 1
+    ow = (x.shape[2] - kw) // stride + 1
+    out = np.zeros((x.shape[0], oh, ow, w.shape[3])) + b
+    for ki in range(kh):
+        for kj in range(kw):
+            window = x[:, ki:ki + stride * (oh - 1) + 1:stride, kj:kj + stride * (ow - 1) + 1:stride]
+            out += window @ w[ki, kj].astype(np.float64)
+    return out
+
+
+def pool_backward_by_winner(x, up):
+    """Pool backward through a winner index per window: the first cell,
+    row-major, equal to the window max; cell 3 when none is (a NaN window)."""
+    cells = [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    winner = np.full(out.shape, 3, dtype=np.uint8)
+    for k in (2, 1, 0):
+        winner[cells[k] == out] = k
+    index = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
+    dx = (winner[:, :, None, :, None, :] == index) * up[:, :, None, :, None, :]
+    return dx.reshape(x.shape)
+
+
 def pool_oracle(x):
     h, w, c = x.shape
     out = np.zeros((h // 2, w // 2, c), dtype=x.dtype)
@@ -111,6 +140,32 @@ class TestConv:
             want = np.stack([conv_oracle(sample, kern, b, stride, pad) for sample in x])
             assert np.allclose(out, want, atol=1e-10)
 
+    def test_blocked_tap_loop_matches_float64_across_blocks(self):
+        # every shape spans several blocks of rows and ends inside one
+        rng = np.random.default_rng(41)
+        for n, h, w, ci, stride in [(4, 64, 64, 3, 1), (2, 50, 47, 5, 1), (3, 40, 33, 4, 2)]:
+            x = rng.standard_normal((n, h, w, ci)).astype(np.float32)
+            kern = rng.standard_normal((3, 3, ci, 6)).astype(np.float32)
+            b = rng.standard_normal(6).astype(np.float32)
+            spec = ConvSpec(ci, 6, (3, 3), stride, 1)
+            _, length = _tap_rows(spec, x.shape)
+            assert length > 2 * _BLOCK_ROWS and length % _BLOCK_ROWS
+            out, _ = conv2d_forward(x, kern, b, spec)
+            want = conv_float64(x, kern, b, stride, 1)
+            assert out.dtype == np.float32 and out.shape == want.shape
+            assert relative_gap(out, want) <= 1e-6
+
+    def test_bias_gradient_matches_float64_sum(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((4, 64, 64, 16)).astype(np.float32)
+        kern = rng.standard_normal((3, 3, 16, 16)).astype(np.float32)
+        out, rec = conv2d_forward(x, kern, np.zeros(16, np.float32), ConvSpec(16, 16, (3, 3), 1, 1))
+        up = rng.standard_normal(out.shape).astype(np.float32)
+        _, grads = backward(rec, up)
+        want = up.astype(np.float64).sum(axis=(0, 1, 2))
+        assert grads["bias"].dtype == np.float32
+        assert np.all(np.abs(grads["bias"] - want) <= 1e-5 * np.abs(up).sum(axis=(0, 1, 2)))
+
     def test_one_by_one_is_channel_mix(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 5, 4, 3))
@@ -158,6 +213,19 @@ class TestMaxpool:
         dx, _ = backward(rec, np.ones((1, 1, 1, 1), dtype=np.float32))
         assert np.array_equal(dx[0, :, :, 0], [[1, 0], [0, 0]])
 
+    def test_backward_equals_the_winner_index_form_on_ties_and_nans(self):
+        rng = np.random.default_rng(13)
+        for dtype in (np.float32, np.float64):
+            for _ in range(10):
+                x = rng.integers(0, 3, size=(3, 8, 6, 4)).astype(dtype)  # full of ties
+                x[rng.uniform(size=x.shape) < 0.05] = np.nan
+                up = rng.standard_normal((3, 4, 3, 4)).astype(dtype)
+                up[0, 0, 0] = np.nan
+                up[1, 1, 1] = -0.0
+                _, rec = maxpool2x2_forward(x)
+                dx, _ = backward(rec, up)
+                assert dx.tobytes() == pool_backward_by_winner(x, up).tobytes()
+
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
             maxpool2x2_forward(np.zeros((1, 3, 4, 1), np.float32))
@@ -178,6 +246,19 @@ class TestActivations:
         with np.errstate(over="raise"):
             out, _ = activation_forward(x, "sigmoid")
         assert abs(out[0]) < 1e-100 and out[1] == 1.0
+
+    def test_sigmoid_matches_the_two_branch_form_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for dtype in (np.float32, np.float64):
+            x = (rng.standard_normal(1000) * 40).astype(dtype)
+            x[:7] = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-30]
+            pos = x >= 0
+            want = np.empty_like(x)
+            want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            want[~pos] = ex / (1.0 + ex)
+            got, _ = activation_forward(x, "sigmoid")
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -266,6 +347,11 @@ class TestTconvMatrix:
         assert np.array_equal(out, [[1, 2, 1], [2, 4, 2], [1, 2, 1]])
 
 
+# (kernel, stride) pairs of the phase-split form: k a multiple of s, k % s != 0,
+# k < s, k == s and s == 1
+TCONV_GRID = [(4, 2), (3, 2), (3, 1), (5, 3), (1, 2), (2, 3), (4, 4), (1, 1)]
+
+
 class TestTconvForward:
     def test_matches_oracle_with_bias(self):
         rng = np.random.default_rng(23)
@@ -285,11 +371,11 @@ class TestTconvForward:
 
     def test_per_tap_form_equals_sparse_matrix_and_its_transpose(self):
         # the matrix is the op's literal definition; the forward is its
-        # product and the backward dx the product with its transpose
+        # product and the backward dx the product with its transpose. The
+        # fixed (k, s) grid comes first, then random draws
         rng = np.random.default_rng(29)
-        for _ in range(100):
-            k = int(rng.integers(1, 5))
-            stride = int(rng.integers(1, 4))
+        draws = [(int(rng.integers(1, 5)), int(rng.integers(1, 4))) for _ in range(100)]
+        for k, stride in TCONV_GRID + draws:
             h = int(rng.integers(1, 6))
             w = int(rng.integers(1, 6))
             ci = int(rng.integers(1, 4))
@@ -639,7 +725,7 @@ class TestBatchAxis:
     def test_tconv(self):
         rng = np.random.default_rng(229)
         x = rng.standard_normal((3, 3, 4, 2))
-        for k, stride in [(4, 2), (3, 1), (2, 3)]:
+        for k, stride in TCONV_GRID:
             w = rng.standard_normal((k, k, 2, 3))
             b = rng.standard_normal(3)
             assert_batch_equals_stacked_samples(lambda a: tconv_forward(a, w, b, stride), x)
