@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -148,6 +149,8 @@ def _cmd_eval(args) -> int:
             or (dir_mode and not (args.pred and args.gt)):
         raise _UsageError("eval needs either --model with --data, "
                           "or --pred with --gt")
+    if args.min_jaccard is not None and not math.isfinite(args.min_jaccard):
+        raise _UsageError(f"--min-jaccard must be a finite number, got {args.min_jaccard}")
     if model_mode:
         params, config = load_model(args.model)
         records = load_dataset(args.data, config.image_size)

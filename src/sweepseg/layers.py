@@ -11,12 +11,17 @@ Conventions used throughout:
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
 
-A convolution is an implicit GEMM. The zero-padded batch, flattened to
+A convolution, `conv2d_forward(x, weights, bias, padding)`, is stride 1
+with its kernel size and channels read from the (k, k, c_in, c_out)
+weights, and it is an implicit GEMM. The zero-padded batch, flattened to
 one row of c_in values per padded cell, puts the input cell that kernel
 tap (ki, kj) reads for output row r at row r + ki*(w+2p) + kj. So each
 tap is one GEMM over a contiguous block of rows, accumulated into one
 buffer, and no patch matrix is ever copied; the rows that straddle a
-border or two samples are junk and are sliced off at the end.
+border or two samples are junk and are sliced off at the end. The input
+gradient is the same tap loop run on the upstream gradient with the
+flipped, transposed kernel at padding k-1-p: a stride-1 conv's input
+gradient is a full correlation (Dumoulin & Visin, arXiv:1603.07285).
 
 The fractionally strided (transposed) convolution is, by definition, a
 sparse matrix times the flattened input: the rows enumerate output cells,
@@ -42,25 +47,6 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import InvalidTargetError, ShapeError
 
 BCE_EPS = 1e-7
-
-
-@dataclass
-class ConvSpec:
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int]
-    stride: int = 1
-    padding: int = 0
-
-    def out_dim(self, in_dim: int, axis: int) -> int:
-        k = self.kernel[axis]
-        out = (in_dim + 2 * self.padding - k) // self.stride + 1
-        if out < 1:
-            raise ShapeError(
-                f"conv output dim < 1 for input {in_dim}, kernel {k}, "
-                f"stride {self.stride}, padding {self.padding}"
-            )
-        return out
 
 
 @dataclass
@@ -93,47 +79,46 @@ def _check_batch(x: np.ndarray, op: str) -> None:
 _BLOCK_ROWS = 2048
 
 
-def _tap_rows(spec: ConvSpec, in_shape) -> tuple[list[tuple[int, int, int]], int]:
+def _tap_rows(k: int, padding: int, in_shape) -> tuple[list[tuple[int, int, int]], int]:
     """Each tap's (ki, kj, row offset) and the row count every tap GEMM spans."""
     n, h, w, _ = in_shape
-    kh, kw = spec.kernel
-    hp, wp = h + 2 * spec.padding, w + 2 * spec.padding
-    taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    taps = [(ki, kj, ki * wp + kj) for ki in range(k) for kj in range(k)]
     return taps, n * hp * wp - taps[-1][2]
 
 
-def _strided_cells(grid: np.ndarray, oh: int, ow: int, s: int) -> np.ndarray:
-    """The (N, oh, ow, c) cells of a stride-1 map that a stride-s conv keeps."""
-    return grid[:, :s * (oh - 1) + 1:s, :s * (ow - 1) + 1:s]
+def _check_kernel(weights: np.ndarray, stride: int = 1) -> None:
+    if weights.ndim != 4 or weights.shape[0] != weights.shape[1]:
+        raise ShapeError(f"kernel weights must be (k,k,c_in,c_out), got {weights.shape}")
+    if stride < 1:
+        raise ShapeError("stride must be >= 1")
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                   spec: ConvSpec) -> tuple[np.ndarray, OpRecord]:
-    """Cross-correlation plus bias. x: (N,h,w,c_in), weights: (kh,kw,c_in,c_out).
+                   padding: int) -> tuple[np.ndarray, OpRecord]:
+    """Stride-1 cross-correlation plus bias. x: (N,h,w,c_in), weights: (k,k,c_in,c_out).
 
-    One GEMM per kernel tap over the flattened padded batch (see the module
-    docstring), run block by block of _BLOCK_ROWS rows; stride s keeps every
-    s-th cell of the stride-1 map.
+    The output is (N, h+2p-k+1, w+2p-k+1, c_out). One GEMM per kernel tap
+    over the flattened padded batch (see the module docstring), run block
+    by block of _BLOCK_ROWS rows.
     """
+    _check_kernel(weights)
     _check_batch(x, "conv")
-    if x.shape[3] != spec.in_channels:
-        raise ShapeError(f"conv input shape {x.shape} does not match in_channels={spec.in_channels}")
-    kh, kw = spec.kernel
-    ci, co = spec.in_channels, spec.out_channels
-    if weights.shape != (kh, kw, ci, co):
-        raise ShapeError(f"conv weights shape {weights.shape} != {(kh, kw, ci, co)}")
+    k, _, ci, co = weights.shape
+    if x.shape[3] != ci:
+        raise ShapeError(f"conv input shape {x.shape} does not match c_in={ci}")
     if bias.shape != (co,):
         raise ShapeError(f"conv bias shape {bias.shape} != ({co},)")
     n, h, w, _ = x.shape
-    oh = spec.out_dim(h, 0)
-    ow = spec.out_dim(w, 1)
+    p = padding
+    if p < 0 or min(h, w) + 2 * p < k:
+        raise ShapeError(f"conv output dim < 1 for input {h}x{w}, kernel {k}, padding {p}")
 
-    p = spec.padding
     dtype = np.result_type(x, weights)
     padded = np.zeros((n, h + 2 * p, w + 2 * p, ci), dtype=x.dtype)
     padded[:, p:p + h, p:p + w] = x
     rows = padded.reshape(-1, ci)
-    taps, length = _tap_rows(spec, x.shape)
+    taps, length = _tap_rows(k, p, x.shape)
     acc = np.empty((rows.shape[0], co), dtype=dtype)
     prod = np.empty((min(length, _BLOCK_ROWS), co), dtype=dtype)
     for start in range(0, length, _BLOCK_ROWS):
@@ -145,9 +130,9 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             if t:
                 block += prod[:stop - start]
         block += bias
-    out = _strided_cells(acc.reshape(padded.shape[:3] + (co,)), oh, ow, spec.stride)
+    out = acc.reshape(padded.shape[:3] + (co,))[:, :h + 2 * p - k + 1, :w + 2 * p - k + 1]
     rec = _record("conv2d", out.shape, rows=rows, weights=weights,
-                  in_shape=x.shape, spec=spec)
+                  in_shape=x.shape, padding=p)
     return out, rec
 
 
@@ -160,15 +145,14 @@ def _bias_grad(up: np.ndarray) -> np.ndarray:
 def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
     rows = rec.saved["rows"]
     weights = rec.saved["weights"]
-    spec: ConvSpec = rec.saved["spec"]
+    p = rec.saved["padding"]
     n, h, w, ci = rec.saved["in_shape"]
-    _, oh, ow, co = rec.out_shape
-    p = spec.padding
-    taps, length = _tap_rows(spec, (n, h, w, ci))
+    k, _, _, co = weights.shape
+    taps, length = _tap_rows(k, p, (n, h, w, ci))
 
     # the upstream gradient on the padded grid, zero on every junk row
     grid = np.zeros((n, h + 2 * p, w + 2 * p, co), dtype=up.dtype)
-    _strided_cells(grid, oh, ow, spec.stride)[...] = up
+    grid[:, :up.shape[1], :up.shape[2]] = up
     up_rows = grid.reshape(-1, co)[:length]
     d_weights = np.empty(weights.shape, dtype=up.dtype)
     for ki, kj, off in taps:
@@ -177,12 +161,13 @@ def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
     if not input_grad:
         return None, grads
 
-    d_rows = np.zeros((rows.shape[0], ci), dtype=up.dtype)
-    prod = np.empty((length, ci), dtype=up.dtype)
-    for ki, kj, off in taps:
-        np.matmul(up_rows, weights[ki, kj].T, out=prod)
-        d_rows[off:off + length] += prod
-    dx = d_rows.reshape(n, h + 2 * p, w + 2 * p, ci)[:, p:p + h, p:p + w]
+    # `up` fully correlated with the flipped, transposed kernel at padding
+    # k-1-p; for p > k-1 that padding is negative: run at 0, crop p-(k-1)
+    flipped = weights[::-1, ::-1].transpose(0, 1, 3, 2)
+    q = k - 1 - p
+    dx, _ = conv2d_forward(up, flipped, np.zeros(ci, dtype=up.dtype), max(q, 0))
+    if q < 0:
+        dx = dx[:, -q:h - q, -q:w - q]
     return dx, grads
 
 
@@ -297,13 +282,6 @@ class SparseMatrix:
         return dense
 
 
-def _check_tconv_weights(weights: np.ndarray, stride: int) -> None:
-    if weights.ndim != 4 or weights.shape[0] != weights.shape[1]:
-        raise ShapeError(f"tconv weights must be (k,k,c_in,c_out), got {weights.shape}")
-    if stride < 1:
-        raise ShapeError("stride must be >= 1")
-
-
 def tconv_sparse_matrix(weights: np.ndarray, in_dims: tuple[int, int],
                         stride: int) -> SparseMatrix:
     """Build the (out cells) x (in cells) matrix of a transposed convolution.
@@ -313,7 +291,7 @@ def tconv_sparse_matrix(weights: np.ndarray, in_dims: tuple[int, int],
     This is the literal definition of the op on one sample; `tconv_forward`
     computes the same map without materializing it.
     """
-    _check_tconv_weights(weights, stride)
+    _check_kernel(weights, stride)
     k, _, ci, co = weights.shape
     in_h, in_w = in_dims
     out_h = (in_h - 1) * stride + k
@@ -345,7 +323,7 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     s*s output phases (see `_phase_kernel`), padding q-1 with q = ceil(k/s),
     then a depth-to-space shuffle and a crop of the overshoot.
     """
-    _check_tconv_weights(weights, stride)
+    _check_kernel(weights, stride)
     k, _, ci, co = weights.shape
     _check_batch(x, "tconv")
     if x.shape[3] != ci:
@@ -355,8 +333,7 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     n, h, w, _ = x.shape
     s = stride
     q = -(-k // s)
-    phases, _ = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s),
-                               ConvSpec(ci, s * s * co, (q, q), padding=q - 1))
+    phases, _ = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s), q - 1)
     # depth to space: phase (rh, rw) of cell (m, l) is output cell (s*m+rh, s*l+rw)
     ph, pw = phases.shape[1:3]
     full = phases.reshape(n, ph, pw, s, s, co).transpose(0, 1, 3, 2, 4, 5)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, DataError, ShapeError, TrainingDivergedError
 from .layers import (
-    ConvSpec,
     activation_forward,
     backward,
     bce_loss,
@@ -199,9 +198,8 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
     tape = [] if sink is None else sink
     x = images
     for i in range(1, len(ENCODER_CHANNELS) + 1):
-        w = params.values[f"enc{i}.weights"]
-        spec = ConvSpec(w.shape[2], w.shape[3], (3, 3), stride=1, padding=1)
-        x, rec = conv2d_forward(x, w, params.values[f"enc{i}.bias"], spec)
+        x, rec = conv2d_forward(x, params.values[f"enc{i}.weights"],
+                                params.values[f"enc{i}.bias"], 1)
         tape.append((f"enc{i}", rec))
         x, rec = activation_forward(x, "relu")
         tape.append((None, rec))
@@ -236,9 +234,7 @@ def _decode_tape(x: np.ndarray, params: ModelParams, sink=None):
         tape.append((None, rec))
         x, rec = activation_forward(x, "relu")
         tape.append((None, rec))
-    w = params.values["out.weights"]
-    x, rec = conv2d_forward(x, w, params.values["out.bias"],
-                            ConvSpec(w.shape[2], 1, (1, 1)))
+    x, rec = conv2d_forward(x, params.values["out.weights"], params.values["out.bias"], 0)
     tape.append(("out", rec))
     x, rec = activation_forward(x, "sigmoid")
     tape.append((None, rec))
@@ -430,6 +426,10 @@ def load_model(source) -> tuple[ModelParams, ModelConfig]:
                              rnn_units=int(meta["rnn_units"]), threshold=meta["threshold"])
     except (ValueError, OverflowError):  # int() of a NaN or infinite entry
         raise CheckpointError("checkpoint meta entries must be finite numbers") from None
+    try:
+        config.validate()
+    except ConfigError as e:
+        raise CheckpointError(f"checkpoint meta entries: {e}") from None
     expected = dict(param_shapes(config))
     for name, shape in expected.items():
         if name not in values:

@@ -333,6 +333,20 @@ class TestInfer:
                         "--out", str(tmp_path / "o.pgm")]) == 2
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_invalid_meta_threshold_exits_2(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        with open(ckpt, "rb") as fh:
+            entries = load_checkpoint(fh)
+        entries["meta.threshold"] = np.array([5.0], np.float32)
+        broken = tmp_path / "broken.ckpt"
+        with open(broken, "wb") as fh:
+            save_checkpoint(entries, fh)
+        out = tmp_path / "o.pgm"
+        assert run_cli(["infer", "--model", str(broken),
+                        "--image", str(data / "synth000.ppm"), "--out", str(out)]) == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, trained, tmp_path, capsys):
         data, ckpt = trained
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -384,6 +398,16 @@ class TestEval:
         assert run_cli(["eval", "--pred", str(pred), "--gt", str(data),
                         "--report", str(tmp_path / "r.txt"),
                         "--min-jaccard", "0.99"]) == 0
+
+    def test_non_finite_min_jaccard_is_usage_error(self, trained, tmp_path, capsys):
+        # a NaN bound would compare False and pass every model
+        data, _ = trained
+        for bound in ("nan", "inf", "-inf"):
+            report = tmp_path / "r.txt"
+            assert run_cli(["eval", "--pred", str(data), "--gt", str(data),
+                            "--report", str(report), "--min-jaccard", bound]) == 1
+            assert "min-jaccard" in capsys.readouterr().err
+            assert not report.exists()
 
     def test_mismatched_mask_sets(self, trained, tmp_path, capsys):
         data, _ = trained

@@ -13,7 +13,6 @@ import pytest
 from sweepseg.errors import InvalidTargetError, ShapeError
 from sweepseg.layers import (
     _BLOCK_ROWS,
-    ConvSpec,
     _tap_rows,
     activation_forward,
     backward,
@@ -31,11 +30,11 @@ from sweepseg.layers import (
 # oracles: the definitions, written as slowly and literally as possible
 # ---------------------------------------------------------------------------
 
-def conv_oracle(x, w, b, stride, pad):
+def conv_oracle(x, w, b, pad):
     kh, kw, ci, co = w.shape
     xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    oh = (x.shape[0] + 2 * pad - kh) // stride + 1
-    ow = (x.shape[1] + 2 * pad - kw) // stride + 1
+    oh = x.shape[0] + 2 * pad - kh + 1
+    ow = x.shape[1] + 2 * pad - kw + 1
     out = np.zeros((oh, ow, co), dtype=np.float64)
     for i in range(oh):
         for j in range(ow):
@@ -44,7 +43,7 @@ def conv_oracle(x, w, b, stride, pad):
                 for ki in range(kh):
                     for kj in range(kw):
                         for c in range(ci):
-                            acc += xp[i * stride + ki, j * stride + kj, c] * w[ki, kj, c, o]
+                            acc += xp[i + ki, j + kj, c] * w[ki, kj, c, o]
                 out[i, j, o] = acc
     return out
 
@@ -65,16 +64,16 @@ def tconv_oracle(x, kern, b, stride):
     return out + b
 
 
-def conv_float64(x, w, b, stride, pad):
-    """The conv of a batch in float64, one strided window product per tap."""
+def conv_float64(x, w, b, pad):
+    """The conv of a batch in float64, one shifted window product per tap."""
     x = np.pad(x.astype(np.float64), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     kh, kw = w.shape[:2]
-    oh = (x.shape[1] - kh) // stride + 1
-    ow = (x.shape[2] - kw) // stride + 1
+    oh = x.shape[1] - kh + 1
+    ow = x.shape[2] - kw + 1
     out = np.zeros((x.shape[0], oh, ow, w.shape[3])) + b
     for ki in range(kh):
         for kj in range(kw):
-            window = x[:, ki:ki + stride * (oh - 1) + 1:stride, kj:kj + stride * (ow - 1) + 1:stride]
+            window = x[:, ki:ki + oh, kj:kj + ow]
             out += window @ w[ki, kj].astype(np.float64)
     return out
 
@@ -117,7 +116,7 @@ class TestConv:
         x = np.arange(1, 10, dtype=np.float32).reshape(1, 3, 3, 1)
         w = np.ones((2, 2, 1, 1), dtype=np.float32)
         b = np.zeros(1, dtype=np.float32)
-        out, _ = conv2d_forward(x, w, b, ConvSpec(1, 1, (2, 2)))
+        out, _ = conv2d_forward(x, w, b, 0)
         assert out.shape == (1, 2, 2, 1)
         assert np.array_equal(out[0, :, :, 0], [[12, 16], [24, 28]])
 
@@ -129,29 +128,27 @@ class TestConv:
             ci = int(rng.integers(1, 4))
             co = int(rng.integers(1, 4))
             k = int(rng.integers(1, min(h, w) + 1))
-            stride = int(rng.integers(1, 3))
             pad = int(rng.integers(0, 2))
             if (h + 2 * pad - k) < 0 or (w + 2 * pad - k) < 0:
                 continue
             x = rng.standard_normal((int(rng.integers(1, 4)), h, w, ci))
             kern = rng.standard_normal((k, k, ci, co))
             b = rng.standard_normal(co)
-            out, _ = conv2d_forward(x, kern, b, ConvSpec(ci, co, (k, k), stride, pad))
-            want = np.stack([conv_oracle(sample, kern, b, stride, pad) for sample in x])
+            out, _ = conv2d_forward(x, kern, b, pad)
+            want = np.stack([conv_oracle(sample, kern, b, pad) for sample in x])
             assert np.allclose(out, want, atol=1e-10)
 
     def test_blocked_tap_loop_matches_float64_across_blocks(self):
         # every shape spans several blocks of rows and ends inside one
         rng = np.random.default_rng(41)
-        for n, h, w, ci, stride in [(4, 64, 64, 3, 1), (2, 50, 47, 5, 1), (3, 40, 33, 4, 2)]:
+        for n, h, w, ci in [(4, 64, 64, 3), (2, 50, 47, 5), (3, 40, 33, 4)]:
             x = rng.standard_normal((n, h, w, ci)).astype(np.float32)
             kern = rng.standard_normal((3, 3, ci, 6)).astype(np.float32)
             b = rng.standard_normal(6).astype(np.float32)
-            spec = ConvSpec(ci, 6, (3, 3), stride, 1)
-            _, length = _tap_rows(spec, x.shape)
+            _, length = _tap_rows(3, 1, x.shape)
             assert length > 2 * _BLOCK_ROWS and length % _BLOCK_ROWS
-            out, _ = conv2d_forward(x, kern, b, spec)
-            want = conv_float64(x, kern, b, stride, 1)
+            out, _ = conv2d_forward(x, kern, b, 1)
+            want = conv_float64(x, kern, b, 1)
             assert out.dtype == np.float32 and out.shape == want.shape
             assert relative_gap(out, want) <= 1e-6
 
@@ -159,7 +156,7 @@ class TestConv:
         rng = np.random.default_rng(43)
         x = rng.standard_normal((4, 64, 64, 16)).astype(np.float32)
         kern = rng.standard_normal((3, 3, 16, 16)).astype(np.float32)
-        out, rec = conv2d_forward(x, kern, np.zeros(16, np.float32), ConvSpec(16, 16, (3, 3), 1, 1))
+        out, rec = conv2d_forward(x, kern, np.zeros(16, np.float32), 1)
         up = rng.standard_normal(out.shape).astype(np.float32)
         _, grads = backward(rec, up)
         want = up.astype(np.float64).sum(axis=(0, 1, 2))
@@ -171,23 +168,23 @@ class TestConv:
         x = rng.standard_normal((2, 5, 4, 3))
         w = rng.standard_normal((1, 1, 3, 2))
         b = rng.standard_normal(2)
-        out, _ = conv2d_forward(x, w, b, ConvSpec(3, 2, (1, 1)))
+        out, _ = conv2d_forward(x, w, b, 0)
         assert np.allclose(out, x @ w[0, 0] + b)
 
     def test_shape_validation(self):
         x = np.zeros((1, 4, 4, 2), dtype=np.float32)
         with pytest.raises(ShapeError):
-            conv2d_forward(x, np.zeros((3, 3, 3, 1), np.float32), np.zeros(1, np.float32),
-                           ConvSpec(3, 1, (3, 3)))
+            conv2d_forward(x, np.zeros((3, 3, 3, 1), np.float32), np.zeros(1, np.float32), 0)
         with pytest.raises(ShapeError):  # a sample without its batch axis
-            conv2d_forward(x[0], np.zeros((3, 3, 2, 1), np.float32), np.zeros(1, np.float32),
-                           ConvSpec(2, 1, (3, 3)))
+            conv2d_forward(x[0], np.zeros((3, 3, 2, 1), np.float32), np.zeros(1, np.float32), 0)
         with pytest.raises(ShapeError):
-            conv2d_forward(x, np.zeros((3, 3, 2, 1), np.float32), np.zeros(2, np.float32),
-                           ConvSpec(2, 1, (3, 3)))
+            conv2d_forward(x, np.zeros((3, 3, 2, 1), np.float32), np.zeros(2, np.float32), 0)
         with pytest.raises(ShapeError):
-            conv2d_forward(x, np.zeros((5, 5, 2, 1), np.float32), np.zeros(1, np.float32),
-                           ConvSpec(2, 1, (5, 5)))
+            conv2d_forward(x, np.zeros((5, 5, 2, 1), np.float32), np.zeros(1, np.float32), 0)
+        with pytest.raises(ShapeError):  # the kernel must be square
+            conv2d_forward(x, np.zeros((3, 2, 2, 1), np.float32), np.zeros(1, np.float32), 1)
+        with pytest.raises(ShapeError):
+            conv2d_forward(x, np.zeros((3, 3, 2, 1), np.float32), np.zeros(1, np.float32), -1)
 
 
 class TestMaxpool:
@@ -476,31 +473,13 @@ class TestGradients:
         x = rng.standard_normal((2, 5, 5, 2))
         w = rng.standard_normal((3, 3, 2, 3)) * 0.5
         b = rng.standard_normal(3) * 0.1
-        spec = ConvSpec(2, 3, (3, 3), stride=1, padding=1)
         r = proj(rng, (2, 5, 5, 3))
 
         def f():
-            y, _ = conv2d_forward(x, w, b, spec)
+            y, _ = conv2d_forward(x, w, b, 1)
             return float((y * r).sum())
 
-        _, rec = conv2d_forward(x, w, b, spec)
-        dx, grads = backward(rec, r)
-        err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
-        assert err < 1e-6
-
-    def test_conv_strided_gradients(self):
-        rng = np.random.default_rng(37)
-        x = rng.standard_normal((2, 6, 7, 2))
-        w = rng.standard_normal((2, 2, 2, 2)) * 0.5
-        b = rng.standard_normal(2) * 0.1
-        spec = ConvSpec(2, 2, (2, 2), stride=2, padding=0)
-        _, rec = conv2d_forward(x, w, b, spec)
-        r = proj(rng, rec.out_shape)
-
-        def f():
-            y, _ = conv2d_forward(x, w, b, spec)
-            return float((y * r).sum())
-
+        _, rec = conv2d_forward(x, w, b, 1)
         dx, grads = backward(rec, r)
         err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
         assert err < 1e-6
@@ -598,11 +577,10 @@ class TestGradients:
         x = rng.standard_normal((1, 4, 4, 2))
         w = rng.standard_normal((3, 3, 2, 3)) * 0.5
         b = rng.standard_normal(3) * 0.1
-        spec = ConvSpec(2, 3, (3, 3), stride=1, padding=1)
         target = (rng.uniform(size=(1, 2, 2, 3)) < 0.5).astype(np.float64)
 
         def run():
-            y1, r1 = conv2d_forward(x, w, b, spec)
+            y1, r1 = conv2d_forward(x, w, b, 1)
             y2, r2 = activation_forward(y1, "relu")
             y3, r3 = maxpool2x2_forward(y2)
             y4, r4 = activation_forward(y3, "sigmoid")
@@ -624,7 +602,7 @@ class TestGradients:
         x = rng.standard_normal((2, 4, 4, 2))
         w = rng.standard_normal((3, 3, 2, 2))
         b = rng.standard_normal(2)
-        _, rec = conv2d_forward(x, w, b, ConvSpec(2, 2, (3, 3), padding=1))
+        _, rec = conv2d_forward(x, w, b, 1)
         dx, grads = backward(rec, np.zeros((2, 4, 4, 2)))
         assert not dx.any() and not grads["weights"].any() and not grads["bias"].any()
 
@@ -634,30 +612,31 @@ class TestGradients:
         with pytest.raises(ShapeError):
             backward(rec, np.zeros((1, 4, 4, 1), dtype=np.float32))
 
-    def test_conv_strided_padded_gradients(self):
-        # the network's 3x3 kernel with padding 1, at stride 2: the
-        # backward scatters into the stride-1 grid of the padded batch
+    def test_conv_input_gradient_across_kernels_and_paddings(self):
+        # the input gradient is a full correlation with the flipped kernel
+        # at padding k-1-p; from p = k on it runs at padding 0 and is cropped
         rng = np.random.default_rng(79)
-        x = rng.standard_normal((2, 6, 5, 2))
-        w = rng.standard_normal((3, 3, 2, 3)) * 0.5
-        b = rng.standard_normal(3) * 0.1
-        spec = ConvSpec(2, 3, (3, 3), stride=2, padding=1)
-        _, rec = conv2d_forward(x, w, b, spec)
-        r = proj(rng, rec.out_shape)
+        x = rng.standard_normal((2, 5, 4, 2))
+        for k, pad in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 3)]:
+            w = rng.standard_normal((k, k, 2, 3)) * 0.5
+            b = rng.standard_normal(3) * 0.1
+            _, rec = conv2d_forward(x, w, b, pad)
+            r = proj(rng, rec.out_shape)
 
-        def f():
-            y, _ = conv2d_forward(x, w, b, spec)
-            return float((y * r).sum())
+            def f():
+                y, _ = conv2d_forward(x, w, b, pad)
+                return float((y * r).sum())
 
-        dx, grads = backward(rec, r)
-        err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
-        assert err < 1e-6
+            dx, grads = backward(rec, r)
+            assert dx.shape == x.shape
+            err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
+            assert err < 1e-6, (k, pad)
 
     def test_conv_skips_only_the_input_gradient(self):
         rng = np.random.default_rng(83)
         x = rng.standard_normal((2, 5, 5, 2))
         w = rng.standard_normal((3, 3, 2, 3))
-        _, rec = conv2d_forward(x, w, np.zeros(3), ConvSpec(2, 3, (3, 3), padding=1))
+        _, rec = conv2d_forward(x, w, np.zeros(3), 1)
         up = proj(rng, rec.out_shape)
         _, full = backward(rec, up)
         dx, grads = backward(rec, up, input_grad=False)
@@ -705,11 +684,10 @@ class TestBatchAxis:
     def test_conv(self):
         rng = np.random.default_rng(211)
         x = rng.standard_normal((3, 7, 6, 3))
-        for k, stride, pad in [(3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0)]:
+        for k, pad in [(3, 1), (2, 0), (1, 0), (2, 2)]:
             w = rng.standard_normal((k, k, 3, 4))
             b = rng.standard_normal(4)
-            spec = ConvSpec(3, 4, (k, k), stride, pad)
-            assert_batch_equals_stacked_samples(lambda a: conv2d_forward(a, w, b, spec), x)
+            assert_batch_equals_stacked_samples(lambda a: conv2d_forward(a, w, b, pad), x)
 
     def test_maxpool(self):
         rng = np.random.default_rng(223)

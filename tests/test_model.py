@@ -17,7 +17,6 @@ from sweepseg.errors import (
     TrainingDivergedError,
 )
 from sweepseg.layers import (
-    ConvSpec,
     activation_forward,
     conv2d_forward,
     crop2d_forward,
@@ -139,8 +138,8 @@ class TestEncodeDecode:
                 x, _ = crop2d_forward(x + params.values[f"dec{k}.bias"], 1)
                 x, _ = activation_forward(x, "relu")
             w = params.values["out.weights"]
-            x, _ = conv2d_forward(x, w, params.values["out.bias"],
-                                  ConvSpec(DECODER_CHANNELS[-1], 1, (1, 1)))
+            assert w.shape == (1, 1, DECODER_CHANNELS[-1], 1)
+            x, _ = conv2d_forward(x, w, params.values["out.bias"], 0)
             want, _ = activation_forward(x, "sigmoid")
             assert got.shape == want.shape == (batch, size, size, 1)
             assert np.abs(got - want).max() <= 1e-5
@@ -511,6 +510,18 @@ class TestCheckpointSchema:
                 entries["meta.patch"] = np.array([bad], np.float32)
 
             with pytest.raises(CheckpointError, match="finite"):
+                load_model(checkpoint_with(edit))
+
+    def test_meta_config_the_config_rules_refuse_is_rejected(self):
+        # finite entries that ModelConfig.validate refuses: a threshold that
+        # is NaN or outside [0, 1], an image size the two pools and the
+        # patch grid cannot divide, and a zero patch
+        for key, bad in (("threshold", np.nan), ("threshold", 5.0),
+                         ("image_size", 12.0), ("patch", 0.0)):
+            def edit(entries):
+                entries[f"meta.{key}"] = np.array([bad], np.float32)
+
+            with pytest.raises(CheckpointError, match=key):
                 load_model(checkpoint_with(edit))
 
     def test_load_makes_no_rng_draws(self, monkeypatch):
