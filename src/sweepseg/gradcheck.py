@@ -16,8 +16,8 @@ those sums can cancel individual entries to near zero, where an
 element-wise quotient measures h^2 truncation noise rather than the
 correctness of the backward pass.
 
-Strictly linear maps (conv, tconv, crop) must agree to 1e-6;
-everything else to 1e-4.
+Strictly linear maps (conv, tconv) must agree to 1e-6; everything else
+to 1e-4.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .layers import (
     activation_forward,
     backward,
     bce_loss,
+    central_difference,
     conv2d_forward,
-    crop2d_forward,
     finite_diff_check,
     maxpool2x2_forward,
     tconv_forward,
@@ -68,29 +68,10 @@ def _scaled_diff_check(f, arrays, grads, h: float = 1e-3) -> float:
     """
     worst = 0.0
     for arr, grad in zip(arrays, grads):
-        numeric = np.empty_like(grad)
-        for fi in range(arr.size):
-            orig = arr.flat[fi]
-            arr.flat[fi] = orig + h
-            f_plus = f()
-            arr.flat[fi] = orig - h
-            f_minus = f()
-            arr.flat[fi] = orig
-            numeric.flat[fi] = (f_plus - f_minus) / (2.0 * h)
+        numeric = np.array([central_difference(f, arr, fi, h) for fi in range(arr.size)])
         scale = max(np.abs(grad).max(), np.abs(numeric).max(), 1e-8)
-        worst = max(worst, float(np.abs(grad - numeric).max()) / scale)
+        worst = max(worst, float(np.abs(grad.reshape(-1) - numeric).max()) / scale)
     return worst
-
-
-def _away_from_zero(x: np.ndarray, margin: float) -> np.ndarray:
-    # pushes every entry at least `margin` away from the relu kink
-    return x + margin * np.sign(np.where(x == 0.0, 1.0, x))
-
-
-def _spread(rng: Rng, shape, gap: float = 0.1) -> np.ndarray:
-    # distinct values separated by `gap`, so pool argmaxes survive +-h
-    ranks = np.argsort(rng.fill(int(np.prod(shape))))
-    return (ranks * gap).reshape(shape)
 
 
 def _probe_check(rng: Rng, name: str, tolerance: float, op, x: np.ndarray,
@@ -118,12 +99,8 @@ def _check_bce(rng: Rng) -> float:
     pred = _draw(rng, (1, 6, 6), lo=0.15, hi=0.85)
     target = (rng.fill(36).reshape(1, 6, 6) > 0.5).astype(np.float64)
     _, rec = bce_loss(pred, target)
-
-    def f() -> float:
-        return float(bce_loss(pred, target)[0][0])
-
     dpred, _ = backward(rec, 1.0)
-    return finite_diff_check(f, [pred], [dpred])
+    return finite_diff_check(lambda: float(bce_loss(pred, target)[0][0]), [pred], [dpred])
 
 
 def _sweep_params(rng: Rng, length: int, units: int) -> SweepParams:
@@ -137,10 +114,11 @@ def _sweep_params(rng: Rng, length: int, units: int) -> SweepParams:
 def run_suite(seed: int = 42) -> list[CheckResult]:
     """Run every layer check with inputs derived from one seed."""
     rng = Rng(seed)
-    # the first 43 draws stay unused, and so do 256 after the conv check:
+    # the first 43 draws stay unused, and so do the 256 after the conv
+    # check, the 104 after the tconv check and the 60 after the relu check:
     # skipping them keeps every check's inputs, and so its printed error,
     # the same per seed as in earlier versions of this suite, which also
-    # checked a dense layer and a stride-2 conv
+    # checked a dense layer, a stride-2 conv, a crop and a tanh
     rng.fill(43)
     x, w, b = _draw(rng, (1, 6, 6, 3)), _draw(rng, (3, 3, 3, 4)), _draw(rng, (4,))
     results = [_probe_check(rng, "conv3x3", LINEAR_TOL, lambda: conv2d_forward(x, w, b, 1),
@@ -148,18 +126,22 @@ def run_suite(seed: int = 42) -> list[CheckResult]:
     rng.fill(256)
     x, w, b = _draw(rng, (1, 3, 4, 3)), _draw(rng, (4, 4, 3, 2)), _draw(rng, (2,))
     results.append(_probe_check(rng, "tconv4x4_s2", LINEAR_TOL,
-                                lambda: tconv_forward(x, w, b, 2), x, {"weights": w, "bias": b}))
-    x = _draw(rng, (1, 6, 6, 2))
-    results.append(_probe_check(rng, "crop", LINEAR_TOL, lambda: crop2d_forward(x, 1), x))
-    x = _spread(rng, (1, 6, 6, 2))
+                                lambda: tconv_forward(x, w, b, 2, 0), x,
+                                {"weights": w, "bias": b}))
+    rng.fill(104)
+    # distinct values 0.1 apart, so pool argmaxes survive +-h
+    x = 0.1 * np.argsort(rng.fill(72)).reshape(1, 6, 6, 2)
     results.append(_probe_check(rng, "maxpool2x2", NONLINEAR_TOL,
                                 lambda: maxpool2x2_forward(x), x))
-    for kind in ("relu", "tanh", "sigmoid"):
-        x = _draw(rng, (5, 6), lo=-2.0, hi=2.0)
-        if kind == "relu":
-            x = _away_from_zero(x, 0.05)
-        results.append(_probe_check(rng, kind, NONLINEAR_TOL,
-                                    lambda: activation_forward(x, kind), x))
+    # the relu alone, via a 1x1 identity conv; inputs kept 0.05 off its kink
+    x = _draw(rng, (1, 5, 6, 1), lo=-2.0, hi=2.0)
+    x += 0.05 * np.sign(np.where(x == 0.0, 1.0, x))
+    results.append(_probe_check(
+        rng, "relu", NONLINEAR_TOL,
+        lambda: conv2d_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1), 0, relu=True), x))
+    rng.fill(60)
+    x = _draw(rng, (5, 6), lo=-2.0, hi=2.0)
+    results.append(_probe_check(rng, "sigmoid", NONLINEAR_TOL, lambda: activation_forward(x), x))
     results.append(CheckResult("bce", _check_bce(rng), NONLINEAR_TOL))
 
     fields = ("wx", "wz", "bias")

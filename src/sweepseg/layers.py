@@ -10,14 +10,17 @@ Conventions used throughout:
   gradient summed over the batch
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
+* a conv or transposed conv can end in a fused relu (conv+bias+activation
+  in one op); its record then keeps the relu's mask, and `backward`
+  applies the mask to the upstream gradient before the op's own backward
 
-A convolution, `conv2d_forward(x, weights, bias, padding)`, is stride 1
-with its kernel size and channels read from the (k, k, c_in, c_out)
-weights, and it is an implicit GEMM. The zero-padded batch, flattened to
-one row of c_in values per padded cell, puts the input cell that kernel
-tap (ki, kj) reads for output row r at row r + ki*(w+2p) + kj. So each
-tap is one GEMM over a contiguous block of rows, accumulated into one
-buffer, and no patch matrix is ever copied; the rows that straddle a
+A convolution, `conv2d_forward(x, weights, bias, padding, relu)`, is
+stride 1 with its kernel size and channels read from the (k, k, c_in,
+c_out) weights, and it is an implicit GEMM. The zero-padded batch,
+flattened to one row of c_in values per padded cell, puts the input cell
+that kernel tap (ki, kj) reads for output row r at row r + ki*(w+2p) + kj.
+So each tap is one GEMM over a contiguous block of rows, accumulated into
+one buffer, and no patch matrix is ever copied; the rows that straddle a
 border or two samples are junk and are sliced off at the end. The input
 gradient is the same tap loop run on the upstream gradient with the
 flipped, transposed kernel at padding k-1-p: a stride-1 conv's input
@@ -30,10 +33,11 @@ elements. `tconv_sparse_matrix` builds that matrix literally and the tests
 keep it as the oracle. `tconv_forward` computes the same map as a phase-
 split convolution: a stride-s transposed conv is a stride-1 conv whose
 s*s output channel blocks are the s*s phases of the output grid, followed
-by a depth-to-space shuffle (the sub-pixel convolution). Its backward
-pass, the product with the matrix's transpose, gathers all the taps'
-slices of the upstream gradient into one block and needs one GEMM per
-gradient. Neither holds an array the size of the matrix.
+by a depth-to-space shuffle (the sub-pixel convolution); padding p cuts
+p cells from each side of its (i-1)*s + k output. Its backward pass, the
+product with the matrix's transpose, gathers all the taps' slices of the
+upstream gradient into one block and needs one GEMM per gradient. Neither
+holds an array the size of the matrix.
 """
 
 from __future__ import annotations
@@ -95,12 +99,12 @@ def _check_kernel(weights: np.ndarray, stride: int = 1) -> None:
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                   padding: int) -> tuple[np.ndarray, OpRecord]:
+                   padding: int, relu: bool = False) -> tuple[np.ndarray, OpRecord]:
     """Stride-1 cross-correlation plus bias. x: (N,h,w,c_in), weights: (k,k,c_in,c_out).
 
     The output is (N, h+2p-k+1, w+2p-k+1, c_out). One GEMM per kernel tap
     over the flattened padded batch (see the module docstring), run block
-    by block of _BLOCK_ROWS rows.
+    by block of _BLOCK_ROWS rows, each block then relu'd in place if asked.
     """
     _check_kernel(weights)
     _check_batch(x, "conv")
@@ -130,9 +134,11 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             if t:
                 block += prod[:stop - start]
         block += bias
+        if relu:
+            np.maximum(block, 0, out=block)
     out = acc.reshape(padded.shape[:3] + (co,))[:, :h + 2 * p - k + 1, :w + 2 * p - k + 1]
     rec = _record("conv2d", out.shape, rows=rows, weights=weights,
-                  in_shape=x.shape, padding=p)
+                  in_shape=x.shape, padding=p, relu_mask=out > 0 if relu else None)
     return out, rec
 
 
@@ -213,36 +219,17 @@ def _maxpool_backward(rec: OpRecord, up: np.ndarray):
 # activations
 # ---------------------------------------------------------------------------
 
-def activation_forward(x: np.ndarray, kind: str) -> tuple[np.ndarray, OpRecord]:
-    """Elementwise relu, tanh or sigmoid of an array of any shape."""
-    if kind == "relu":
-        out = np.maximum(x, 0)
-        rec = _record("activation", out.shape, act=kind, mask=x > 0)
-    elif kind == "tanh":
-        out = np.tanh(x)
-        rec = _record("activation", out.shape, act=kind, out=out)
-    elif kind == "sigmoid":
-        out = _sigmoid(x)
-        rec = _record("activation", out.shape, act=kind, out=out)
-    else:
-        raise ValueError(f"unknown activation kind {kind!r}")
-    return out, rec
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def activation_forward(x: np.ndarray) -> tuple[np.ndarray, OpRecord]:
+    """Elementwise sigmoid, the network's output head (relus run inside the convs)."""
     # e = exp(-|x|) never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x)
     # below; min(x, -x) is -|x| with a NaN's sign kept, as exp(x) keeps it
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out, _record("activation", out.shape, out=out)
 
 
 def _activation_backward(rec: OpRecord, up: np.ndarray):
-    kind = rec.saved["act"]
-    if kind == "relu":
-        return up * rec.saved["mask"], {}
     out = rec.saved["out"]
-    if kind == "tanh":
-        return up * (1.0 - out * out), {}
     return up * out * (1.0 - out), {}
 
 
@@ -314,14 +301,15 @@ def tconv_sparse_matrix(weights: np.ndarray, in_dims: tuple[int, int],
     )
 
 
-def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                  stride: int) -> tuple[np.ndarray, OpRecord]:
-    """Transposed convolution: out[s*i+ki, s*j+kj] += x[i, j] @ weights[ki, kj], plus bias.
+def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int,
+                  padding: int, relu: bool = False) -> tuple[np.ndarray, OpRecord]:
+    """Transposed convolution: full[s*i+ki, s*j+kj] += x[i, j] @ weights[ki, kj], plus bias.
 
-    x: (N, h, w, c_in), weights: (k, k, c_in, c_out); the output is
-    (N, (h-1)*s + k, (w-1)*s + k, c_out). Computed as a stride-1 conv with
-    s*s output phases (see `_phase_kernel`), padding q-1 with q = ceil(k/s),
-    then a depth-to-space shuffle and a crop of the overshoot.
+    The output is full cut by p cells per side, then relu if asked: for x
+    (N, h, w, c_in) and weights (k, k, c_in, c_out) it is
+    (N, (h-1)*s + k - 2p, (w-1)*s + k - 2p, c_out). Computed as a stride-1
+    conv with s*s output phases (see `_phase_kernel`), padding q-1 with
+    q = ceil(k/s), then a depth-to-space shuffle and one slice.
     """
     _check_kernel(weights, stride)
     k, _, ci, co = weights.shape
@@ -331,15 +319,21 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     if bias.shape != (co,):
         raise ShapeError(f"tconv bias shape {bias.shape} != ({co},)")
     n, h, w, _ = x.shape
-    s = stride
+    s, p = stride, padding
+    if p < 0 or (min(h, w) - 1) * s + k <= 2 * p:
+        raise ShapeError(f"tconv output dim < 1 for input {h}x{w}, kernel {k}, "
+                         f"stride {s}, padding {p}")
     q = -(-k // s)
     phases, _ = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s), q - 1)
     # depth to space: phase (rh, rw) of cell (m, l) is output cell (s*m+rh, s*l+rw)
     ph, pw = phases.shape[1:3]
     full = phases.reshape(n, ph, pw, s, s, co).transpose(0, 1, 3, 2, 4, 5)
     full = full.reshape(n, ph * s, pw * s, co)
-    out = full[:, :(h - 1) * s + k, :(w - 1) * s + k]
-    rec = _record("tconv", out.shape, x=x, weights=weights, stride=stride)
+    out = full[:, p:(h - 1) * s + k - p, p:(w - 1) * s + k - p]
+    if relu:
+        np.maximum(out, 0, out=out)
+    rec = _record("tconv", out.shape, x=x, weights=weights, stride=s, padding=p,
+                  relu_mask=out > 0 if relu else None)
     return out, rec
 
 
@@ -362,9 +356,10 @@ def _phase_kernel(weights: np.ndarray, s: int) -> np.ndarray:
 def _tconv_backward(rec: OpRecord, up: np.ndarray):
     x = rec.saved["x"]
     weights = rec.saved["weights"]
-    s = rec.saved["stride"]
+    s, p = rec.saved["stride"], rec.saved["padding"]
     k, _, ci, co = weights.shape
     n, in_h, in_w, _ = x.shape
+    up = np.pad(up, ((0, 0), (p, p), (p, p), (0, 0)))  # 0 on the p cells cut per side
     # taps[n, i, j, ki, kj] = up[n, s*i + ki, s*j + kj]: every tap's slice of
     # the upstream gradient, gathered into one block by a single copy
     sn, sh, sw, sc = up.strides
@@ -375,28 +370,6 @@ def _tconv_backward(rec: OpRecord, up: np.ndarray):
     d_weights = (x.reshape(-1, ci).T @ taps).reshape(ci, k, k, co).transpose(1, 2, 0, 3)
     return dx.reshape(x.shape), {"weights": np.ascontiguousarray(d_weights),
                                  "bias": _bias_grad(up)}
-
-
-# ---------------------------------------------------------------------------
-# symmetric crop (decoder trims transposed-conv overshoot)
-# ---------------------------------------------------------------------------
-
-def crop2d_forward(x: np.ndarray, margin: int) -> tuple[np.ndarray, OpRecord]:
-    _check_batch(x, "crop")
-    _, h, w, _ = x.shape
-    if h <= 2 * margin or w <= 2 * margin:
-        raise ShapeError(f"cannot crop {margin} from {h}x{w}")
-    out = x[:, margin:h - margin, margin:w - margin]
-    rec = _record("crop2d", out.shape, in_shape=x.shape, margin=margin)
-    return out, rec
-
-
-def _crop2d_backward(rec: OpRecord, up: np.ndarray):
-    _, h, w, _ = rec.saved["in_shape"]
-    m = rec.saved["margin"]
-    dx = np.zeros(rec.saved["in_shape"], dtype=up.dtype)
-    dx[:, m:h - m, m:w - m] = up
-    return dx, {}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +417,6 @@ _BACKWARD: dict[str, Callable] = {
     "maxpool2x2": _maxpool_backward,
     "activation": _activation_backward,
     "tconv": _tconv_backward,
-    "crop2d": _crop2d_backward,
     "bce": _bce_backward,
 }
 
@@ -468,6 +440,8 @@ def backward(rec: OpRecord, upstream,
         up = np.asarray(upstream)
         if up.shape != rec.out_shape:
             raise ShapeError(f"upstream shape {up.shape} != recorded output shape {rec.out_shape}")
+        if rec.saved.get("relu_mask") is not None:  # a fused relu's gradient first
+            up = up * rec.saved["relu_mask"]
     if not input_grad:
         if rec.kind != "conv2d":
             raise ValueError(f"op kind {rec.kind!r} always returns its input gradient")
@@ -476,6 +450,18 @@ def backward(rec: OpRecord, upstream,
     if fn is None:
         raise ValueError(f"no backward registered for op kind {rec.kind!r}")
     return fn(rec, up)
+
+
+def central_difference(f: Callable[[], float], arr: np.ndarray, fi: int,
+                       h: float = 1e-3) -> float:
+    """(f at arr.flat[fi] + h  -  f at arr.flat[fi] - h) / 2h; arr is restored."""
+    orig = arr.flat[fi]
+    arr.flat[fi] = orig + h
+    f_plus = f()
+    arr.flat[fi] = orig - h
+    f_minus = f()
+    arr.flat[fi] = orig
+    return (f_plus - f_minus) / (2.0 * h)
 
 
 def finite_diff_check(f: Callable[[], float], arrays: list[np.ndarray],
@@ -492,14 +478,7 @@ def finite_diff_check(f: Callable[[], float], arrays: list[np.ndarray],
         elements = [(ai, fi) for ai, arr in enumerate(arrays) for fi in range(arr.size)]
     worst = 0.0
     for ai, fi in elements:
-        arr = arrays[ai]
-        orig = arr.flat[fi]
-        arr.flat[fi] = orig + h
-        f_plus = f()
-        arr.flat[fi] = orig - h
-        f_minus = f()
-        arr.flat[fi] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
+        numeric = central_difference(f, arrays[ai], fi, h)
         analytic = float(grads[ai].flat[fi])
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, err)

@@ -2,10 +2,11 @@
 
 Topology: a 7-convolution / 2-pool encoder (3x3 kernels, padding 1, relu),
 one four-direction recurrent sweep block over 2x2 patches of the encoded
-map, and a decoder of three stride-2 fractionally strided convolutions
-(each computed as a phase-split conv plus depth-to-space and cropped by 1
-per side to hit an exact x2), finished by a 1x1 convolution and a sigmoid.
-Output is a per-pixel foreground probability at the input resolution.
+map, and a decoder of three 4x4 stride-2 fractionally strided convolutions
+with padding 1, so each doubles the map exactly, and relu, finished by a
+1x1 convolution and a sigmoid. Every relu runs inside its (transposed)
+conv, so the tape holds one op per layer. Output is a per-pixel foreground probability
+at the input resolution.
 
 A training step runs its whole batch through one forward and one backward
 pass, every op taking the (N, h, w, c) batch at once.
@@ -31,7 +32,6 @@ from .layers import (
     backward,
     bce_loss,
     conv2d_forward,
-    crop2d_forward,
     maxpool2x2_forward,
     tconv_forward,
     tconv_sparse_matrix,
@@ -45,6 +45,9 @@ POOL_AFTER = frozenset((2, 4))  # pool follows these conv indices (1-based)
 DECODER_CHANNELS = (32, 16, 8)
 TCONV_KERNEL = 4
 TCONV_STRIDE = 2
+# config caps: a 1024 px training batch of 4 already needs gigabytes
+MAX_IMAGE_SIZE = 1024
+MAX_RNN_UNITS = 1024
 
 
 @dataclass
@@ -62,6 +65,9 @@ class ModelConfig:
     def validate(self) -> "ModelConfig":
         if self.patch < 1 or self.rnn_units < 1:
             raise ConfigError("patch and rnn_units must be positive")
+        for key, cap in (("image_size", MAX_IMAGE_SIZE), ("rnn_units", MAX_RNN_UNITS)):
+            if getattr(self, key) > cap:
+                raise ConfigError(f"{key} may be at most {cap}, got {getattr(self, key)}")
         if self.image_size % (4 * self.patch):
             raise ConfigError(
                 f"image_size {self.image_size} must be divisible by {4 * self.patch} "
@@ -199,10 +205,8 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
     x = images
     for i in range(1, len(ENCODER_CHANNELS) + 1):
         x, rec = conv2d_forward(x, params.values[f"enc{i}.weights"],
-                                params.values[f"enc{i}.bias"], 1)
+                                params.values[f"enc{i}.bias"], 1, relu=True)
         tape.append((f"enc{i}", rec))
-        x, rec = activation_forward(x, "relu")
-        tape.append((None, rec))
         if i in POOL_AFTER:
             x, rec = maxpool2x2_forward(x)
             tape.append((None, rec))
@@ -227,16 +231,13 @@ def decoder_matrices(params: ModelParams, grid: int) -> list:
 def _decode_tape(x: np.ndarray, params: ModelParams, sink=None):
     tape = [] if sink is None else sink
     for k in range(1, len(DECODER_CHANNELS) + 1):
+        # padding 1 cuts the (g-1)*2 + 4 = 2g+2 cells to exactly 2g
         x, rec = tconv_forward(x, params.values[f"dec{k}.weights"],
-                               params.values[f"dec{k}.bias"], TCONV_STRIDE)
+                               params.values[f"dec{k}.bias"], TCONV_STRIDE, 1, relu=True)
         tape.append((f"dec{k}", rec))
-        x, rec = crop2d_forward(x, 1)  # (2g+2) -> 2g per side
-        tape.append((None, rec))
-        x, rec = activation_forward(x, "relu")
-        tape.append((None, rec))
     x, rec = conv2d_forward(x, params.values["out.weights"], params.values["out.bias"], 0)
     tape.append(("out", rec))
-    x, rec = activation_forward(x, "sigmoid")
+    x, rec = activation_forward(x)
     tape.append((None, rec))
     return x, tape
 

@@ -32,7 +32,7 @@ from sweepseg.model import (
 from sweepseg.renet import SweepParams, directional_sweep, merge_patches, split_patches
 from sweepseg.tensor import Rng
 
-LINEAR_CHECKS = {"conv3x3", "conv3x3_s2", "tconv4x4_s2", "crop"}
+LINEAR_CHECKS = {"conv3x3", "tconv4x4_s2"}
 
 
 def report(ok: bool, name: str, detail: str) -> None:

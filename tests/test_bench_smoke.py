@@ -18,9 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
 NONZERO = {
     "train64": ["layers.conv2d_forward.ms", "layers.conv2d_backward.ms",
                 "layers.maxpool2x2_forward.ms", "layers.tconv_forward.ms",
-                "layers.tconv_backward.ms", "renet.renet_block.ms", "model.sgd_update.ms",
-                "model.build_model.ms"],
-    "infer_mixed": ["model.forward.ms_64", "model.forward.ms_128"],
+                "layers.tconv_backward.ms", "layers.activation_forward.ms",
+                "renet.renet_block.ms", "model.sgd_update.ms", "model.build_model.ms"],
+    "infer_mixed": ["model.forward.ms_64", "model.forward.ms_128",
+                    "layers.activation_forward.ms"],
     "synth_io": ["tensor.Rng.fill.draws_per_s", "data.generate_synthetic.ms",
                  "data.read_pnm.ms", "metrics.confusion_counts.ms"],
 }

@@ -1,8 +1,13 @@
 """Tests for the command-line interface: flags, exit codes, artifacts."""
 
+import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from sweepseg.cli import CONFIG_KEYS, build_parser, load_config, run_cli
 from sweepseg.data import read_pnm, write_pnm
 from sweepseg.errors import ConfigError
 from sweepseg.gradcheck import CheckResult
-from sweepseg.model import ModelConfig
+from sweepseg.model import MAX_IMAGE_SIZE, MAX_RNN_UNITS, ModelConfig
 from sweepseg.tensor import load_checkpoint, save_checkpoint
 
 
@@ -86,6 +91,16 @@ class TestLoadConfig:
         cfg.write_text(doc)
         with pytest.raises(ConfigError):
             load_config(cfg)
+
+    def test_sizes_above_the_caps_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"image_size": MAX_IMAGE_SIZE, "rnn_units": MAX_RNN_UNITS}))
+        assert load_config(path).rnn_units == MAX_RNN_UNITS
+        for doc in ({"image_size": 8000000}, {"image_size": MAX_IMAGE_SIZE + 8},
+                    {"rnn_units": 100000000}, {"rnn_units": MAX_RNN_UNITS + 1}):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match="at most"):
+                load_config(path)
 
     def test_lr_and_momentum_edges_accepted(self, tmp_path):
         for lr, momentum in [(1000, 0), (1e-30, 0.999)]:
@@ -251,6 +266,39 @@ class TestTrain:
         cfg = write_config(tmp_path / "c.json", image_size=20)
         assert run_cli(["train", "--data", str(data), "--config", str(cfg),
                         "--out", str(tmp_path / "m.ckpt")]) == 2
+
+    @pytest.mark.parametrize("doc", [{"image_size": 8000000}, {"rnn_units": 100000000}])
+    def test_oversized_config_exits_2_and_writes_nothing(self, tmp_path, capsys, doc):
+        # these once died in the resize (698 TiB) and in build_model (191 GiB)
+        data = make_dataset(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        ckpt, trace = tmp_path / "m.ckpt", tmp_path / "t.csv"
+        assert run_cli(["train", "--data", str(data), "--config", str(cfg),
+                        "--out", str(ckpt), "--trace", str(trace)]) == 2
+        assert f"error: {next(iter(doc))}" in capsys.readouterr().err
+        assert not ckpt.exists() and not trace.exists()
+
+    def test_same_checkpoint_at_any_blas_thread_count(self, tmp_path):
+        # with 2 BLAS threads this set trained to other bytes before the
+        # package pinned BLAS to one thread
+        data = make_dataset(tmp_path, count=4, seed=42, size=32)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"image_size": 32, "epochs": 1}')
+        root = Path(__file__).resolve().parent.parent
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        base["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        hashes = set()
+        for threads in (None, "1", "2"):
+            env = dict(base) if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
+            ckpt = tmp_path / f"m{threads}.ckpt"
+            subprocess.run([sys.executable, "-m", "sweepseg", "train", "--data", str(data),
+                            "--config", str(cfg), "--out", str(ckpt)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            hashes.add(hashlib.sha256(ckpt.read_bytes()).hexdigest())
+        assert len(hashes) == 1
 
 
 @pytest.fixture(scope="module")
@@ -466,7 +514,7 @@ class TestGradcheckCommand:
         assert run_cli(["gradcheck", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         for name in ("conv3x3", "tconv4x4_s2", "maxpool2x2",
-                     "relu", "tanh", "sigmoid", "bce", "sweep_down",
+                     "relu", "sigmoid", "bce", "sweep_down",
                      "renet_block"):
             assert name in out
         assert "FAIL" not in out

@@ -11,15 +11,15 @@ from sweepseg.gradcheck import (
     format_results,
     run_suite,
 )
-from sweepseg.layers import finite_diff_check
+from sweepseg.layers import central_difference, finite_diff_check
 
 EXPECTED_NAMES = [
-    "conv3x3", "tconv4x4_s2", "crop",
-    "maxpool2x2", "relu", "tanh", "sigmoid", "bce",
+    "conv3x3", "tconv4x4_s2",
+    "maxpool2x2", "relu", "sigmoid", "bce",
     "sweep_down", "sweep_up", "sweep_right", "sweep_left", "renet_block",
 ]
 
-LINEAR_NAMES = {"conv3x3", "tconv4x4_s2", "crop"}
+LINEAR_NAMES = {"conv3x3", "tconv4x4_s2"}
 
 
 class TestRunSuite:
@@ -82,18 +82,24 @@ class TestCheckerDetectsErrors:
         err = finite_diff_check(f, [x], [np.full(3, 3.0)])
         assert err < 1e-10
 
+    def test_central_difference_restores_the_perturbed_entry(self):
+        x = np.array([0.3, -0.7, 1.1])
+        before = x.copy()
+        assert abs(central_difference(lambda: float(np.sum(x ** 2)), x, 1) + 1.4) < 1e-12
+        assert np.array_equal(x, before)
+
 
 class TestFormatting:
     def test_one_line_per_check_with_status(self):
         results = [
             CheckResult("conv3x3", 1.5e-9, 1e-6),
-            CheckResult("tanh", 2.0e-3, 1e-4),
+            CheckResult("sigmoid", 2.0e-3, 1e-4),
         ]
         text = format_results(results)
         lines = text.splitlines()
         assert len(lines) == 2
         assert "conv3x3" in lines[0] and lines[0].endswith("ok")
-        assert "tanh" in lines[1] and lines[1].endswith("FAIL")
+        assert "sigmoid" in lines[1] and lines[1].endswith("FAIL")
 
     def test_reports_error_and_tolerance(self):
         text = format_results([CheckResult("bce", 3.6e-5, 1e-4)])

@@ -18,7 +18,6 @@ from sweepseg.layers import (
     backward,
     bce_loss,
     conv2d_forward,
-    crop2d_forward,
     finite_diff_check,
     maxpool2x2_forward,
     tconv_forward,
@@ -105,6 +104,29 @@ def pool_oracle(x):
 def proj(rng, shape):
     """Fixed random projection used to scalarize a tensor output."""
     return rng.uniform(-1.0, 1.0, size=shape)
+
+
+def off_kink(rng, x_shape, w_shape):
+    """Input, kernel and bias of a relu'd (transposed) conv that no +-1e-3
+    step of one entry moves across the relu's kink.
+
+    x in [-2, 2] and w in [-1, 1] are multiples of 1/8 and the bias is an
+    odd multiple of 1/128, so every pre-activation, an exact float64 sum,
+    is an odd multiple of 1/128, at least 7.8e-3 from 0; one step moves it
+    by at most 2e-3.
+    """
+    x = rng.integers(-16, 17, size=x_shape) / 8.0
+    w = rng.integers(-8, 9, size=w_shape) / 8.0
+    b = rng.integers(-8, 9, size=w_shape[3]) / 8.0 + 1.0 / 128.0
+    return x, w, b
+
+
+def relu_tconv_oracle(x, kern, b, stride, pad):
+    """The sparse-matrix product of one sample, cut by pad per side, then relu."""
+    m = tconv_sparse_matrix(kern, x.shape[:2], stride)
+    full = (m.to_dense() @ x.reshape(-1)).reshape(m.out_dims) + b
+    h, w = full.shape[:2]
+    return np.maximum(full[pad:h - pad, pad:w - pad], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +252,17 @@ class TestMaxpool:
 
 class TestActivations:
     def test_values(self):
-        x = np.linspace(-3, 3, 13).reshape(13, 1).astype(np.float64)
-        relu, _ = activation_forward(x, "relu")
+        # the sigmoid head, and the relu a conv ends in (here a 1x1 identity)
+        x = np.linspace(-3, 3, 13).reshape(1, 13, 1, 1).astype(np.float64)
+        relu, _ = conv2d_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1), 0, relu=True)
         assert np.array_equal(relu, np.maximum(x, 0))
-        th, _ = activation_forward(x, "tanh")
-        assert np.allclose(th, np.tanh(x))
-        sg, _ = activation_forward(x, "sigmoid")
+        sg, _ = activation_forward(x)
         assert np.allclose(sg, 1.0 / (1.0 + np.exp(-x)))
 
     def test_sigmoid_saturates_without_overflow(self):
         x = np.array([-500.0, 500.0])
         with np.errstate(over="raise"):
-            out, _ = activation_forward(x, "sigmoid")
+            out, _ = activation_forward(x)
         assert abs(out[0]) < 1e-100 and out[1] == 1.0
 
     def test_sigmoid_matches_the_two_branch_form_bit_for_bit(self):
@@ -254,12 +275,14 @@ class TestActivations:
             want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
             ex = np.exp(x[~pos])
             want[~pos] = ex / (1.0 + ex)
-            got, _ = activation_forward(x, "sigmoid")
+            got, _ = activation_forward(x)
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            activation_forward(np.zeros(3), "gelu")
+        # the sigmoid is the only kind left: relu lives in the convs, and
+        # asking for a kind is an error
+        with pytest.raises(TypeError):
+            activation_forward(np.zeros(3), "relu")
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +385,7 @@ class TestTconvForward:
             kern = rng.standard_normal((k, k, ci, co))
             x = rng.standard_normal((int(rng.integers(1, 4)), h, w, ci))
             b = rng.standard_normal(co)
-            out, _ = tconv_forward(x, kern, b, stride)
+            out, _ = tconv_forward(x, kern, b, stride, 0)
             want = np.stack([tconv_oracle(sample, kern, b, stride) for sample in x])
             assert np.allclose(out, want, atol=1e-10)
 
@@ -380,7 +403,7 @@ class TestTconvForward:
             kern = rng.standard_normal((k, k, ci, co))
             x = rng.standard_normal((1, h, w, ci))
             dense = tconv_sparse_matrix(kern, (h, w), stride).to_dense()
-            out, rec = tconv_forward(x, kern, np.zeros(co), stride)
+            out, rec = tconv_forward(x, kern, np.zeros(co), stride, 0)
             want = dense @ x.reshape(-1)
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(out.reshape(-1) - want).max() <= 1e-6 * scale
@@ -390,32 +413,64 @@ class TestTconvForward:
             scale = max(np.abs(want).max(), 1e-12)
             assert np.abs(dx.reshape(-1) - want).max() <= 1e-6 * scale
 
+    def test_padded_relu_matches_the_sparse_matrix_oracle(self):
+        # padding p cuts p cells per side of the matrix product, then relu;
+        # an output of no cells is refused
+        rng = np.random.default_rng(31)
+        for k, stride in TCONV_GRID:
+            for pad in (0, 1):
+                x = rng.standard_normal((2, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2))
+                kern = rng.standard_normal((k, k, 2, 3))
+                b = rng.standard_normal(3)
+                if (min(x.shape[1:3]) - 1) * stride + k <= 2 * pad:
+                    with pytest.raises(ShapeError):
+                        tconv_forward(x, kern, b, stride, pad, relu=True)
+                    continue
+                out, _ = tconv_forward(x, kern, b, stride, pad, relu=True)
+                want = np.stack([relu_tconv_oracle(sample, kern, b, stride, pad)
+                                 for sample in x])
+                assert out.shape == want.shape, (k, stride, pad)
+                assert np.allclose(out, want, atol=1e-10), (k, stride, pad)
+
     def test_shape_validation(self):
         kern = np.ones((2, 2, 1, 1))
         x = np.zeros((1, 2, 2, 1))
         with pytest.raises(ShapeError):  # x channels vs the kernel's c_in
-            tconv_forward(np.zeros((1, 2, 2, 2)), kern, np.zeros(1), 2)
+            tconv_forward(np.zeros((1, 2, 2, 2)), kern, np.zeros(1), 2, 0)
         with pytest.raises(ShapeError):  # x not (N, h, w, c)
-            tconv_forward(np.zeros((2, 2, 1)), kern, np.zeros(1), 2)
+            tconv_forward(np.zeros((2, 2, 1)), kern, np.zeros(1), 2, 0)
         with pytest.raises(ShapeError):  # non-square kernel
-            tconv_forward(x, np.ones((2, 3, 1, 1)), np.zeros(1), 2)
+            tconv_forward(x, np.ones((2, 3, 1, 1)), np.zeros(1), 2, 0)
         with pytest.raises(ShapeError):  # kernel not 4-D
-            tconv_forward(x, np.ones((2, 2, 1)), np.zeros(1), 2)
+            tconv_forward(x, np.ones((2, 2, 1)), np.zeros(1), 2, 0)
         with pytest.raises(ShapeError):  # bias vs c_out
-            tconv_forward(x, kern, np.zeros(2), 2)
+            tconv_forward(x, kern, np.zeros(2), 2, 0)
         with pytest.raises(ShapeError):
-            tconv_forward(x, kern, np.zeros(1), 0)
+            tconv_forward(x, kern, np.zeros(1), 0, 0)
+        with pytest.raises(ShapeError):
+            tconv_forward(x, kern, np.zeros(1), 2, -1)
 
 
 class TestCrop:
+    """The decoder's crop is the transposed conv's padding."""
+
     def test_crops_symmetric_margin(self):
-        x = np.arange(50, dtype=np.float32).reshape(2, 5, 5, 1)
-        out, _ = crop2d_forward(x, 1)
-        assert np.array_equal(out, x[:, 1:4, 1:4])
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((2, 3, 4, 2)).astype(np.float32)
+        kern = rng.standard_normal((4, 4, 2, 3)).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        full, _ = tconv_forward(x, kern, b, 2, 0)
+        assert full.shape == (2, 8, 10, 3)
+        for pad in (1, 2, 3):
+            out, _ = tconv_forward(x, kern, b, 2, pad)
+            assert np.array_equal(out, full[:, pad:8 - pad, pad:10 - pad])
 
     def test_too_small_rejected(self):
+        # a 2x2 kernel at stride 2 makes 2x2 of one cell: padding 1 leaves none
+        kern = np.ones((2, 2, 1, 1))
+        tconv_forward(np.zeros((1, 1, 1, 1)), kern, np.zeros(1), 2, 0)
         with pytest.raises(ShapeError):
-            crop2d_forward(np.zeros((1, 2, 2, 1)), 1)
+            tconv_forward(np.zeros((1, 1, 1, 1)), kern, np.zeros(1), 2, 1)
 
 
 class TestBce:
@@ -498,18 +553,38 @@ class TestGradients:
         assert finite_diff_check(f, [x], [dx]) < 1e-6
 
     def test_activation_gradients(self):
+        # the sigmoid head, and the relu alone as a 1x1 identity conv
         rng = np.random.default_rng(43)
-        for kind, tol in [("relu", 1e-6), ("tanh", 1e-4), ("sigmoid", 1e-4)]:
-            x = rng.standard_normal((4, 4, 2)) + 0.1  # keep relu away from the kink
-            r = proj(rng, (4, 4, 2))
+        one, zero = np.ones((1, 1, 1, 1)), np.zeros(1)
+        for name, op, tol in [
+                ("relu", lambda a: conv2d_forward(a, one, zero, 0, relu=True), 1e-6),
+                ("sigmoid", activation_forward, 1e-4)]:
+            x = rng.standard_normal((4, 4, 2, 1)) + 0.1  # keep relu away from the kink
+            r = proj(rng, (4, 4, 2, 1))
 
             def f():
-                y, _ = activation_forward(x, kind)
+                y, _ = op(x)
                 return float((y * r).sum())
 
-            _, rec = activation_forward(x, kind)
+            _, rec = op(x)
             dx, _ = backward(rec, r)
-            assert finite_diff_check(f, [x], [dx]) < tol, kind
+            assert finite_diff_check(f, [x], [dx]) < tol, name
+
+    def test_conv_relu_gradients(self):
+        rng = np.random.default_rng(47)
+        for k, pad in [(3, 1), (2, 0), (1, 0)]:
+            x, w, b = off_kink(rng, (2, 5, 4, 2), (k, k, 2, 3))
+
+            def f():
+                y, _ = conv2d_forward(x, w, b, pad, relu=True)
+                return float((y * r).sum())
+
+            y, rec = conv2d_forward(x, w, b, pad, relu=True)
+            assert 0 < np.count_nonzero(y) < y.size  # both sides of the kink
+            r = proj(rng, y.shape)
+            dx, grads = backward(rec, r)
+            err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
+            assert err < 1e-6, (k, pad)
 
     def test_tconv_gradients(self):
         rng = np.random.default_rng(53)
@@ -520,10 +595,10 @@ class TestGradients:
         r = proj(rng, (2, 6, 6, 2))
 
         def f():
-            y, _ = tconv_forward(x, w, b, stride)
+            y, _ = tconv_forward(x, w, b, stride, 0)
             return float((y * r).sum())
 
-        _, rec = tconv_forward(x, w, b, stride)
+        _, rec = tconv_forward(x, w, b, stride, 0)
         dx, grads = backward(rec, r)
         err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
         assert err < 1e-6
@@ -536,26 +611,50 @@ class TestGradients:
         r = proj(rng, (2, 5, 6, 1))
 
         def f():
-            y, _ = tconv_forward(x, w, b, 1)
+            y, _ = tconv_forward(x, w, b, 1, 0)
             return float((y * r).sum())
 
-        _, rec = tconv_forward(x, w, b, 1)
+        _, rec = tconv_forward(x, w, b, 1, 0)
         dx, grads = backward(rec, r)
         err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
         assert err < 1e-6
 
     def test_crop_gradients(self):
+        # the crop is the transposed conv's padding: no gradient reaches
+        # the cells it cuts
         rng = np.random.default_rng(61)
-        x = rng.standard_normal((2, 5, 5, 2))
-        r = proj(rng, (2, 3, 3, 2))
+        x = rng.standard_normal((2, 3, 3, 2))
+        w = rng.standard_normal((4, 4, 2, 2)) * 0.5
+        b = rng.standard_normal(2) * 0.1
+        r = proj(rng, (2, 6, 6, 2))
 
         def f():
-            y, _ = crop2d_forward(x, 1)
+            y, _ = tconv_forward(x, w, b, 2, 1)
             return float((y * r).sum())
 
-        _, rec = crop2d_forward(x, 1)
-        dx, _ = backward(rec, r)
-        assert finite_diff_check(f, [x], [dx]) < 1e-6
+        _, rec = tconv_forward(x, w, b, 2, 1)
+        dx, grads = backward(rec, r)
+        err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
+        assert err < 1e-6
+
+    def test_padded_relu_tconv_gradients(self):
+        rng = np.random.default_rng(63)
+        for k, stride in TCONV_GRID:
+            for pad in (0, 1):
+                x, w, b = off_kink(rng, (2, 3, 2, 2), (k, k, 2, 2))
+                if (2 - 1) * stride + k <= 2 * pad:
+                    continue  # no output cell left
+
+                def f():
+                    y, _ = tconv_forward(x, w, b, stride, pad, relu=True)
+                    return float((y * r).sum())
+
+                y, rec = tconv_forward(x, w, b, stride, pad, relu=True)
+                r = proj(rng, y.shape)
+                dx, grads = backward(rec, r)
+                err = finite_diff_check(f, [x, w, b],
+                                        [dx, grads["weights"], grads["bias"]])
+                assert err < 1e-6, (k, stride, pad)
 
     def test_bce_gradients(self):
         rng = np.random.default_rng(67)
@@ -571,8 +670,8 @@ class TestGradients:
         assert finite_diff_check(f, [pred], [dpred]) < 1e-4
 
     def test_chained_ops_gradients(self):
-        # conv -> relu -> pool -> sigmoid -> bce composes through the
-        # per-op records exactly like the model-level tape will
+        # conv+relu -> pool -> sigmoid -> bce composes through the per-op
+        # records exactly like the model-level tape
         rng = np.random.default_rng(71)
         x = rng.standard_normal((1, 4, 4, 2))
         w = rng.standard_normal((3, 3, 2, 3)) * 0.5
@@ -580,16 +679,14 @@ class TestGradients:
         target = (rng.uniform(size=(1, 2, 2, 3)) < 0.5).astype(np.float64)
 
         def run():
-            y1, r1 = conv2d_forward(x, w, b, 1)
-            y2, r2 = activation_forward(y1, "relu")
-            y3, r3 = maxpool2x2_forward(y2)
-            y4, r4 = activation_forward(y3, "sigmoid")
-            loss, r5 = bce_loss(y4, target)
-            return float(loss.sum()), (r1, r2, r3, r4, r5)
+            y1, r1 = conv2d_forward(x, w, b, 1, relu=True)
+            y2, r2 = maxpool2x2_forward(y1)
+            y3, r3 = activation_forward(y2)
+            loss, r4 = bce_loss(y3, target)
+            return float(loss.sum()), (r1, r2, r3, r4)
 
-        loss, (r1, r2, r3, r4, r5) = run()
-        g, _ = backward(r5, 1.0)
-        g, _ = backward(r4, g)
+        loss, (r1, r2, r3, r4) = run()
+        g, _ = backward(r4, 1.0)
         g, _ = backward(r3, g)
         g, _ = backward(r2, g)
         dx, grads = backward(r1, g)
@@ -687,7 +784,9 @@ class TestBatchAxis:
         for k, pad in [(3, 1), (2, 0), (1, 0), (2, 2)]:
             w = rng.standard_normal((k, k, 3, 4))
             b = rng.standard_normal(4)
-            assert_batch_equals_stacked_samples(lambda a: conv2d_forward(a, w, b, pad), x)
+            for relu in (False, True):
+                assert_batch_equals_stacked_samples(
+                    lambda a: conv2d_forward(a, w, b, pad, relu=relu), x)
 
     def test_maxpool(self):
         rng = np.random.default_rng(223)
@@ -697,8 +796,7 @@ class TestBatchAxis:
     def test_activations(self):
         rng = np.random.default_rng(227)
         x = rng.standard_normal((3, 4, 5, 2))
-        for kind in ("relu", "tanh", "sigmoid"):
-            assert_batch_equals_stacked_samples(lambda a: activation_forward(a, kind), x)
+        assert_batch_equals_stacked_samples(activation_forward, x)
 
     def test_tconv(self):
         rng = np.random.default_rng(229)
@@ -706,11 +804,15 @@ class TestBatchAxis:
         for k, stride in TCONV_GRID:
             w = rng.standard_normal((k, k, 2, 3))
             b = rng.standard_normal(3)
-            assert_batch_equals_stacked_samples(lambda a: tconv_forward(a, w, b, stride), x)
+            for pad, relu in ((0, False), (1, True)):
+                assert_batch_equals_stacked_samples(
+                    lambda a: tconv_forward(a, w, b, stride, pad, relu=relu), x)
 
     def test_crop(self):
+        # the decoder's crop, now the transposed conv's padding
         rng = np.random.default_rng(233)
-        assert_batch_equals_stacked_samples(lambda a: crop2d_forward(a, 1),
+        w, b = rng.standard_normal((4, 4, 2, 3)), rng.standard_normal(3)
+        assert_batch_equals_stacked_samples(lambda a: tconv_forward(a, w, b, 2, 1),
                                             rng.standard_normal((3, 5, 6, 2)))
 
     def test_bce(self):

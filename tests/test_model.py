@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,17 +20,19 @@ from sweepseg.errors import (
 from sweepseg.layers import (
     activation_forward,
     conv2d_forward,
-    crop2d_forward,
     finite_diff_check,
 )
 from sweepseg.model import (
     DECODER_CHANNELS,
     ENCODER_CHANNELS,
+    MAX_IMAGE_SIZE,
+    MAX_RNN_UNITS,
     ModelConfig,
     ModelParams,
     TrainTrace,
     _decode_tape,
     _encode_tape,
+    _forward_tape,
     build_model,
     decoder_matrices,
     forward,
@@ -72,6 +75,14 @@ class TestBuild:
     def test_indivisible_image_size_rejected(self):
         with pytest.raises(ConfigError):
             build_model(ModelConfig(image_size=60), Rng(1))
+
+    def test_sizes_above_the_caps_rejected_before_any_draw(self, monkeypatch):
+        ModelConfig(image_size=MAX_IMAGE_SIZE, rnn_units=MAX_RNN_UNITS).validate()
+        monkeypatch.setattr(Rng, "fill", lambda *a: pytest.fail("drew from the rng"))
+        for bad in (dict(image_size=MAX_IMAGE_SIZE + 8), dict(image_size=8000000),
+                    dict(rnn_units=MAX_RNN_UNITS + 1), dict(rnn_units=100000000)):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                build_model(ModelConfig(**bad), Rng(1))
 
     def test_buffer_shapes_agree(self):
         params = build_model(small_config(), Rng(5))
@@ -125,7 +136,8 @@ class TestEncodeDecode:
 
     def test_decode_matches_the_sparse_matrix_decoder(self):
         # the paper's literal decoder: each stage a sparse matrix times the
-        # flattened map of one sample, then the same crop, relu and 1x1 head
+        # flattened map of one sample plus bias, cut by 1 per side (the
+        # transposed conv's padding) and relu'd, then the same 1x1 head
         params = build_model(ModelConfig(), Rng(9))
         rng = np.random.default_rng(3)
         for size, batch in ((64, 2), (128, 1)):
@@ -135,14 +147,22 @@ class TestEncodeDecode:
             for k, matrix in enumerate(decoder_matrices(params, grid), start=1):
                 x = np.stack([matrix.matvec(sample.reshape(-1)).reshape(matrix.out_dims)
                               for sample in x])
-                x, _ = crop2d_forward(x + params.values[f"dec{k}.bias"], 1)
-                x, _ = activation_forward(x, "relu")
+                x = np.maximum((x + params.values[f"dec{k}.bias"])[:, 1:-1, 1:-1], 0)
             w = params.values["out.weights"]
             assert w.shape == (1, 1, DECODER_CHANNELS[-1], 1)
             x, _ = conv2d_forward(x, w, params.values["out.bias"], 0)
-            want, _ = activation_forward(x, "sigmoid")
+            want, _ = activation_forward(x)
             assert got.shape == want.shape == (batch, size, size, 1)
             assert np.abs(got - want).max() <= 1e-5
+
+
+    def test_one_op_per_layer(self):
+        # every relu runs inside its conv and every crop is a transposed
+        # conv's padding: 7 + 1 convs, 2 pools, the sweeps, 3 tconvs, a sigmoid
+        params = build_model(ModelConfig(), Rng(9))
+        _, tape = _forward_tape(np.zeros((1, 64, 64, 3), np.float32), params)
+        assert Counter(rec.kind for _, rec in tape) == {
+            "conv2d": 8, "tconv": 3, "maxpool2x2": 2, "renet_block": 1, "activation": 1}
 
 
 class TestForward:
@@ -176,8 +196,9 @@ class TestForward:
 
     def test_forward_keeps_no_tape(self):
         # inference drops each op record once the next op has run: a 256 px
-        # forward peaks at 13.9 MB, and peaked at 26.0 MB when every record
-        # lived until the mask was returned
+        # forward peaks at 15.8 MB (13.9 MB before the convs' records kept
+        # their relu masks), and peaked at 26.0 MB when every record lived
+        # until the mask was returned
         params = build_model(ModelConfig(), Rng(17))
         image = np.random.default_rng(6).uniform(size=(256, 256, 3)).astype(np.float32)
         forward(image[:64, :64], params)
@@ -515,9 +536,10 @@ class TestCheckpointSchema:
     def test_meta_config_the_config_rules_refuse_is_rejected(self):
         # finite entries that ModelConfig.validate refuses: a threshold that
         # is NaN or outside [0, 1], an image size the two pools and the
-        # patch grid cannot divide, and a zero patch
+        # patch grid cannot divide, a zero patch, and sizes above the caps
         for key, bad in (("threshold", np.nan), ("threshold", 5.0),
-                         ("image_size", 12.0), ("patch", 0.0)):
+                         ("image_size", 12.0), ("patch", 0.0),
+                         ("image_size", 2048.0), ("rnn_units", 1e8)):
             def edit(entries):
                 entries[f"meta.{key}"] = np.array([bad], np.float32)
 
