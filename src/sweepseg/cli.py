@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,8 @@ from .metrics import evaluate_dataset, format_report, format_report_kv
 from .model import ModelConfig, forward, load_model, predict_mask, save_model, train
 from .tensor import Rng
 
-CONFIG_KEYS = ("seed", "image_size", "rnn_units", "patch", "lr",
-               "momentum", "batch_size", "epochs", "threshold")
-_INT_KEYS = frozenset(("seed", "image_size", "rnn_units", "patch",
-                       "batch_size", "epochs"))
+CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
+_INT_KEYS = frozenset(f.name for f in fields(ModelConfig) if f.type == "int")
 
 _DATA_ERRORS = (DataError, ConfigError, ShapeError, InvalidTargetError,
                 InvalidSeedError, CheckpointError, PnmError, OSError)
@@ -84,15 +83,6 @@ def load_config(path) -> ModelConfig:
     return config
 
 
-def _require_divisible(image: np.ndarray, patch: int) -> None:
-    block = 4 * patch
-    h, w = image.shape[:2]
-    if h % block or w % block:
-        raise DataError(
-            f"image is {w}x{h}: each side must be divisible by {block} "
-            f"(two 2x2 pools, then {patch}x{patch} patches)")
-
-
 def _cmd_synth(args) -> int:
     records = generate_synthetic(args.seed, args.count, args.size)
     save_dataset(records, args.out)
@@ -119,7 +109,6 @@ def _cmd_infer(args) -> int:
     image = read_pnm(Path(args.image).read_bytes())
     if image.shape[2] == 1:
         image = np.repeat(image, 3, axis=2)
-    _require_divisible(image, config.patch)
     prob = forward(image, params)
     write_pnm(predict_mask(prob, config.threshold), args.out)
     return 0

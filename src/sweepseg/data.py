@@ -23,6 +23,7 @@ from .errors import (
     PnmTruncatedError,
     ShapeError,
 )
+from .model import MAX_IMAGE_SIZE
 from .tensor import Rng
 
 MASK_SUFFIX = "_segmentation"
@@ -242,6 +243,8 @@ def generate_synthetic(seed: int, count: int, size: int) -> list[ImageRecord]:
     """Deterministic lesion images with exact masks; hairs touch the image only."""
     if size < 8 or size % 8:
         raise ConfigError(f"synthetic size must be a positive multiple of 8, got {size}")
+    if size > MAX_IMAGE_SIZE:
+        raise ConfigError(f"synthetic size may be at most {MAX_IMAGE_SIZE}, got {size}")
     if count < 1:
         raise ConfigError(f"synthetic count must be at least 1, got {count}")
     rng = Rng(seed)

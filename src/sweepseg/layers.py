@@ -5,9 +5,10 @@ Conventions used throughout:
 * every op runs on a batch: feature maps are channel-last ndarrays
   (N, h, w, c), one sample per index of the leading axis; vectors are 1-D
 * convolution means cross-correlation (no kernel flip)
-* every forward returns (output, OpRecord); `backward(record, upstream)`
-  returns (input_gradient, {param_name: gradient}), with each parameter
-  gradient summed over the batch
+* every forward returns (output, OpRecord), and the record names its own
+  backward function (`record.grad`); `backward(record, upstream)` runs it
+  and returns (input_gradient, {param_name: gradient}), with each
+  parameter gradient summed over the batch
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
 * a conv or transposed conv can end in a fused relu (conv+bias+activation
@@ -55,15 +56,16 @@ BCE_EPS = 1e-7
 
 @dataclass
 class OpRecord:
-    """Cached values one op needs for its backward pass; single consumer."""
+    """One op's backward function and the cached values it needs; single consumer."""
 
     kind: str
     out_shape: tuple
+    grad: Callable
     saved: dict = field(default_factory=dict)
 
 
-def _record(kind: str, out_shape, **saved) -> OpRecord:
-    return OpRecord(kind=kind, out_shape=tuple(out_shape), saved=saved)
+def _record(kind: str, out_shape, grad: Callable, **saved) -> OpRecord:
+    return OpRecord(kind=kind, out_shape=tuple(out_shape), grad=grad, saved=saved)
 
 
 def _check_batch(x: np.ndarray, op: str) -> None:
@@ -137,7 +139,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         if relu:
             np.maximum(block, 0, out=block)
     out = acc.reshape(padded.shape[:3] + (co,))[:, :h + 2 * p - k + 1, :w + 2 * p - k + 1]
-    rec = _record("conv2d", out.shape, rows=rows, weights=weights,
+    rec = _record("conv2d", out.shape, _conv2d_backward, rows=rows, weights=weights,
                   in_shape=x.shape, padding=p, relu_mask=out > 0 if relu else None)
     return out, rec
 
@@ -194,7 +196,7 @@ def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, OpRecord]:
         raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
     cells = _window_cells(x)
     out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
-    rec = _record("maxpool2x2", out.shape, x=x, out=out)
+    rec = _record("maxpool2x2", out.shape, _maxpool_backward, x=x, out=out)
     return out, rec
 
 
@@ -225,7 +227,7 @@ def activation_forward(x: np.ndarray) -> tuple[np.ndarray, OpRecord]:
     # below; min(x, -x) is -|x| with a NaN's sign kept, as exp(x) keeps it
     e = np.exp(np.minimum(x, -x))
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out, _record("activation", out.shape, out=out)
+    return out, _record("activation", out.shape, _activation_backward, out=out)
 
 
 def _activation_backward(rec: OpRecord, up: np.ndarray):
@@ -332,7 +334,7 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: 
     out = full[:, p:(h - 1) * s + k - p, p:(w - 1) * s + k - p]
     if relu:
         np.maximum(out, 0, out=out)
-    rec = _record("tconv", out.shape, x=x, weights=weights, stride=s, padding=p,
+    rec = _record("tconv", out.shape, _tconv_backward, x=x, weights=weights, stride=s, padding=p,
                   relu_mask=out > 0 if relu else None)
     return out, rec
 
@@ -394,7 +396,7 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, OpRecord
     t = target.astype(np.float64)
     terms = t * np.log(p) + (1.0 - t) * np.log1p(-p)
     losses = -np.mean(terms.reshape(len(pred), -1), axis=1)
-    rec = _record("bce", (), pred=pred, target=target)
+    rec = _record("bce", (), _bce_backward, pred=pred, target=target)
     return losses, rec
 
 
@@ -409,22 +411,8 @@ def _bce_backward(rec: OpRecord, up):
 
 
 # ---------------------------------------------------------------------------
-# backward dispatch and finite differences
+# backward and finite differences
 # ---------------------------------------------------------------------------
-
-_BACKWARD: dict[str, Callable] = {
-    "conv2d": _conv2d_backward,
-    "maxpool2x2": _maxpool_backward,
-    "activation": _activation_backward,
-    "tconv": _tconv_backward,
-    "bce": _bce_backward,
-}
-
-
-def register_backward(kind: str, fn: Callable) -> None:
-    """Let other modules plug their composite ops into the same dispatcher."""
-    _BACKWARD[kind] = fn
-
 
 def backward(rec: OpRecord, upstream,
              input_grad: bool = True) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
@@ -442,14 +430,11 @@ def backward(rec: OpRecord, upstream,
             raise ShapeError(f"upstream shape {up.shape} != recorded output shape {rec.out_shape}")
         if rec.saved.get("relu_mask") is not None:  # a fused relu's gradient first
             up = up * rec.saved["relu_mask"]
-    if not input_grad:
-        if rec.kind != "conv2d":
-            raise ValueError(f"op kind {rec.kind!r} always returns its input gradient")
-        return _conv2d_backward(rec, up, input_grad=False)
-    fn = _BACKWARD.get(rec.kind)
-    if fn is None:
-        raise ValueError(f"no backward registered for op kind {rec.kind!r}")
-    return fn(rec, up)
+    if input_grad:
+        return rec.grad(rec, up)
+    if rec.kind != "conv2d":
+        raise ValueError(f"op kind {rec.kind!r} always returns its input gradient")
+    return rec.grad(rec, up, input_grad=False)
 
 
 def central_difference(f: Callable[[], float], arr: np.ndarray, fi: int,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -199,8 +199,11 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
     `sink`, a fresh list when it is None."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
-    if images.shape[1] % 4 or images.shape[2] % 4:
-        raise ShapeError(f"image dims {images.shape[1:3]} must be divisible by 4")
+    patch = _infer_patch(params)
+    h, w = images.shape[1:3]
+    if h % (4 * patch) or w % (4 * patch):
+        raise ShapeError(f"image is {w}x{h}: each side must be divisible by {4 * patch} "
+                         f"(two 2x2 pools, then {patch}x{patch} patches)")
     tape = [] if sink is None else sink
     x = images
     for i in range(1, len(ENCODER_CHANNELS) + 1):
@@ -246,8 +249,6 @@ def _forward_tape(images: np.ndarray, params: ModelParams, sink=None):
     """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape."""
     x, tape = _encode_tape(images, params, sink)
     patch = _infer_patch(params)
-    if x.shape[1] % patch or x.shape[2] % patch:
-        raise ShapeError(f"encoded map {x.shape[1:3]} not divisible by patch {patch}")
     x, rec = renet_block(x, _renet_params(params), patch, patch)
     tape.append(("renet", rec))
     return _decode_tape(x, params, tape)
@@ -422,9 +423,10 @@ def load_model(source) -> tuple[ModelParams, ModelConfig]:
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise CheckpointError(f"checkpoint lacks meta entries: {', '.join(missing)}")
+    types = {f.name: f.type for f in fields(ModelConfig)}
     try:
-        config = ModelConfig(image_size=int(meta["image_size"]), patch=int(meta["patch"]),
-                             rnn_units=int(meta["rnn_units"]), threshold=meta["threshold"])
+        config = ModelConfig(**{k: int(meta[k]) if types[k] == "int" else meta[k]
+                                for k in META_KEYS})
     except (ValueError, OverflowError):  # int() of a NaN or infinite entry
         raise CheckpointError("checkpoint meta entries must be finite numbers") from None
     try:

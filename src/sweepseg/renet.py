@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .layers import OpRecord, _record, backward as op_backward, register_backward
+from .layers import OpRecord, _record, backward as op_backward
 
 DIRECTIONS = ("down", "up", "right", "left")
 _AXIS = {"down": 0, "up": 0, "right": 1, "left": 1}
@@ -118,7 +118,7 @@ def directional_sweep(x: np.ndarray, direction: str,
     for t in range(1, steps):
         zs[t] = np.tanh(pre[t] + zs[t - 1] @ params.wz)
     out = _from_steps(zs, direction, x.shape[:3] + (u,))
-    rec = _record("sweep", out.shape, seq=seq, zs=zs, direction=direction,
+    rec = _record("sweep", out.shape, _sweep_backward, seq=seq, zs=zs, direction=direction,
                   params=params, in_shape=x.shape)
     return out, rec
 
@@ -169,9 +169,9 @@ def renet_block(feature: np.ndarray, params: RenetParams, w_p: int,
     right, rec_right = directional_sweep(vertical, "right", params.right)
     left, rec_left = directional_sweep(vertical, "left", params.left)
     out = np.concatenate([right, left], axis=3)
-    rec = _record("renet_block", out.shape, w_p=w_p, h_p=h_p, units=params.down.units,
-                  rec_down=rec_down, rec_up=rec_up, rec_right=rec_right,
-                  rec_left=rec_left)
+    rec = _record("renet_block", out.shape, _block_backward, w_p=w_p, h_p=h_p,
+                  units=params.down.units, rec_down=rec_down, rec_up=rec_up,
+                  rec_right=rec_right, rec_left=rec_left)
     return out, rec
 
 
@@ -188,7 +188,3 @@ def _block_backward(rec: OpRecord, up: np.ndarray):
         for key, val in sub.items():
             grads[f"{name}.{key}"] = val
     return d_feature, grads
-
-
-register_backward("sweep", _sweep_backward)
-register_backward("renet_block", _block_backward)

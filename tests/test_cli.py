@@ -1,5 +1,6 @@
 """Tests for the command-line interface: flags, exit codes, artifacts."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -107,6 +108,18 @@ class TestLoadConfig:
             config = load_config(write_config(tmp_path / "c.json", lr=lr, momentum=momentum))
             assert (config.lr, config.momentum) == (lr, momentum)
 
+    def test_every_field_accepted_and_int_fields_refuse_floats(self, tmp_path):
+        p = tmp_path / "c.json"
+        defaults = ModelConfig()
+        for f in dataclasses.fields(ModelConfig):
+            value = getattr(defaults, f.name)
+            p.write_text(json.dumps({f.name: value}))
+            assert load_config(p) == defaults
+            if f.type == "int":
+                p.write_text(json.dumps({f.name: float(value)}))
+                with pytest.raises(ConfigError, match=f"{f.name} must be an integer"):
+                    load_config(p)
+
     def test_fractional_int_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text('{"batch_size": 2.5}')
@@ -187,8 +200,12 @@ class TestSynth:
                         "--count", "1", "--seed", "0"]) == 2
 
 
+    # a size above the image cap once died in the lesion renderer with a
+    # raw MemoryError (an 8000000 px side asked for 466 TiB)
     @pytest.mark.parametrize("flags", [["--size", "0"], ["--size", "-8"],
-                                       ["--count", "0"], ["--count", "-2"]])
+                                       ["--count", "0"], ["--count", "-2"],
+                                       ["--size", str(MAX_IMAGE_SIZE + 8)],
+                                       ["--size", "8000000"]])
     def test_unusable_size_or_count_exits_2_before_drawing(self, tmp_path, capsys, flags):
         out = tmp_path / "d"
         with warnings.catch_warnings():

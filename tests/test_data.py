@@ -29,6 +29,7 @@ from sweepseg.errors import (
     ShapeError,
 )
 from sweepseg.metrics import confusion_counts, metrics_from_counts
+from sweepseg.model import MAX_IMAGE_SIZE
 from sweepseg.tensor import Rng
 
 
@@ -285,3 +286,11 @@ class TestSynthetic:
     def test_indivisible_size_rejected(self):
         with pytest.raises(ConfigError):
             generate_synthetic(1, 1, 60)
+
+    def test_sizes_above_the_image_cap_rejected_before_any_draw(self, monkeypatch):
+        drew = lambda *args: pytest.fail("drew from the rng")
+        monkeypatch.setattr(Rng, "fill", drew)
+        monkeypatch.setattr(Rng, "next", drew)
+        for size in (MAX_IMAGE_SIZE + 8, 8000000):
+            with pytest.raises(ConfigError, match=f"at most {MAX_IMAGE_SIZE}"):
+                generate_synthetic(1, 1, size)

@@ -165,6 +165,24 @@ class TestEncodeDecode:
             "conv2d": 8, "tconv": 3, "maxpool2x2": 2, "renet_block": 1, "activation": 1}
 
 
+class TestImageShapeRule:
+    def test_sides_not_divisible_by_4_patch_rejected(self):
+        # 44 passes both pools but leaves an 11x11 map for 2x2 patches;
+        # 42 fails the pools: both break the same rule, with one message
+        params = build_model(ModelConfig(), Rng(13))
+        for side in (44, 42):
+            with pytest.raises(ShapeError, match="divisible by 8"):
+                forward(np.zeros((side, side, 3), np.float32), params)
+        with pytest.raises(ShapeError, match="divisible by 8"):
+            _forward_tape(np.zeros((2, 44, 64, 3), np.float32), params)
+
+    def test_rule_follows_the_patch(self):
+        params = build_model(small_config(patch=4), Rng(13))
+        with pytest.raises(ShapeError, match="divisible by 16"):
+            forward(np.zeros((40, 40, 3), np.float32), params)
+        forward(np.zeros((48, 48, 3), np.float32), params)
+
+
 class TestForward:
     def test_output_matches_input_resolution(self):
         params = build_model(ModelConfig(), Rng(13))
@@ -474,6 +492,14 @@ class TestCheckpointRoundtrip:
         assert meta_config.patch == config.patch
         assert meta_config.rnn_units == config.rnn_units
         assert meta_config.threshold == config.threshold
+
+    def test_non_default_meta_round_trips(self):
+        config = ModelConfig(image_size=32, patch=4, rnn_units=6, threshold=0.25)
+        sink = io.BytesIO()
+        save_model(build_model(config, Rng(61)), config, sink)
+        _, loaded = load_model(io.BytesIO(sink.getvalue()))
+        assert loaded == ModelConfig(image_size=32, patch=4, rnn_units=6, threshold=0.25)
+        assert all(type(getattr(loaded, k)) is int for k in ("image_size", "patch", "rnn_units"))
 
     def test_loaded_model_runs_forward(self):
         config = small_config()
