@@ -12,8 +12,9 @@ Conventions used throughout:
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
 * a conv or transposed conv can end in a fused relu (conv+bias+activation
-  in one op); its record then keeps the relu's mask, and `backward`
-  applies the mask to the upstream gradient before the op's own backward
+  in one op); its record then keeps the relu's mask, and the op's own
+  backward multiplies it into the upstream gradient as it writes that
+  gradient into its buffer
 
 A convolution, `conv2d_forward(x, weights, bias, padding, relu)`, is
 stride 1 with its kernel size and channels read from the (k, k, c_in,
@@ -22,10 +23,13 @@ flattened to one row of c_in values per padded cell, puts the input cell
 that kernel tap (ki, kj) reads for output row r at row r + ki*(w+2p) + kj.
 So each tap is one GEMM over a contiguous block of rows, accumulated into
 one buffer, and no patch matrix is ever copied; the rows that straddle a
-border or two samples are junk and are sliced off at the end. The input
-gradient is the same tap loop run on the upstream gradient with the
-flipped, transposed kernel at padding k-1-p: a stride-1 conv's input
-gradient is a full correlation (Dumoulin & Visin, arXiv:1603.07285).
+border or two samples are junk and are sliced off at the end. The
+backward writes the upstream gradient once into a zero buffer on the same
+padded grid, so its junk rows are 0; the weight gradient is one GEMM per
+tap over those rows, and the input gradient is the same blocked tap loop
+run on them with the flipped, transposed kernel, starting k-1-p rows and
+columns early: a stride-1 conv's input gradient is a full correlation
+(Dumoulin & Visin, arXiv:1603.07285).
 
 The fractionally strided (transposed) convolution is, by definition, a
 sparse matrix times the flattened input: the rows enumerate output cells,
@@ -36,9 +40,10 @@ split convolution: a stride-s transposed conv is a stride-1 conv whose
 s*s output channel blocks are the s*s phases of the output grid, followed
 by a depth-to-space shuffle (the sub-pixel convolution); padding p cuts
 p cells from each side of its (i-1)*s + k output. Its backward pass, the
-product with the matrix's transpose, gathers all the taps' slices of the
-upstream gradient into one block and needs one GEMM per gradient. Neither
-holds an array the size of the matrix.
+product with the matrix's transpose, is that conv's backward: the
+upstream gradient goes phase by phase into the conv's gradient buffer (a
+space-to-depth write), and the phase kernel's gradient maps back onto the
+kernel. Neither pass holds an array the size of the matrix.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidTargetError, ShapeError
 
@@ -100,6 +104,34 @@ def _check_kernel(weights: np.ndarray, stride: int = 1) -> None:
         raise ShapeError("stride must be >= 1")
 
 
+def _tap_gemms(rows: np.ndarray, kernel: np.ndarray, taps, length: int, total: int,
+               bias: np.ndarray | None = None, relu: bool = False) -> np.ndarray:
+    """The blocked tap loop that a conv's forward and its input gradient share.
+
+    Returns (total, c_out) rows whose first `length` hold, for each row r,
+    the sum over `taps` (ki, kj, offset) of rows[r + offset] @ kernel[ki, kj],
+    plus bias and then relu if asked; the rows after them are left unset.
+    The loop runs block by block of _BLOCK_ROWS rows, all taps per block.
+    """
+    co = kernel.shape[3]
+    dtype = np.result_type(rows, kernel)
+    acc = np.empty((total, co), dtype=dtype)
+    prod = np.empty((min(length, _BLOCK_ROWS), co), dtype=dtype)
+    for start in range(0, length, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, length)
+        block = acc[start:stop]
+        for t, (ki, kj, off) in enumerate(taps):
+            np.matmul(rows[start + off:stop + off], kernel[ki, kj],
+                      out=block if t == 0 else prod[:stop - start])
+            if t:
+                block += prod[:stop - start]
+        if bias is not None:
+            block += bias
+        if relu:
+            np.maximum(block, 0, out=block)
+    return acc
+
+
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                    padding: int, relu: bool = False) -> tuple[np.ndarray, OpRecord]:
     """Stride-1 cross-correlation plus bias. x: (N,h,w,c_in), weights: (k,k,c_in,c_out).
@@ -120,24 +152,11 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     if p < 0 or min(h, w) + 2 * p < k:
         raise ShapeError(f"conv output dim < 1 for input {h}x{w}, kernel {k}, padding {p}")
 
-    dtype = np.result_type(x, weights)
     padded = np.zeros((n, h + 2 * p, w + 2 * p, ci), dtype=x.dtype)
     padded[:, p:p + h, p:p + w] = x
     rows = padded.reshape(-1, ci)
     taps, length = _tap_rows(k, p, x.shape)
-    acc = np.empty((rows.shape[0], co), dtype=dtype)
-    prod = np.empty((min(length, _BLOCK_ROWS), co), dtype=dtype)
-    for start in range(0, length, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, length)
-        block = acc[start:stop]
-        for t, (ki, kj, off) in enumerate(taps):
-            np.matmul(rows[start + off:stop + off], weights[ki, kj],
-                      out=block if t == 0 else prod[:stop - start])
-            if t:
-                block += prod[:stop - start]
-        block += bias
-        if relu:
-            np.maximum(block, 0, out=block)
+    acc = _tap_gemms(rows, weights, taps, length, rows.shape[0], bias, relu)
     out = acc.reshape(padded.shape[:3] + (co,))[:, :h + 2 * p - k + 1, :w + 2 * p - k + 1]
     rec = _record("conv2d", out.shape, _conv2d_backward, rows=rows, weights=weights,
                   in_shape=x.shape, padding=p, relu_mask=out > 0 if relu else None)
@@ -150,33 +169,64 @@ def _bias_grad(up: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0], dtype=up.dtype) @ rows
 
 
-def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
+def _grad_buffer(rec: OpRecord, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A conv's zero gradient buffer and its (N, h+2p, w+2p, c_out) grid view.
+
+    The grid is the forward's padded grid, so output cell r of the conv
+    sits at grid row r, as its input cell did in `rows`. It follows
+    max(q, 0) * (w+2p+1) zero rows, q = k-1-p, which the input gradient's
+    tap loop reads when it starts q rows and q columns before the grid.
+    """
+    n, h, w, _ = rec.saved["in_shape"]
+    p = rec.saved["padding"]
+    k, _, _, co = rec.saved["weights"].shape
+    hp, wp = h + 2 * p, w + 2 * p
+    front = max(k - 1 - p, 0) * (wp + 1)
+    buf = np.zeros((front + n * hp * wp, co), dtype=dtype)
+    return buf, buf[front:].reshape(n, hp, wp, co)
+
+
+def _conv_grads(rec: OpRecord, buf: np.ndarray, input_grad: bool):
+    """dx (or None) and dW of a conv whose upstream gradient fills `buf`'s grid."""
     rows = rec.saved["rows"]
     weights = rec.saved["weights"]
     p = rec.saved["padding"]
     n, h, w, ci = rec.saved["in_shape"]
-    k, _, _, co = weights.shape
-    taps, length = _tap_rows(k, p, (n, h, w, ci))
+    k = weights.shape[0]
+    hp, wp = h + 2 * p, w + 2 * p
+    q = k - 1 - p
+    taps, length = _tap_rows(k, p, rec.saved["in_shape"])
 
-    # the upstream gradient on the padded grid, zero on every junk row
-    grid = np.zeros((n, h + 2 * p, w + 2 * p, co), dtype=up.dtype)
-    grid[:, :up.shape[1], :up.shape[2]] = up
-    up_rows = grid.reshape(-1, co)[:length]
-    d_weights = np.empty(weights.shape, dtype=up.dtype)
+    up_rows = buf[max(q, 0) * (wp + 1):][:length]  # zero on every junk row
+    d_weights = np.empty(weights.shape, dtype=buf.dtype)
     for ki, kj, off in taps:
         d_weights[ki, kj] = rows[off:off + length].T @ up_rows
-    grads = {"weights": d_weights, "bias": _bias_grad(up)}
     if not input_grad:
-        return None, grads
+        return None, d_weights
 
-    # `up` fully correlated with the flipped, transposed kernel at padding
-    # k-1-p; for p > k-1 that padding is negative: run at 0, crop p-(k-1)
+    # padded input row t gets grid row t - (ki*wp + kj) times weights[ki, kj].T
+    # from each tap: the tap loop with the flipped, transposed kernel, read
+    # from (k-1)*(wp+1) rows before t. Input cell r sits at t = r + p*(wp+1),
+    # so its reads start q*(wp+1) rows before grid row r
     flipped = weights[::-1, ::-1].transpose(0, 1, 3, 2)
-    q = k - 1 - p
-    dx, _ = conv2d_forward(up, flipped, np.zeros(ci, dtype=up.dtype), max(q, 0))
-    if q < 0:
-        dx = dx[:, -q:h - q, -q:w - q]
-    return dx, grads
+    dx = _tap_gemms(buf[max(-q, 0) * (wp + 1):], flipped, taps,
+                    n * hp * wp - 2 * p * (wp + 1), n * hp * wp)
+    return dx.reshape(n, hp, wp, ci)[:, :h, :w], d_weights
+
+
+def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
+    """The upstream gradient, times the fused relu's mask, goes once into
+    the zero gradient buffer; dW's GEMMs and dx's tap loop both read it."""
+    if rec.saved["relu_mask"] is not None:
+        up = up * rec.saved["relu_mask"]
+    buf, grid = _grad_buffer(rec, up.dtype)
+    grid[:, :up.shape[1], :up.shape[2]] = up
+    # summed over the compact rows (the grid's zero rows would change the
+    # GEMV's summation order); the masked copy goes before dx's accumulator
+    d_bias = _bias_grad(up)
+    del up
+    dx, d_weights = _conv_grads(rec, buf, input_grad)
+    return dx, {"weights": d_weights, "bias": d_bias}
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +376,7 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: 
         raise ShapeError(f"tconv output dim < 1 for input {h}x{w}, kernel {k}, "
                          f"stride {s}, padding {p}")
     q = -(-k // s)
-    phases, _ = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s), q - 1)
+    phases, phase = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s), q - 1)
     # depth to space: phase (rh, rw) of cell (m, l) is output cell (s*m+rh, s*l+rw)
     ph, pw = phases.shape[1:3]
     full = phases.reshape(n, ph, pw, s, s, co).transpose(0, 1, 3, 2, 4, 5)
@@ -334,8 +384,8 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: 
     out = full[:, p:(h - 1) * s + k - p, p:(w - 1) * s + k - p]
     if relu:
         np.maximum(out, 0, out=out)
-    rec = _record("tconv", out.shape, _tconv_backward, x=x, weights=weights, stride=s, padding=p,
-                  relu_mask=out > 0 if relu else None)
+    rec = _record("tconv", out.shape, _tconv_backward, phase=phase, kernel=k, stride=s,
+                  padding=p, relu_mask=out > 0 if relu else None)
     return out, rec
 
 
@@ -356,22 +406,36 @@ def _phase_kernel(weights: np.ndarray, s: int) -> np.ndarray:
 
 
 def _tconv_backward(rec: OpRecord, up: np.ndarray):
-    x = rec.saved["x"]
-    weights = rec.saved["weights"]
-    s, p = rec.saved["stride"], rec.saved["padding"]
-    k, _, ci, co = weights.shape
-    n, in_h, in_w, _ = x.shape
-    up = np.pad(up, ((0, 0), (p, p), (p, p), (0, 0)))  # 0 on the p cells cut per side
-    # taps[n, i, j, ki, kj] = up[n, s*i + ki, s*j + kj]: every tap's slice of
-    # the upstream gradient, gathered into one block by a single copy
-    sn, sh, sw, sc = up.strides
-    taps = as_strided(up, (n, in_h, in_w, k, k, co), (sn, s * sh, s * sw, sh, sw, sc),
-                      writeable=False)
-    taps = np.ascontiguousarray(taps).reshape(n * in_h * in_w, k * k * co)
-    dx = taps @ weights.transpose(0, 1, 3, 2).reshape(k * k * co, ci)
-    d_weights = (x.reshape(-1, ci).T @ taps).reshape(ci, k, k, co).transpose(1, 2, 0, 3)
-    return dx.reshape(x.shape), {"weights": np.ascontiguousarray(d_weights),
-                                 "bias": _bias_grad(up)}
+    """The phase conv's backward: the upstream gradient, times the fused
+    relu's mask, goes phase by phase straight into the phase conv's
+    gradient buffer (a space-to-depth write; the p cells cut per side stay
+    0), then dW is the phase kernel's gradient with `_phase_kernel` undone
+    and the bias gradient the sum of the s*s phases' bias gradients."""
+    phase = rec.saved["phase"]
+    s, p, k = rec.saved["stride"], rec.saved["padding"], rec.saved["kernel"]
+    mask = rec.saved["relu_mask"]
+    n, ph, pw, c = phase.out_shape
+    co = c // (s * s)
+    buf, grid = _grad_buffer(phase, up.dtype)
+    cells = grid.reshape(grid.shape[:3] + (s, s, co))
+    for rh in range(s):
+        for rw in range(s):
+            # output cell (y, x) is phase (rh, rw) of cell ((y+p) // s, (x+p) // s)
+            y0, x0 = (rh - p) % s, (rw - p) % s
+            src = up[:, y0::s, x0::s]
+            m0, l0 = (y0 + p) // s, (x0 + p) // s
+            dst = cells[:, m0:m0 + src.shape[1], l0:l0 + src.shape[2], rh, rw]
+            if mask is None:
+                dst[...] = src
+            else:
+                np.multiply(src, mask[:, y0::s, x0::s], out=dst)
+    dx, d_phase = _conv_grads(phase, buf, input_grad=True)
+    d_bias = _bias_grad(grid).reshape(s * s, co).sum(axis=0)
+    # invert _phase_kernel's selection: every kernel tap is one phase tap
+    q, _, ci, _ = d_phase.shape
+    split = d_phase.reshape(q, q, ci, s, s, co).transpose(0, 3, 1, 4, 2, 5)[::-1, :, ::-1]
+    d_weights = np.ascontiguousarray(split.reshape(q * s, q * s, ci, co)[:k, :k])
+    return dx, {"weights": d_weights, "bias": d_bias}
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +492,6 @@ def backward(rec: OpRecord, upstream,
         up = np.asarray(upstream)
         if up.shape != rec.out_shape:
             raise ShapeError(f"upstream shape {up.shape} != recorded output shape {rec.out_shape}")
-        if rec.saved.get("relu_mask") is not None:  # a fused relu's gradient first
-            up = up * rec.saved["relu_mask"]
     if input_grad:
         return rec.grad(rec, up)
     if rec.kind != "conv2d":

@@ -9,7 +9,9 @@ conv, so the tape holds one op per layer. Output is a per-pixel foreground proba
 at the input resolution.
 
 A training step runs its whole batch through one forward and one backward
-pass, every op taking the (N, h, w, c) batch at once.
+pass, every op taking the (N, h, w, c) batch at once. The backward pops
+each op's record off the tape as it runs, so the record's arrays are freed
+as soon as the gradient has passed it.
 
 Everything is deterministic: parameters come from one seeded stream in
 declaration order, shuffling is Fisher-Yates on the same stream, the
@@ -63,8 +65,12 @@ class ModelConfig:
     threshold: float = 0.5
 
     def validate(self) -> "ModelConfig":
-        if self.patch < 1 or self.rnn_units < 1:
-            raise ConfigError("patch and rnn_units must be positive")
+        if self.rnn_units < 1:
+            raise ConfigError("rnn_units must be positive")
+        if self.patch != 2:
+            raise ConfigError(
+                f"patch must be 2, got {self.patch}: the decoder upsamples 8x, and the "
+                "patch grid is 8x smaller than the image only with 2x2 patches")
         for key, cap in (("image_size", MAX_IMAGE_SIZE), ("rnn_units", MAX_RNN_UNITS)):
             if getattr(self, key) > cap:
                 raise ConfigError(f"{key} may be at most {cap}, got {getattr(self, key)}")
@@ -274,10 +280,12 @@ def _batch_step(batch, params: ModelParams):
         loss_total += float(sample_loss)
     g, _ = backward(bce_rec, 1.0)
     summed = {}
-    for i in range(len(tape) - 1, -1, -1):
-        prefix, rec = tape[i]
-        # the first op reads the images, whose gradient nothing uses
-        g, param_grads = backward(rec, g, input_grad=i > 0)
+    while tape:
+        # a record leaves the tape as its backward runs, so its arrays are
+        # freed once the next pop replaces it; the first op reads the
+        # images, whose gradient nothing uses
+        prefix, rec = tape.pop()
+        g, param_grads = backward(rec, g, input_grad=bool(tape))
         if prefix is not None:
             for key, val in param_grads.items():
                 summed[f"{prefix}.{key}"] = val
@@ -377,9 +385,11 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
             for prob, (_, mask) in zip(probs, batch):
                 counts = counts + confusion_counts(predict_mask(prob, config.threshold), mask)
             sgd_update(params, grads, config.lr, config.momentum)
-        if not all(np.isfinite(v).all() for v in params.values.values()):
+        bad = next((name for name, v in params.values.items() if not np.isfinite(v).all()),
+                   None)
+        if bad is not None:
             raise TrainingDivergedError(f"training diverged in epoch {epoch}: "
-                                        "a parameter is no longer finite")
+                                        f"parameter {bad} is no longer finite")
         if grad_sq == 0.0:
             raise TrainingDivergedError(
                 f"training died in epoch {epoch}: every gradient was exactly 0, "

@@ -45,13 +45,17 @@ class TestLoadConfig:
         assert load_config(p) == ModelConfig()
 
     def test_every_key_is_honored(self, tmp_path):
-        doc = {"seed": 9, "image_size": 32, "rnn_units": 16, "patch": 4,
+        # patch 2 is the only value the decoder supports; any other is refused
+        doc = {"seed": 9, "image_size": 32, "rnn_units": 16, "patch": 2,
                "lr": 0.1, "momentum": 0.5, "batch_size": 2, "epochs": 7,
                "threshold": 0.25}
         assert set(doc) == set(CONFIG_KEYS)
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert load_config(p) == ModelConfig(**doc)
+        p.write_text(json.dumps(dict(doc, patch=4)))
+        with pytest.raises(ConfigError, match="patch must be 2"):
+            load_config(p)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
@@ -277,6 +281,17 @@ class TestTrain:
                         "--out", str(ckpt), "--trace", str(trace)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not ckpt.exists() and not trace.exists()
+
+    def test_patch_other_than_2_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
+        # the decoder upsamples 8x, so only 2x2 patches give a full-size mask
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("training started"))
+        data = make_dataset(tmp_path)
+        cfg = write_config(tmp_path / "c.json", image_size=32, patch=4)
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(data), "--config", str(cfg),
+                        "--out", str(ckpt)]) == 2
+        assert "error: patch must be 2" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_indivisible_image_size_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path)

@@ -370,6 +370,8 @@ class TestTconvMatrix:
 # (kernel, stride) pairs of the phase-split form: k a multiple of s, k % s != 0,
 # k < s, k == s and s == 1
 TCONV_GRID = [(4, 2), (3, 2), (3, 1), (5, 3), (1, 2), (2, 3), (4, 4), (1, 1)]
+# (k, p) of stride-1 convs: p = 0, 0 < p < k and p >= k
+CONV_GRID = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 3)]
 
 
 class TestTconvForward:
@@ -391,8 +393,9 @@ class TestTconvForward:
 
     def test_per_tap_form_equals_sparse_matrix_and_its_transpose(self):
         # the matrix is the op's literal definition; the forward is its
-        # product and the backward dx the product with its transpose. The
-        # fixed (k, s) grid comes first, then random draws
+        # product (cut by the padding, then relu'd) and the backward dx the
+        # product of its transpose with the masked upstream gradient placed
+        # on the uncut grid. The fixed (k, s) grid comes first, then random draws
         rng = np.random.default_rng(29)
         draws = [(int(rng.integers(1, 5)), int(rng.integers(1, 4))) for _ in range(100)]
         for k, stride in TCONV_GRID + draws:
@@ -402,16 +405,25 @@ class TestTconvForward:
             co = int(rng.integers(1, 4))
             kern = rng.standard_normal((k, k, ci, co))
             x = rng.standard_normal((1, h, w, ci))
-            dense = tconv_sparse_matrix(kern, (h, w), stride).to_dense()
-            out, rec = tconv_forward(x, kern, np.zeros(co), stride, 0)
-            want = dense @ x.reshape(-1)
-            scale = max(np.abs(want).max(), 1e-12)
-            assert np.abs(out.reshape(-1) - want).max() <= 1e-6 * scale
-            up = rng.standard_normal(out.shape)
-            dx, _ = backward(rec, up)
-            want = dense.T @ up.reshape(-1)
-            scale = max(np.abs(want).max(), 1e-12)
-            assert np.abs(dx.reshape(-1) - want).max() <= 1e-6 * scale
+            m = tconv_sparse_matrix(kern, (h, w), stride)
+            dense = m.to_dense()
+            full = (dense @ x.reshape(-1)).reshape(m.out_dims)
+            fh, fw = m.out_dims[:2]
+            for pad, relu in ((0, False), (1, True)):
+                if min(fh, fw) <= 2 * pad:
+                    continue  # no output cell left
+                out, rec = tconv_forward(x, kern, np.zeros(co), stride, pad, relu=relu)
+                want = full[pad:fh - pad, pad:fw - pad]
+                want = np.maximum(want, 0) if relu else want
+                scale = max(np.abs(want).max(), 1e-12)
+                assert np.abs(out[0] - want).max() <= 1e-6 * scale
+                up = rng.standard_normal(out.shape)
+                placed = np.zeros(m.out_dims)
+                placed[pad:fh - pad, pad:fw - pad] = up[0] * (out[0] > 0) if relu else up[0]
+                dx, _ = backward(rec, up)
+                want = dense.T @ placed.reshape(-1)
+                scale = max(np.abs(want).max(), 1e-12)
+                assert np.abs(dx.reshape(-1) - want).max() <= 1e-6 * scale, (k, stride, pad)
 
     def test_padded_relu_matches_the_sparse_matrix_oracle(self):
         # padding p cuts p cells per side of the matrix product, then relu;
@@ -711,23 +723,51 @@ class TestGradients:
 
     def test_conv_input_gradient_across_kernels_and_paddings(self):
         # the input gradient is a full correlation with the flipped kernel
-        # at padding k-1-p; from p = k on it runs at padding 0 and is cropped
+        # at padding k-1-p; from p = k on that padding is negative, and the
+        # tap loop starts inside the gradient buffer's grid instead. A fused
+        # relu's mask is applied as the backward writes its buffer
         rng = np.random.default_rng(79)
-        x = rng.standard_normal((2, 5, 4, 2))
-        for k, pad in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 3)]:
-            w = rng.standard_normal((k, k, 2, 3)) * 0.5
-            b = rng.standard_normal(3) * 0.1
-            _, rec = conv2d_forward(x, w, b, pad)
-            r = proj(rng, rec.out_shape)
+        for k, pad in CONV_GRID:
+            for relu in (False, True):
+                x, w, b = off_kink(rng, (2, 5, 4, 2), (k, k, 2, 3))
 
-            def f():
-                y, _ = conv2d_forward(x, w, b, pad)
-                return float((y * r).sum())
+                def f():
+                    y, _ = conv2d_forward(x, w, b, pad, relu=relu)
+                    return float((y * r).sum())
 
-            dx, grads = backward(rec, r)
-            assert dx.shape == x.shape
-            err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
-            assert err < 1e-6, (k, pad)
+                y, rec = conv2d_forward(x, w, b, pad, relu=relu)
+                if relu:
+                    assert 0 < np.count_nonzero(y) < y.size, (k, pad)  # both sides of the kink
+                r = proj(rng, y.shape)
+                dx, grads = backward(rec, r)
+                assert dx.shape == x.shape
+                err = finite_diff_check(f, [x, w, b], [dx, grads["weights"], grads["bias"]])
+                assert err < 1e-6, (k, pad, relu)
+
+    def test_conv_backward_keeps_the_separate_copies_bits(self):
+        # on the 16->16 encoder conv at N=4, 64 px, writing the gradient once
+        # into one buffer gives the bits of the masked copy, padded grid and
+        # padded dx conv it replaced
+        rng = np.random.default_rng(89)
+        x = rng.standard_normal((4, 64, 64, 16)).astype(np.float32)
+        w = (rng.standard_normal((3, 3, 16, 16)) * 0.2).astype(np.float32)
+        b = (rng.standard_normal(16) * 0.1).astype(np.float32)
+        y, rec = conv2d_forward(x, w, b, 1, relu=True)
+        up = rng.standard_normal(y.shape).astype(np.float32)
+        dx, grads = backward(rec, up)
+
+        masked = up * (y > 0)
+        grid = np.zeros((4, 66, 66, 16), np.float32)
+        grid[:, :64, :64] = masked
+        taps, length = _tap_rows(3, 1, x.shape)
+        rows, up_rows = rec.saved["rows"], grid.reshape(-1, 16)[:length]
+        for ki, kj, off in taps:
+            assert np.array_equal(grads["weights"][ki, kj], rows[off:off + length].T @ up_rows)
+        assert np.array_equal(grads["bias"], np.ones(masked[..., 0].size, np.float32)
+                              @ masked.reshape(-1, 16))
+        flipped = w[::-1, ::-1].transpose(0, 1, 3, 2)
+        want, _ = conv2d_forward(masked, flipped, np.zeros(16, np.float32), 1)
+        assert np.array_equal(dx, want)
 
     def test_conv_skips_only_the_input_gradient(self):
         rng = np.random.default_rng(83)
@@ -804,7 +844,9 @@ class TestBatchAxis:
         for k, stride in TCONV_GRID:
             w = rng.standard_normal((k, k, 2, 3))
             b = rng.standard_normal(3)
-            for pad, relu in ((0, False), (1, True)):
+            for pad, relu in ((0, False), (1, True), (1, False), (2, True)):
+                if 2 * stride + k <= 2 * pad:
+                    continue  # no output cell left
                 assert_batch_equals_stacked_samples(
                     lambda a: tconv_forward(a, w, b, stride, pad, relu=relu), x)
 
