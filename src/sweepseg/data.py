@@ -23,7 +23,7 @@ from .errors import (
     PnmTruncatedError,
     ShapeError,
 )
-from .model import MAX_IMAGE_SIZE
+from .model import MAX_IMAGE_SIZE, SIDE_MULTIPLE
 from .tensor import Rng
 
 MASK_SUFFIX = "_segmentation"
@@ -241,8 +241,9 @@ def _generate_one(rng: Rng, size: int, index: int) -> tuple[ImageRecord, dict]:
 
 def generate_synthetic(seed: int, count: int, size: int) -> list[ImageRecord]:
     """Deterministic lesion images with exact masks; hairs touch the image only."""
-    if size < 8 or size % 8:
-        raise ConfigError(f"synthetic size must be a positive multiple of 8, got {size}")
+    if size < SIDE_MULTIPLE or size % SIDE_MULTIPLE:
+        raise ConfigError(f"synthetic size must be a positive multiple of {SIDE_MULTIPLE}, "
+                          f"got {size}")
     if size > MAX_IMAGE_SIZE:
         raise ConfigError(f"synthetic size may be at most {MAX_IMAGE_SIZE}, got {size}")
     if count < 1:

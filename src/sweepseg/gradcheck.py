@@ -151,7 +151,7 @@ def run_suite(seed: int = 42) -> list[CheckResult]:
                         right=_sweep_params(rng, 2 * units, units),
                         left=_sweep_params(rng, 2 * units, units))
     results.append(_probe_check(
-        rng, "renet_block", NONLINEAR_TOL, lambda: renet_block(x, block, 2, 2), x,
+        rng, "renet_block", NONLINEAR_TOL, lambda: renet_block(x, block), x,
         {f"{d}.{f}": getattr(getattr(block, d), f)
          for d in ("down", "up", "right", "left") for f in fields}, _scaled_diff_check))
     return results

@@ -5,8 +5,9 @@ one four-direction recurrent sweep block over 2x2 patches of the encoded
 map, and a decoder of three 4x4 stride-2 fractionally strided convolutions
 with padding 1, so each doubles the map exactly, and relu, finished by a
 1x1 convolution and a sigmoid. Every relu runs inside its (transposed)
-conv, so the tape holds one op per layer. Output is a per-pixel foreground probability
-at the input resolution.
+conv, so the tape holds one op per layer. Output is a per-pixel
+foreground probability at the input resolution, each of whose sides must
+be a multiple of SIDE_MULTIPLE (8: two 2x2 pools, then 2x2 patches).
 
 A training step runs its whole batch through one forward and one backward
 pass, every op taking the (N, h, w, c) batch at once. The backward pops
@@ -39,7 +40,7 @@ from .layers import (
     tconv_sparse_matrix,
 )
 from .metrics import ConfusionCounts, confusion_counts, metrics_from_counts
-from .renet import RenetParams, SweepParams, renet_block
+from .renet import PATCH, RenetParams, SweepParams, renet_block
 from .tensor import Rng, glorot_init, load_checkpoint, save_checkpoint
 
 ENCODER_CHANNELS = (16, 16, 32, 32, 64, 64, 64)
@@ -47,6 +48,8 @@ POOL_AFTER = frozenset((2, 4))  # pool follows these conv indices (1-based)
 DECODER_CHANNELS = (32, 16, 8)
 TCONV_KERNEL = 4
 TCONV_STRIDE = 2
+# every image side divides into the two 2x2 pools and then the patch grid
+SIDE_MULTIPLE = 2 ** len(POOL_AFTER) * PATCH
 # config caps: a 1024 px training batch of 4 already needs gigabytes
 MAX_IMAGE_SIZE = 1024
 MAX_RNN_UNITS = 1024
@@ -55,7 +58,6 @@ MAX_RNN_UNITS = 1024
 @dataclass
 class ModelConfig:
     image_size: int = 64
-    patch: int = 2
     rnn_units: int = 32
     lr: float = 0.01
     momentum: float = 0.9
@@ -67,16 +69,12 @@ class ModelConfig:
     def validate(self) -> "ModelConfig":
         if self.rnn_units < 1:
             raise ConfigError("rnn_units must be positive")
-        if self.patch != 2:
-            raise ConfigError(
-                f"patch must be 2, got {self.patch}: the decoder upsamples 8x, and the "
-                "patch grid is 8x smaller than the image only with 2x2 patches")
         for key, cap in (("image_size", MAX_IMAGE_SIZE), ("rnn_units", MAX_RNN_UNITS)):
             if getattr(self, key) > cap:
                 raise ConfigError(f"{key} may be at most {cap}, got {getattr(self, key)}")
-        if self.image_size % (4 * self.patch):
+        if self.image_size % SIDE_MULTIPLE:
             raise ConfigError(
-                f"image_size {self.image_size} must be divisible by {4 * self.patch} "
+                f"image_size {self.image_size} must be divisible by {SIDE_MULTIPLE} "
                 "(two 2x2 pools, then the patch grid)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
@@ -148,7 +146,7 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         c_in = c_out
 
     u = config.rnn_units
-    length = config.patch * config.patch * ENCODER_CHANNELS[-1]
+    length = PATCH * PATCH * ENCODER_CHANNELS[-1]
     for direction, rows in (("down", length), ("up", length),
                             ("right", 2 * u), ("left", 2 * u)):
         shapes += [(f"renet.{direction}.wx", (rows, u)), (f"renet.{direction}.wz", (u, u)),
@@ -183,15 +181,6 @@ def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
                                for name, shape in param_shapes(config)})
 
 
-def _infer_patch(params: ModelParams) -> int:
-    c_enc = params.values["enc7.weights"].shape[3]
-    length = params.values["renet.down.wx"].shape[0]
-    patch = int(round((length / c_enc) ** 0.5))
-    if patch * patch * c_enc != length:
-        raise ShapeError("recurrent input weights do not match a square patch")
-    return patch
-
-
 def _renet_params(params: ModelParams) -> RenetParams:
     v = params.values
     sweep = lambda d: SweepParams(wx=v[f"renet.{d}.wx"], wz=v[f"renet.{d}.wz"],
@@ -205,11 +194,10 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
     `sink`, a fresh list when it is None."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
-    patch = _infer_patch(params)
     h, w = images.shape[1:3]
-    if h % (4 * patch) or w % (4 * patch):
-        raise ShapeError(f"image is {w}x{h}: each side must be divisible by {4 * patch} "
-                         f"(two 2x2 pools, then {patch}x{patch} patches)")
+    if h % SIDE_MULTIPLE or w % SIDE_MULTIPLE:
+        raise ShapeError(f"image is {w}x{h}: each side must be divisible by {SIDE_MULTIPLE} "
+                         f"(two 2x2 pools, then {PATCH}x{PATCH} patches)")
     tape = [] if sink is None else sink
     x = images
     for i in range(1, len(ENCODER_CHANNELS) + 1):
@@ -254,8 +242,7 @@ def _decode_tape(x: np.ndarray, params: ModelParams, sink=None):
 def _forward_tape(images: np.ndarray, params: ModelParams, sink=None):
     """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape."""
     x, tape = _encode_tape(images, params, sink)
-    patch = _infer_patch(params)
-    x, rec = renet_block(x, _renet_params(params), patch, patch)
+    x, rec = renet_block(x, _renet_params(params))
     tape.append(("renet", rec))
     return _decode_tape(x, params, tape)
 
@@ -312,13 +299,14 @@ def loss_and_gradients(batch, params: ModelParams):
 def sgd_update(params: ModelParams, grads: dict[str, np.ndarray], lr: float,
                momentum: float) -> ModelParams:
     """v <- momentum*v - lr*g; theta <- theta + v, in fixed name order. In place."""
-    for name, theta in params.values.items():
-        g = grads.get(name)
-        if g is None or g.shape != theta.shape:
-            raise ShapeError(f"gradient missing or mis-shaped for parameter {name!r}")
-        v = params.momentum[name]
-        v[...] = momentum * v - lr * g
-        theta += v
+    with np.errstate(over="ignore"):  # train names an overflowed parameter after the epoch
+        for name, theta in params.values.items():
+            g = grads.get(name)
+            if g is None or g.shape != theta.shape:
+                raise ShapeError(f"gradient missing or mis-shaped for parameter {name!r}")
+            v = params.momentum[name]
+            v[...] = momentum * v - lr * g
+            theta += v
     return params
 
 
@@ -354,7 +342,7 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
     """
     pairs = []
     for rec in dataset:
-        image, mask = (rec.image, rec.mask) if hasattr(rec, "image") else rec
+        image, mask = rec.image, rec.mask
         if mask is None:
             raise DataError("training requires a mask for every image")
         s = config.image_size
@@ -399,6 +387,8 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
     return params, trace
 
 
+# meta.patch always holds PATCH; it keeps its place in the file so that
+# readers that still expect the entry load these checkpoints unchanged
 META_KEYS = ("image_size", "patch", "rnn_units", "threshold")
 
 
@@ -409,7 +399,8 @@ def save_model(params: ModelParams, config: ModelConfig, sink) -> int:
     """
     entries = dict(params.values)
     for key in META_KEYS:
-        entries[f"meta.{key}"] = np.array([getattr(config, key)], dtype=np.float32)
+        value = PATCH if key == "patch" else getattr(config, key)
+        entries[f"meta.{key}"] = np.array([value], dtype=np.float32)
     if hasattr(sink, "write"):
         return save_checkpoint(entries, sink)
     with open(sink, "wb") as fh:
@@ -435,10 +426,14 @@ def load_model(source) -> tuple[ModelParams, ModelConfig]:
         raise CheckpointError(f"checkpoint lacks meta entries: {', '.join(missing)}")
     types = {f.name: f.type for f in fields(ModelConfig)}
     try:
+        patch = int(meta["patch"])
         config = ModelConfig(**{k: int(meta[k]) if types[k] == "int" else meta[k]
-                                for k in META_KEYS})
+                                for k in META_KEYS if k != "patch"})
     except (ValueError, OverflowError):  # int() of a NaN or infinite entry
         raise CheckpointError("checkpoint meta entries must be finite numbers") from None
+    if patch != PATCH:
+        raise CheckpointError(f"checkpoint meta entries: patch must be {PATCH}, got {patch}: "
+                              "the decoder upsamples 8x")
     try:
         config.validate()
     except ConfigError as e:

@@ -1,13 +1,13 @@
 """Four-direction recurrent sweeps over a patch grid.
 
-Every sample's feature map is cut into non-overlapping patches, each
-flattened to a vector. A directional sweep runs a vanilla tanh recurrence
-along every column (down, up) or every row (right, left); the parallel
-sequences of one sweep, over all samples of the batch, are independent, so
-each step processes all of them as one matrix product. Opposite
-directions of the same axis are coupled by channel concatenation, and a
-full block chains a vertical coupled pair with a horizontal coupled pair
-run over the result as 1x1 patches.
+Every sample's feature map is cut into non-overlapping PATCH x PATCH
+patches, each flattened to a vector. A directional sweep runs a vanilla
+tanh recurrence along every column (down, up) or every row (right, left);
+the parallel sequences of one sweep, over all samples of the batch, are
+independent, so each step processes all of them as one matrix product.
+Opposite directions of the same axis are coupled by channel concatenation,
+and a full block chains a vertical coupled pair with a horizontal coupled
+pair run over the result as 1x1 patches.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .layers import OpRecord, _record, backward as op_backward
 DIRECTIONS = ("down", "up", "right", "left")
 _AXIS = {"down": 0, "up": 0, "right": 1, "left": 1}
 _REVERSED = frozenset(("up", "left"))
+# the one patch side: the decoder upsamples exactly 8x, which undoes the
+# encoder's two 2x2 pools and a 2x2 patch grid
+PATCH = 2
 
 
 def split_patches(feature: np.ndarray, w_p: int, h_p: int) -> np.ndarray:
@@ -154,24 +157,22 @@ class RenetParams:
     left: SweepParams
 
 
-def renet_block(feature: np.ndarray, params: RenetParams, w_p: int,
-                h_p: int) -> tuple[np.ndarray, OpRecord]:
+def renet_block(feature: np.ndarray, params: RenetParams) -> tuple[np.ndarray, OpRecord]:
     """Vertical coupled sweeps over patches, then horizontal ones over the result.
 
-    feature: (N, h, w, c); output is (N, h/h_p, w/w_p, 2U). The horizontal
+    feature: (N, h, w, c); output is (N, h/PATCH, w/PATCH, 2U). The horizontal
     stage reads the vertical stage's coupled map cell by cell (1x1 patches,
     vector length 2U).
     """
-    grid = split_patches(feature, w_p, h_p)
+    grid = split_patches(feature, PATCH, PATCH)
     down, rec_down = directional_sweep(grid, "down", params.down)
     upo, rec_up = directional_sweep(grid, "up", params.up)
     vertical = np.concatenate([down, upo], axis=3)
     right, rec_right = directional_sweep(vertical, "right", params.right)
     left, rec_left = directional_sweep(vertical, "left", params.left)
     out = np.concatenate([right, left], axis=3)
-    rec = _record("renet_block", out.shape, _block_backward, w_p=w_p, h_p=h_p,
-                  units=params.down.units, rec_down=rec_down, rec_up=rec_up,
-                  rec_right=rec_right, rec_left=rec_left)
+    rec = _record("renet_block", out.shape, _block_backward, units=params.down.units,
+                  rec_down=rec_down, rec_up=rec_up, rec_right=rec_right, rec_left=rec_left)
     return out, rec
 
 
@@ -182,7 +183,7 @@ def _block_backward(rec: OpRecord, up: np.ndarray):
     d_vertical = d_vert_r + d_vert_l
     d_grid_d, g_down = op_backward(rec.saved["rec_down"], d_vertical[..., :u])
     d_grid_u, g_up = op_backward(rec.saved["rec_up"], d_vertical[..., u:])
-    d_feature = merge_patches(d_grid_d + d_grid_u, rec.saved["w_p"], rec.saved["h_p"])
+    d_feature = merge_patches(d_grid_d + d_grid_u, PATCH, PATCH)
     grads = {}
     for name, sub in [("down", g_down), ("up", g_up), ("right", g_right), ("left", g_left)]:
         for key, val in sub.items():

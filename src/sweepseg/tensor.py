@@ -173,27 +173,13 @@ def glorot_init(shape: Iterable[int], fan_in: int, fan_out: int, rng: Rng) -> np
     return ((u * 2.0 - 1.0) * a).astype(np.float32).reshape(dims)
 
 
-def _normalize_entries(entries) -> list[tuple[str, np.ndarray]]:
-    if isinstance(entries, Mapping):
-        pairs = list(entries.items())
-    else:
-        pairs = list(entries)
-    seen = set()
-    for name, _ in pairs:
-        if name in seen:
-            raise CheckpointError(f"duplicate checkpoint entry name: {name!r}")
-        seen.add(name)
-    return pairs
-
-
-def save_checkpoint(entries, sink: BinaryIO) -> int:
+def save_checkpoint(entries: Mapping[str, np.ndarray], sink: BinaryIO) -> int:
     """Write named tensors to `sink` in the fixed binary format; returns bytes written.
 
     Layout: magic "RSEG", u32 version, u32 entry count, then per entry
     u32 name length, name bytes, u32 rank, u32 per dim, raw little-endian
     float32 data. Everything little-endian; load(save(x)) is bit-exact.
     """
-    pairs = _normalize_entries(entries)
     written = 0
 
     def put(data: bytes) -> None:
@@ -202,8 +188,8 @@ def save_checkpoint(entries, sink: BinaryIO) -> int:
         written += len(data)
 
     put(CHECKPOINT_MAGIC)
-    put(struct.pack("<II", CHECKPOINT_VERSION, len(pairs)))
-    for name, tensor in pairs:
+    put(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
+    for name, tensor in entries.items():
         arr = np.ascontiguousarray(tensor, dtype=np.float32)
         name_bytes = name.encode("utf-8")
         put(struct.pack("<I", len(name_bytes)))

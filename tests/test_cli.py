@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -45,17 +46,23 @@ class TestLoadConfig:
         assert load_config(p) == ModelConfig()
 
     def test_every_key_is_honored(self, tmp_path):
-        # patch 2 is the only value the decoder supports; any other is refused
-        doc = {"seed": 9, "image_size": 32, "rnn_units": 16, "patch": 2,
+        # the patch is fixed at 2, so naming it, even as 2, is an unknown key
+        doc = {"seed": 9, "image_size": 32, "rnn_units": 16,
                "lr": 0.1, "momentum": 0.5, "batch_size": 2, "epochs": 7,
                "threshold": 0.25}
         assert set(doc) == set(CONFIG_KEYS)
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert load_config(p) == ModelConfig(**doc)
-        p.write_text(json.dumps(dict(doc, patch=4)))
-        with pytest.raises(ConfigError, match="patch must be 2"):
+        p.write_text(json.dumps({"patch": 2}))
+        with pytest.raises(ConfigError, match="unknown keys patch"):
             load_config(p)
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` ", table, flags=re.MULTILINE)
+        assert sorted(keys) == sorted(CONFIG_KEYS)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
@@ -283,14 +290,16 @@ class TestTrain:
         assert not ckpt.exists() and not trace.exists()
 
     def test_patch_other_than_2_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
-        # the decoder upsamples 8x, so only 2x2 patches give a full-size mask
+        # the patch is no config key: a config naming it, with any value,
+        # exits 2 before anything is built
         monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("training started"))
-        data = make_dataset(tmp_path)
-        cfg = write_config(tmp_path / "c.json", image_size=32, patch=4)
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data loaded"))
         ckpt = tmp_path / "m.ckpt"
-        assert run_cli(["train", "--data", str(data), "--config", str(cfg),
-                        "--out", str(ckpt)]) == 2
-        assert "error: patch must be 2" in capsys.readouterr().err
+        for patch in (4, 2):
+            cfg = write_config(tmp_path / "c.json", image_size=32, patch=patch)
+            assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
+                            "--out", str(ckpt)]) == 2
+            assert "unknown keys patch" in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_indivisible_image_size_config(self, tmp_path, capsys):

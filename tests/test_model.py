@@ -178,14 +178,12 @@ class TestImageShapeRule:
             _forward_tape(np.zeros((2, 44, 64, 3), np.float32), params)
 
     def test_rule_follows_the_patch(self):
-        # 2 is the only patch the 8x decoder supports, so the rule is 4 * 2:
-        # 40 divides by 8 (and not by 16) and maps to a mask of its own size
-        params = build_model(small_config(patch=2), Rng(13))
+        # the patch is 2, so the rule is 4 * 2: 40 divides by 8 (and not
+        # by 16) and maps to a mask of its own size; 36 divides by 4 only
+        params = build_model(small_config(), Rng(13))
         assert forward(np.zeros((40, 48, 3), np.float32), params).shape == (40, 48, 1)
         with pytest.raises(ShapeError, match="divisible by 8"):
             forward(np.zeros((36, 40, 3), np.float32), params)
-        with pytest.raises(ConfigError, match="patch must be 2"):
-            build_model(small_config(image_size=32, patch=4), Rng(13))
 
 
 class TestForward:
@@ -512,9 +510,8 @@ class TestTrain:
 
         monkeypatch.setattr(model_module, "_batch_step", scaled)
         config = small_config(epochs=1, batch_size=2, lr=1e30)
-        with np.errstate(over="ignore"), pytest.raises(
-                TrainingDivergedError,
-                match=r"epoch 1: parameter renet\.up\.wz is no longer finite"):
+        with pytest.raises(TrainingDivergedError,
+                           match=r"epoch 1: parameter renet\.up\.wz is no longer finite"):
             train(config, generate_synthetic(3, 2, 16), Rng(config.seed))
 
     def test_trace_serialization_format(self):
@@ -533,18 +530,19 @@ class TestCheckpointRoundtrip:
         for k in params.values:
             assert np.array_equal(loaded.values[k], params.values[k])
         assert meta_config.image_size == config.image_size
-        assert meta_config.patch == config.patch
+        assert load_checkpoint(io.BytesIO(sink.getvalue()))["meta.patch"].tolist() == [2.0]
         assert meta_config.rnn_units == config.rnn_units
         assert meta_config.threshold == config.threshold
 
     def test_non_default_meta_round_trips(self):
-        # every meta key but patch, which only 2 passes (see the rejection test)
-        config = ModelConfig(image_size=32, patch=2, rnn_units=6, threshold=0.25)
+        # every meta key but patch, which is always 2 (see the rejection test)
+        config = ModelConfig(image_size=32, rnn_units=6, threshold=0.25)
         sink = io.BytesIO()
         save_model(build_model(config, Rng(61)), config, sink)
+        assert load_checkpoint(io.BytesIO(sink.getvalue()))["meta.patch"].tolist() == [2.0]
         _, loaded = load_model(io.BytesIO(sink.getvalue()))
-        assert loaded == ModelConfig(image_size=32, patch=2, rnn_units=6, threshold=0.25)
-        assert all(type(getattr(loaded, k)) is int for k in ("image_size", "patch", "rnn_units"))
+        assert loaded == ModelConfig(image_size=32, rnn_units=6, threshold=0.25)
+        assert all(type(getattr(loaded, k)) is int for k in ("image_size", "rnn_units"))
 
     def test_loaded_model_runs_forward(self):
         config = small_config()

@@ -213,7 +213,7 @@ class TestCouple:
     def test_coupled_channel_count(self):
         rng = np.random.default_rng(139)
         params = make_block_params(rng, 2 * 2 * 3, 5)
-        out, rec = renet_block(rng.standard_normal((2, 8, 8, 3)), params, 2, 2)
+        out, rec = renet_block(rng.standard_normal((2, 8, 8, 3)), params)
         assert out.shape == (2, 4, 4, 10)
         assert rec.saved["rec_right"].saved["in_shape"] == (2, 4, 4, 10)  # vertical pair
 
@@ -222,7 +222,7 @@ class TestCouple:
         x = rng.standard_normal((2, 4, 6, 2))
         params = make_block_params(rng, 2 * 2 * 2, 4)
         params.left = SweepParams(wx=np.zeros((8, 4)), wz=np.zeros((4, 4)), bias=np.zeros(4))
-        out, _ = renet_block(x, params, 2, 2)
+        out, _ = renet_block(x, params)
         grid = per_sample(split_oracle, x, 2, 2)
         down, _ = directional_sweep(grid, "down", params.down)
         up, _ = directional_sweep(grid, "up", params.up)
@@ -240,14 +240,14 @@ class TestBlock:
         rng = np.random.default_rng(149)
         x = rng.standard_normal((3, 16, 16, 4)).astype(np.float32)
         params = make_block_params(rng, 2 * 2 * 4, 32)
-        out, _ = renet_block(x, params, 2, 2)
+        out, _ = renet_block(x, params)
         assert out.shape == (3, 8, 8, 64)
 
     def test_zero_params_zero_output(self):
         zero = SweepParams(wx=np.zeros((8, 3)), wz=np.zeros((3, 3)), bias=np.zeros(3))
         zero2 = SweepParams(wx=np.zeros((6, 3)), wz=np.zeros((3, 3)), bias=np.zeros(3))
         params = RenetParams(down=zero, up=zero, right=zero2, left=zero2)
-        out, _ = renet_block(np.ones((2, 4, 4, 2)), params, 2, 2)
+        out, _ = renet_block(np.ones((2, 4, 4, 2)), params)
         assert not out.any()
 
     def test_matches_brute_force_oracle(self):
@@ -255,14 +255,14 @@ class TestBlock:
         for _ in range(5):
             x = rng.standard_normal((2, 6, 4, 2))
             params = make_block_params(rng, 2 * 2 * 2, 3)
-            out, _ = renet_block(x, params, 2, 2)
+            out, _ = renet_block(x, params)
             assert np.allclose(out, per_sample(block_oracle, x, params, 2, 2), atol=1e-6)
 
     def test_non_divisible_input_rejected(self):
         rng = np.random.default_rng(157)
         params = make_block_params(rng, 8, 3)
         with pytest.raises(ShapeError):
-            renet_block(np.zeros((1, 5, 4, 2)), params, 2, 2)
+            renet_block(np.zeros((1, 5, 4, 2)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +340,10 @@ class TestProperties:
         r = rng.uniform(-1, 1, size=(2, 2, 2, 4))
 
         def f():
-            out, _ = renet_block(x, params, 2, 2)
+            out, _ = renet_block(x, params)
             return float((out * r).sum())
 
-        _, rec = renet_block(x, params, 2, 2)
+        _, rec = renet_block(x, params)
         dx, grads = backward(rec, r)
         arrays = [x]
         analytic = [dx]
@@ -404,5 +404,5 @@ class TestBatchAxis:
     def test_block(self):
         rng = np.random.default_rng(257)
         params = make_block_params(rng, 2 * 2 * 2, 3)
-        assert_batch_equals_stacked_samples(lambda a: renet_block(a, params, 2, 2),
+        assert_batch_equals_stacked_samples(lambda a: renet_block(a, params),
                                             rng.standard_normal((3, 6, 4, 2)))

@@ -215,8 +215,11 @@ class TestCheckpoint:
         assert (tmp_path / "data.ckpt").stat().st_size == 29
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(CheckpointError):
-            save_checkpoint([("a", np.ones(1, np.float32)), ("a", np.ones(1, np.float32))], io.BytesIO())
+        # a mapping cannot hold a name twice, but a stream from elsewhere can
+        entry = struct.pack("<I", 1) + b"a" + struct.pack("<II", 1, 1) + struct.pack("<f", 1.0)
+        raw = b"RSEG" + struct.pack("<II", 1, 2) + entry + entry
+        with pytest.raises(CheckpointError, match="duplicate entry name in stream: 'a'"):
+            load_checkpoint(io.BytesIO(raw))
 
     def test_non_utf8_entry_name(self):
         raw = b"RSEG" + struct.pack("<III", 1, 1, 2) + b"\xff\xfe" \
