@@ -23,7 +23,7 @@ from .errors import (
     PnmTruncatedError,
     ShapeError,
 )
-from .model import MAX_IMAGE_SIZE, SIDE_MULTIPLE
+from .model import check_side
 from .tensor import Rng
 
 MASK_SUFFIX = "_segmentation"
@@ -88,6 +88,14 @@ def read_pnm(data: bytes) -> np.ndarray:
     return values.reshape(height, width, channels)
 
 
+def read_pnm_file(path: Path) -> np.ndarray:
+    """read_pnm of a file's bytes; a parse error names the file."""
+    try:
+        return read_pnm(path.read_bytes())
+    except PnmError as e:
+        raise type(e)(f"{path.name}: {e}") from None
+
+
 def write_pnm(t: np.ndarray, sink) -> int:
     """Encode an (h, w, 1 or 3) array in [0,1] as binary PGM/PPM; returns byte count."""
     if t.ndim != 3 or t.shape[2] not in (1, 3):
@@ -137,23 +145,18 @@ def load_dataset(directory, image_size: int) -> list[ImageRecord]:
         mask_paths[stem] = p
 
     records = []
-    for stem in sorted(image_paths):
-        path = image_paths[stem]
-        try:
-            image = read_pnm(path.read_bytes())
-        except PnmError as e:
-            raise type(e)(f"{path.name}: {e}") from None
+    for stem, path in sorted(image_paths.items()):
+        image = read_pnm_file(path)
         if image.shape[2] != 3:
             raise DataError(f"{path.name}: expected a 3-channel image")
-        image = resize_nearest(image, (image_size, image_size))
         mask = None
         if stem in mask_paths:
-            mpath = mask_paths[stem]
-            try:
-                gray = read_pnm(mpath.read_bytes())
-            except PnmError as e:
-                raise type(e)(f"{mpath.name}: {e}") from None
+            gray = read_pnm_file(mask_paths[stem])
+            if gray.shape[:2] != image.shape[:2]:
+                raise DataError(f"{mask_paths[stem].name} is {gray.shape[1]}x{gray.shape[0]}, "
+                                f"but its image {path.name} is {image.shape[1]}x{image.shape[0]}")
             mask = binarize_mask(resize_nearest(gray, (image_size, image_size)))
+        image = resize_nearest(image, (image_size, image_size))
         records.append(ImageRecord(id=stem, image=image, mask=mask))
     return records
 
@@ -241,11 +244,7 @@ def _generate_one(rng: Rng, size: int, index: int) -> tuple[ImageRecord, dict]:
 
 def generate_synthetic(seed: int, count: int, size: int) -> list[ImageRecord]:
     """Deterministic lesion images with exact masks; hairs touch the image only."""
-    if size < SIDE_MULTIPLE or size % SIDE_MULTIPLE:
-        raise ConfigError(f"synthetic size must be a positive multiple of {SIDE_MULTIPLE}, "
-                          f"got {size}")
-    if size > MAX_IMAGE_SIZE:
-        raise ConfigError(f"synthetic size may be at most {MAX_IMAGE_SIZE}, got {size}")
+    check_side("synthetic size", size)
     if count < 1:
         raise ConfigError(f"synthetic count must be at least 1, got {count}")
     rng = Rng(seed)

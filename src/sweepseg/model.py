@@ -24,6 +24,7 @@ config, and data produce bit-identical checkpoints and traces.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -55,8 +56,17 @@ MAX_IMAGE_SIZE = 1024
 MAX_RNN_UNITS = 1024
 
 
-@dataclass
+def check_side(name: str, side: int) -> None:
+    """The one rule for a square image side, in a config or for synth."""
+    if not SIDE_MULTIPLE <= side <= MAX_IMAGE_SIZE or side % SIDE_MULTIPLE:
+        raise ConfigError(f"{name} must be a positive multiple of {SIDE_MULTIPLE} (two 2x2 pools, "
+                          f"then the patch grid) and at most {MAX_IMAGE_SIZE}, got {side}")
+
+
+@dataclass(frozen=True)
 class ModelConfig:
+    """Checked field by field when built, then frozen: a ModelConfig that exists is valid."""
+
     image_size: int = 64
     rnn_units: int = 32
     lr: float = 0.01
@@ -66,16 +76,17 @@ class ModelConfig:
     seed: int = 42
     threshold: float = 0.5
 
-    def validate(self) -> "ModelConfig":
-        if self.rnn_units < 1:
-            raise ConfigError("rnn_units must be positive")
-        for key, cap in (("image_size", MAX_IMAGE_SIZE), ("rnn_units", MAX_RNN_UNITS)):
-            if getattr(self, key) > cap:
-                raise ConfigError(f"{key} may be at most {cap}, got {getattr(self, key)}")
-        if self.image_size % SIDE_MULTIPLE:
-            raise ConfigError(
-                f"image_size {self.image_size} must be divisible by {SIDE_MULTIPLE} "
-                "(two 2x2 pools, then the patch grid)")
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, noun = ((numbers.Integral, "an integer") if f.type == "int"
+                          else (numbers.Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        check_side("image_size", self.image_size)
+        if not 1 <= self.rnn_units <= MAX_RNN_UNITS:
+            raise ConfigError(f"rnn_units must be positive and at most {MAX_RNN_UNITS}, "
+                              f"got {self.rnn_units}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.epochs < 0:
@@ -84,9 +95,8 @@ class ModelConfig:
             raise ConfigError("threshold must lie in [0,1]")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be a finite number above 0, got {self.lr}")
-        if not (math.isfinite(self.momentum) and 0.0 <= self.momentum < 1.0):
+        if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0,1), got {self.momentum}")
-        return self
 
 
 @dataclass
@@ -176,7 +186,6 @@ def _init_param(name: str, shape: tuple[int, ...], rng: Rng) -> np.ndarray:
 
 def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
     """Allocate and Glorot-initialize every parameter, in declaration order."""
-    config.validate()
     return ModelParams(values={name: _init_param(name, shape, rng)
                                for name, shape in param_shapes(config)})
 
@@ -424,18 +433,17 @@ def load_model(source) -> tuple[ModelParams, ModelConfig]:
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise CheckpointError(f"checkpoint lacks meta entries: {', '.join(missing)}")
-    types = {f.name: f.type for f in fields(ModelConfig)}
+    for key in META_KEYS:
+        if not math.isfinite(meta[key]):
+            raise CheckpointError(f"checkpoint meta entry {key} must be finite, got {meta[key]}")
+    if meta["patch"] != PATCH:
+        raise CheckpointError(f"checkpoint meta entries: patch must be {PATCH}, "
+                              f"got {meta['patch']}: the decoder upsamples 8x")
+    # a fraction stays a float, which ModelConfig refuses for an int field
+    whole = lambda v: int(v) if v.is_integer() else v
     try:
-        patch = int(meta["patch"])
-        config = ModelConfig(**{k: int(meta[k]) if types[k] == "int" else meta[k]
-                                for k in META_KEYS if k != "patch"})
-    except (ValueError, OverflowError):  # int() of a NaN or infinite entry
-        raise CheckpointError("checkpoint meta entries must be finite numbers") from None
-    if patch != PATCH:
-        raise CheckpointError(f"checkpoint meta entries: patch must be {PATCH}, got {patch}: "
-                              "the decoder upsamples 8x")
-    try:
-        config.validate()
+        config = ModelConfig(image_size=whole(meta["image_size"]),
+                             rnn_units=whole(meta["rnn_units"]), threshold=meta["threshold"])
     except ConfigError as e:
         raise CheckpointError(f"checkpoint meta entries: {e}") from None
     expected = dict(param_shapes(config))

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from sweepseg import cli
 from sweepseg.cli import CONFIG_KEYS, build_parser, load_config, run_cli
 from sweepseg.data import read_pnm, write_pnm
-from sweepseg.errors import ConfigError
+from sweepseg.errors import CheckpointError, ConfigError
 from sweepseg.gradcheck import CheckResult
-from sweepseg.model import MAX_IMAGE_SIZE, MAX_RNN_UNITS, ModelConfig
+from sweepseg.model import MAX_IMAGE_SIZE, MAX_RNN_UNITS, ModelConfig, load_model
 from sweepseg.tensor import load_checkpoint, save_checkpoint
 
 
@@ -302,6 +302,15 @@ class TestTrain:
             assert "unknown keys patch" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_mask_of_another_size_exits_2(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, count=1)
+        write_pnm(np.zeros((8, 8, 1), np.float32), data / "synth000_segmentation.pgm")
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(data), "--config",
+                        str(write_config(tmp_path / "c.json")), "--out", str(ckpt)]) == 2
+        assert "is 8x8, but its image synth000.ppm is 16x16" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_indivisible_image_size_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
         cfg = write_config(tmp_path / "c.json", image_size=20)
@@ -507,6 +516,19 @@ class TestEval:
         assert run_cli(["eval", "--pred", str(pred), "--gt", str(data),
                         "--report", str(tmp_path / "r.txt")]) == 2
 
+    def test_unparsable_mask_is_named(self, trained, tmp_path, capsys):
+        data, _ = trained
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir()
+        gt.mkdir()
+        name = "synth000_segmentation.pgm"
+        blob = (data / name).read_bytes()
+        (pred / name).write_bytes(blob)
+        (gt / name).write_bytes(blob[:-100])
+        assert run_cli(["eval", "--pred", str(pred), "--gt", str(gt),
+                        "--report", str(tmp_path / "r.txt")]) == 2
+        assert f"error: {name}: payload has" in capsys.readouterr().err
+
     def test_both_modes_is_usage_error(self, trained, tmp_path, capsys):
         data, ckpt = trained
         assert run_cli(["eval", "--model", str(ckpt), "--data", str(data),
@@ -520,6 +542,73 @@ class TestEval:
 
     def test_no_mode_is_usage_error(self, tmp_path, capsys):
         assert run_cli(["eval", "--report", str(tmp_path / "r.txt")]) == 1
+
+
+def with_meta(ckpt, out, key, value):
+    """A copy of the checkpoint `ckpt` at `out` with one meta entry replaced."""
+    with open(ckpt, "rb") as fh:
+        entries = load_checkpoint(fh)
+    entries[f"meta.{key}"] = np.array([value], np.float32)
+    with open(out, "wb") as fh:
+        save_checkpoint(entries, fh)
+    return out
+
+
+# one rule for the JSON config, the checkpoint meta and a direct
+# ModelConfig call: each bad value is refused by all three, naming its key
+# (a patch is no config field, so only the two files can carry one)
+BAD_VALUES = [("image_size", side) for side in (0, -8, 12, MAX_IMAGE_SIZE + 8)] + [
+    ("image_size", 16.9), ("rnn_units", 8.7)]
+
+
+class TestOneConfigRule:
+    @pytest.mark.parametrize("key, value", BAD_VALUES + [("patch", 2.5)])
+    def test_config_file_refuses(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.json", **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(cfg)
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
+                        "--out", str(ckpt)]) == 2
+        assert key in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES + [("patch", 2.5)])
+    def test_checkpoint_meta_refuses(self, trained, tmp_path, capsys, key, value):
+        data, ckpt = trained
+        broken = with_meta(ckpt, tmp_path / "broken.ckpt", key, value)
+        with pytest.raises(CheckpointError, match=key):
+            load_model(broken)
+        out = tmp_path / "o.pgm"
+        assert run_cli(["infer", "--model", str(broken),
+                        "--image", str(data / "synth000.ppm"), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES + [
+        ("epochs", True), ("lr", False), ("seed", 42.0), ("batch_size", "4"),
+        ("threshold", None), ("momentum", [0.5])])
+    def test_direct_construction_refuses(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig(**{key: value})
+
+    def test_numbers_of_any_kind_are_accepted(self):
+        config = ModelConfig(image_size=np.int64(32), rnn_units=np.uint8(4),
+                             lr=np.float32(0.5), momentum=0, threshold=1)
+        assert config == ModelConfig(image_size=32, rnn_units=4, lr=0.5, momentum=0.0,
+                                     threshold=1.0)
+
+    def test_a_built_config_refuses_assignment(self):
+        config = ModelConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.image_size = 0
+        assert config == ModelConfig()
+
+    def test_whole_meta_entries_keep_their_field_types(self, trained, tmp_path):
+        _, ckpt = trained
+        _, config = load_model(with_meta(ckpt, tmp_path / "t.ckpt", "threshold", 1.0))
+        assert type(config.threshold) is float and config.threshold == 1.0
+        assert type(config.image_size) is int and type(config.rnn_units) is int
 
 
 class TestSharedParser:

@@ -220,6 +220,15 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="ghost"):
             load_dataset(tmp_path, 4)
 
+    def test_mask_of_another_size_rejected_before_resizing(self, tmp_path):
+        # resizing each file on its own once trained on a 32 px mask
+        # stretched over a 64 px image
+        rng = np.random.default_rng(284)
+        self._write(tmp_path / "x.ppm", rng.uniform(size=(8, 6, 3)).astype(np.float32))
+        self._write(tmp_path / "x_segmentation.pgm", np.zeros((4, 6, 1), np.float32))
+        with pytest.raises(DataError, match=r"x_segmentation.pgm is 6x4, .* x.ppm is 6x8"):
+            load_dataset(tmp_path, 8)
+
     def test_resizes_and_binarizes(self, tmp_path):
         rng = np.random.default_rng(283)
         self._write(tmp_path / "x.ppm", rng.uniform(size=(4, 6, 3)).astype(np.float32))

@@ -78,7 +78,8 @@ class TestBuild:
             build_model(ModelConfig(image_size=60), Rng(1))
 
     def test_sizes_above_the_caps_rejected_before_any_draw(self, monkeypatch):
-        ModelConfig(image_size=MAX_IMAGE_SIZE, rnn_units=MAX_RNN_UNITS).validate()
+        # the caps themselves are valid; building the config checks it
+        ModelConfig(image_size=MAX_IMAGE_SIZE, rnn_units=MAX_RNN_UNITS)
         monkeypatch.setattr(Rng, "fill", lambda *a: pytest.fail("drew from the rng"))
         for bad in (dict(image_size=MAX_IMAGE_SIZE + 8), dict(image_size=8000000),
                     dict(rnn_units=MAX_RNN_UNITS + 1), dict(rnn_units=100000000)):
@@ -603,10 +604,9 @@ class TestCheckpointSchema:
                 load_model(checkpoint_with(edit))
 
     def test_meta_config_the_config_rules_refuse_is_rejected(self):
-        # finite entries that ModelConfig.validate refuses: a threshold that
-        # is NaN or outside [0, 1], an image size the two pools and the
-        # patch grid cannot divide, a patch other than 2, and sizes above
-        # the caps
+        # entries the meta rules refuse: a NaN threshold or one outside
+        # [0, 1], an image size the two pools and the patch grid cannot
+        # divide, a patch other than 2, and sizes above the caps
         for key, bad in (("threshold", np.nan), ("threshold", 5.0),
                          ("image_size", 12.0), ("patch", 0.0), ("patch", 4.0),
                          ("image_size", 2048.0), ("rnn_units", 1e8)):
