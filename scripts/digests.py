@@ -1,0 +1,61 @@
+"""Print the sha256 prefixes of the README quick-start's outputs.
+
+    python3 scripts/digests.py
+
+Runs, in a fresh temporary directory and from this checkout's `src`:
+`synth` of the training set (8 images, seed 42) and the test set (4
+images, seed 43), `train` with {"epochs": 3}, `infer` on
+data/test/synth000.ppm, `eval --model --data data/test`, and
+`gradcheck --seed 42`. Prints one line per output: the first 16 hex
+digits of the sha256 of the checkpoint, the trace, the mask, the report
+and gradcheck's standard output. A change that must keep every byte
+prints the same five lines before and after.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def sweepseg(cwd: Path, *args: str) -> bytes:
+    """Run one CLI command in `cwd` and return its standard output."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "sweepseg", *args], cwd=cwd, env=env,
+                          capture_output=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"sweepseg {' '.join(args)} exited {proc.returncode}:\n"
+                 f"{proc.stderr.decode(errors='replace')}")
+    return proc.stdout
+
+
+def prefix(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        sweepseg(d, "synth", "--out", "data/train", "--count", "8", "--seed", "42")
+        sweepseg(d, "synth", "--out", "data/test", "--count", "4", "--seed", "43")
+        (d / "config.json").write_text('{"epochs": 3}')
+        sweepseg(d, "train", "--data", "data/train", "--config", "config.json",
+                 "--out", "model.ckpt", "--trace", "trace.csv")
+        sweepseg(d, "infer", "--model", "model.ckpt", "--image", "data/test/synth000.ppm",
+                 "--out", "pred.pgm")
+        sweepseg(d, "eval", "--model", "model.ckpt", "--data", "data/test",
+                 "--report", "report.txt")
+        gradcheck = sweepseg(d, "gradcheck", "--seed", "42")
+        for name in ("model.ckpt", "trace.csv", "pred.pgm", "report.txt"):
+            print(f"{prefix((d / name).read_bytes())}  {name}")
+        print(f"{prefix(gradcheck)}  gradcheck --seed 42")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,9 +12,10 @@ Conventions used throughout:
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
 * a conv or transposed conv can end in a fused relu (conv+bias+activation
-  in one op); its record then keeps the relu's mask, and the op's own
-  backward multiplies it into the upstream gradient as it writes that
-  gradient into its buffer
+  in one op), whose mask the op's own backward multiplies into the
+  upstream gradient; a record keeps the mask, or, for a conv whose output
+  lies on a padded grid that the next op holds anyway, that output, and
+  reads `> 0` from it
 
 A convolution, `conv2d_forward(x, weights, bias, padding, relu)`, is
 stride 1 with its kernel size and channels read from the (k, k, c_in,
@@ -23,13 +24,29 @@ flattened to one row of c_in values per padded cell, puts the input cell
 that kernel tap (ki, kj) reads for output row r at row r + ki*(w+2p) + kj.
 So each tap is one GEMM over a contiguous block of rows, accumulated into
 one buffer, and no patch matrix is ever copied; the rows that straddle a
-border or two samples are junk and are sliced off at the end. The
-backward writes the upstream gradient once into a zero buffer on the same
-padded grid, so its junk rows are 0; the weight gradient is one GEMM per
-tap over those rows, and the input gradient is the same blocked tap loop
-run on them with the flipped, transposed kernel, starting k-1-p rows and
-columns early: a stride-1 conv's input gradient is a full correlation
-(Dumoulin & Visin, arXiv:1603.07285).
+border or two samples are junk. The backward's upstream gradient lies on
+the same padded grid with 0 on its junk rows; the weight gradient is one
+GEMM per tap over those rows, and the input gradient is the same blocked
+tap loop run on them with the flipped, transposed kernel, starting k-1-p
+rows and columns early: a stride-1 conv's input gradient is a full
+correlation (Dumoulin & Visin, arXiv:1603.07285).
+
+The encoder chains its ops on zero-padded grids, one buffer per
+activation. Shifted by p*(w+2p+1) rows (w+3 for a 3x3 conv), a same-size
+conv's output cell r sits at its own cell of the next conv's padded grid,
+and the junk rows, each sample's last 2p rows and columns, land exactly
+on that grid's border, which is then zeroed: the output is the next
+conv's padded input (`grid_out`), read in place (`grid_in`) with no pad
+copy. A pool between two convs reads the first one's grid, applies that
+conv's relu (relu commutes with max bit for bit), writes into the
+interior of a zeroed grid and keeps one uint8 winner per window instead
+of its input, so the conv's output is freed once it is pooled. The
+backward mirrors this: a conv's input gradient is written, by the same
+shift, onto the grid that the previous op's backward reads, its border
+zeroed, and that backward masks it in place, so no chained conv zeroes a
+fresh gradient buffer or copies its upstream gradient into one. Only its
+bias gradient reads a compact gather of that gradient, which keeps the
+GEMV's summation order and so its bits.
 
 The fractionally strided (transposed) convolution is, by definition, a
 sparse matrix times the flattened input: the rows enumerate output cells,
@@ -104,22 +121,30 @@ def _check_kernel(weights: np.ndarray, stride: int = 1) -> None:
         raise ShapeError("stride must be >= 1")
 
 
-def _tap_gemms(rows: np.ndarray, kernel: np.ndarray, taps, length: int, total: int,
-               bias: np.ndarray | None = None, relu: bool = False) -> np.ndarray:
+def _zero_border(grid: np.ndarray, p: int) -> None:
+    """Zero the p cells along every side of an (N, H, W, c) grid, in place."""
+    if p:
+        _, hp, wp, _ = grid.shape
+        grid[:, :p] = 0
+        grid[:, hp - p:] = 0
+        grid[:, p:hp - p, :p] = 0
+        grid[:, p:hp - p, wp - p:] = 0
+
+
+def _tap_gemms(rows: np.ndarray, kernel: np.ndarray, taps, out: np.ndarray,
+               bias: np.ndarray | None = None, relu: bool = False) -> None:
     """The blocked tap loop that a conv's forward and its input gradient share.
 
-    Returns (total, c_out) rows whose first `length` hold, for each row r,
-    the sum over `taps` (ki, kj, offset) of rows[r + offset] @ kernel[ki, kj],
-    plus bias and then relu if asked; the rows after them are left unset.
-    The loop runs block by block of _BLOCK_ROWS rows, all taps per block.
+    Fills each row r of the (length, c_out) `out` with the sum over `taps`
+    (ki, kj, offset) of rows[r + offset] @ kernel[ki, kj], plus bias and
+    then relu if asked. The loop runs block by block of _BLOCK_ROWS rows,
+    all taps per block.
     """
-    co = kernel.shape[3]
-    dtype = np.result_type(rows, kernel)
-    acc = np.empty((total, co), dtype=dtype)
-    prod = np.empty((min(length, _BLOCK_ROWS), co), dtype=dtype)
+    length, co = out.shape
+    prod = np.empty((min(length, _BLOCK_ROWS), co), dtype=out.dtype)
     for start in range(0, length, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, length)
-        block = acc[start:stop]
+        block = out[start:stop]
         for t, (ki, kj, off) in enumerate(taps):
             np.matmul(rows[start + off:stop + off], kernel[ki, kj],
                       out=block if t == 0 else prod[:stop - start])
@@ -129,16 +154,24 @@ def _tap_gemms(rows: np.ndarray, kernel: np.ndarray, taps, length: int, total: i
             block += bias
         if relu:
             np.maximum(block, 0, out=block)
-    return acc
 
 
-def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                   padding: int, relu: bool = False) -> tuple[np.ndarray, OpRecord]:
+def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, padding: int,
+                   relu: bool = False, grid_in: bool = False,
+                   grid_out: bool = False) -> tuple[np.ndarray, OpRecord]:
     """Stride-1 cross-correlation plus bias. x: (N,h,w,c_in), weights: (k,k,c_in,c_out).
 
     The output is (N, h+2p-k+1, w+2p-k+1, c_out). One GEMM per kernel tap
     over the flattened padded batch (see the module docstring), run block
     by block of _BLOCK_ROWS rows, each block then relu'd in place if asked.
+
+    With grid_in, x comes already on its zero-padded grid, (N, h+2p, w+2p,
+    c_in), and is read in place; the input gradient then comes back on
+    that grid, its border 0. With grid_out, which needs a same-size conv
+    (k = 2p+1), the output is written straight onto the next conv's
+    zero-padded grid, (N, h+2p, w+2p, c_out), and the upstream gradient
+    must lie on that grid with its border 0; the backward takes it over
+    and masks it in place.
     """
     _check_kernel(weights)
     _check_batch(x, "conv")
@@ -149,17 +182,40 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"conv bias shape {bias.shape} != ({co},)")
     n, h, w, _ = x.shape
     p = padding
-    if p < 0 or min(h, w) + 2 * p < k:
+    if grid_in:
+        h, w = h - 2 * p, w - 2 * p
+    if p < 0 or min(h, w) + 2 * p < k or (grid_in and min(h, w) < 1):
         raise ShapeError(f"conv output dim < 1 for input {h}x{w}, kernel {k}, padding {p}")
+    if grid_out and k != 2 * p + 1:
+        raise ShapeError(f"only a same-size conv (k = 2p+1) writes its output on the "
+                         f"padded grid, got kernel {k} and padding {p}")
 
-    padded = np.zeros((n, h + 2 * p, w + 2 * p, ci), dtype=x.dtype)
-    padded[:, p:p + h, p:p + w] = x
-    rows = padded.reshape(-1, ci)
-    taps, length = _tap_rows(k, p, x.shape)
-    acc = _tap_gemms(rows, weights, taps, length, rows.shape[0], bias, relu)
-    out = acc.reshape(padded.shape[:3] + (co,))[:, :h + 2 * p - k + 1, :w + 2 * p - k + 1]
+    hp, wp = h + 2 * p, w + 2 * p
+    if grid_in:
+        rows = x.reshape(-1, ci)
+    else:
+        padded = np.zeros((n, hp, wp, ci), dtype=x.dtype)
+        padded[:, p:p + h, p:p + w] = x
+        rows = padded.reshape(-1, ci)
+    taps, length = _tap_rows(k, p, (n, h, w, ci))
+    # output cell r sits at row r of the padded layout; shifted p*(wp+1)
+    # rows on, it sits at its own cell of the next grid, and the junk rows
+    # between land exactly on that grid's border
+    shift = p * (wp + 1) if grid_out else 0
+    acc = np.empty((n * hp * wp, co), dtype=np.result_type(rows, weights))
+    _tap_gemms(rows, weights, taps, acc[shift:shift + length], bias, relu)
+    grid = acc.reshape(n, hp, wp, co)
+    if grid_out:
+        _zero_border(grid, p)
+        out = grid
+    else:
+        out = grid[:, :hp - k + 1, :wp - k + 1]
+    # the relu's mask is `out > 0`: a grid output is the next conv's `rows`
+    # anyway, so its record keeps the output; a compact one keeps the mask
+    kept = (out if grid_out else out > 0) if relu else None
     rec = _record("conv2d", out.shape, _conv2d_backward, rows=rows, weights=weights,
-                  in_shape=x.shape, padding=p, relu_mask=out > 0 if relu else None)
+                  in_shape=(n, h, w, ci), padding=p, grid_in=grid_in, grid_out=grid_out,
+                  relu=kept)
     return out, rec
 
 
@@ -207,24 +263,45 @@ def _conv_grads(rec: OpRecord, buf: np.ndarray, input_grad: bool):
     # padded input row t gets grid row t - (ki*wp + kj) times weights[ki, kj].T
     # from each tap: the tap loop with the flipped, transposed kernel, read
     # from (k-1)*(wp+1) rows before t. Input cell r sits at t = r + p*(wp+1),
-    # so its reads start q*(wp+1) rows before grid row r
-    flipped = weights[::-1, ::-1].transpose(0, 1, 3, 2)
-    dx = _tap_gemms(buf[max(-q, 0) * (wp + 1):], flipped, taps,
-                    n * hp * wp - 2 * p * (wp + 1), n * hp * wp)
-    return dx.reshape(n, hp, wp, ci)[:, :h, :w], d_weights
+    # so its reads start q*(wp+1) rows before grid row r; on a grid input,
+    # row r of the loop is written to row t, as the forward shifts its output
+    flipped = np.ascontiguousarray(weights[::-1, ::-1].transpose(0, 1, 3, 2))
+    shift = p * (wp + 1) if rec.saved["grid_in"] else 0
+    dx = np.empty((n * hp * wp, ci), dtype=np.result_type(buf, flipped))
+    _tap_gemms(buf[max(-q, 0) * (wp + 1):], flipped, taps,
+               dx[shift:shift + n * hp * wp - 2 * p * (wp + 1)])
+    dx = dx.reshape(n, hp, wp, ci)
+    if rec.saved["grid_in"]:
+        _zero_border(dx, p)
+        return dx, d_weights
+    return dx[:, :h, :w], d_weights
 
 
 def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
-    """The upstream gradient, times the fused relu's mask, goes once into
-    the zero gradient buffer; dW's GEMMs and dx's tap loop both read it."""
-    if rec.saved["relu_mask"] is not None:
-        up = up * rec.saved["relu_mask"]
-    buf, grid = _grad_buffer(rec, up.dtype)
-    grid[:, :up.shape[1], :up.shape[2]] = up
-    # summed over the compact rows (the grid's zero rows would change the
-    # GEMV's summation order); the masked copy goes before dx's accumulator
-    d_bias = _bias_grad(up)
-    del up
+    """The upstream gradient, times the relu's mask, lies once on the
+    output's padded grid; dW's GEMMs and dx's tap loop both read it there.
+
+    A grid output's gradient already lies on that grid and is masked in
+    place; a compact one is written, masked, into a zero gradient buffer.
+    """
+    relu = rec.saved["relu"]
+    if rec.saved["grid_out"]:
+        if relu is not None:
+            np.multiply(up, relu > 0, out=up)
+        p = rec.saved["padding"]
+        _, hp, wp, co = up.shape
+        buf = up.reshape(-1, co)
+        compact = up[:, p:hp - p, p:wp - p]
+    else:
+        if relu is not None:
+            up = up * relu
+        buf, grid = _grad_buffer(rec, up.dtype)
+        grid[:, :up.shape[1], :up.shape[2]] = up
+        compact = up
+    # summed over the compact rows (the grid's border rows would regroup the
+    # GEMV's sum and change its bits), freed before dx's accumulator
+    d_bias = _bias_grad(compact)
+    del up, compact
     dx, d_weights = _conv_grads(rec, buf, input_grad)
     return dx, {"weights": d_weights, "bias": d_bias}
 
@@ -238,16 +315,51 @@ def _window_cells(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
-def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, OpRecord]:
-    """Disjoint 2x2 window max per channel; ties go to the first cell row-major."""
+def maxpool2x2_forward(x: np.ndarray, grid: bool = False) -> tuple[np.ndarray, OpRecord]:
+    """Disjoint 2x2 window max per channel; ties go to the first cell row-major.
+
+    With grid, the pool also applies the relu of the conv before it, which
+    relu commutes with max bit for bit: x is that conv's zero-padded output
+    grid (N, h+2, w+2, c), and the relu'd max of its interior is written
+    into the interior of a zeroed (N, h/2+2, w/2+2, c) grid for the next
+    conv. The record then keeps one uint8 winner per window instead of x,
+    so the conv's output is freed once it is pooled; the upstream gradient
+    lies on the output grid and the input gradient on x's, border 0.
+    """
     _check_batch(x, "maxpool")
-    _, h, w, _ = x.shape
+    inner = x[:, 1:-1, 1:-1] if grid else x
+    n, h, w, c = inner.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-    cells = _window_cells(x)
-    out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
-    rec = _record("maxpool2x2", out.shape, _maxpool_backward, x=x, out=out)
-    return out, rec
+    cells = _window_cells(inner)
+    top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    if not grid:
+        return top, _record("maxpool2x2", top.shape, _maxpool_backward, x=x, out=top)
+    winner = _winners(cells, top)
+    out = np.empty((n, h // 2 + 2, w // 2 + 2, c), dtype=x.dtype)
+    _zero_border(out, 1)
+    np.maximum(top, 0, out=out[:, 1:-1, 1:-1])
+    return out, _record("maxpool2x2", out.shape, _relu_pool_backward, winner=winner,
+                        in_shape=x.shape)
+
+
+def _winners(cells: list[np.ndarray], top: np.ndarray) -> np.ndarray:
+    """Each window's winner as `_maxpool_backward` picks it after a relu:
+    the first cell equal to the window's max `top` in row-major order, or
+    cell 3 when none is (a NaN window), plus 4 where that cell is not
+    above 0, so that the relu passes the window no gradient."""
+    # with n_k = (cell k != top), the first match is n0 * (1 + n1 * (1 + n2))
+    winner = np.not_equal(cells[2], top).view(np.uint8)
+    winner += 1
+    winner *= np.not_equal(cells[1], top).view(np.uint8)
+    winner += 1
+    winner *= np.not_equal(cells[0], top).view(np.uint8)
+    # the winner is above 0 iff the max is, or, in a NaN window, cell 3 is;
+    # elsewhere cell 3 above 0 means the max is too
+    alive = np.greater(top, 0)
+    alive |= np.greater(cells[3], 0)
+    winner += np.logical_not(alive).view(np.uint8) * np.uint8(4)
+    return winner
 
 
 def _maxpool_backward(rec: OpRecord, up: np.ndarray):
@@ -264,6 +376,20 @@ def _maxpool_backward(rec: OpRecord, up: np.ndarray):
         np.multiply(up, won, out=d_cells[k])
         free ^= won
     np.multiply(up, free, out=d_cells[3])
+    return dx, {}
+
+
+def _relu_pool_backward(rec: OpRecord, up: np.ndarray):
+    """Each window's gradient goes to its winner cell, to none where the
+    relu cut it (a winner of 4 or more); dx lies on the conv's output grid,
+    border 0."""
+    winner = rec.saved["winner"]
+    dx = np.empty(rec.saved["in_shape"], dtype=up.dtype)
+    _zero_border(dx, 1)
+    d_cells = _window_cells(dx[:, 1:-1, 1:-1])
+    inner = up[:, 1:-1, 1:-1]
+    for k in range(4):
+        np.multiply(inner, winner == k, out=d_cells[k])
     return dx, {}
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -93,6 +94,10 @@ class ModelConfig:
             raise ConfigError("epochs must be non-negative")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must lie in [0,1]")
+        if isinstance(self.lr, numbers.Integral) and abs(self.lr) > sys.float_info.max:
+            # compared exactly: math.isfinite would convert the int and overflow
+            raise ConfigError("lr must be a finite number above 0, got an integer "
+                              "beyond the float range")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be a finite number above 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
@@ -209,12 +214,17 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
                          f"(two 2x2 pools, then {PATCH}x{PATCH} patches)")
     tape = [] if sink is None else sink
     x = images
-    for i in range(1, len(ENCODER_CHANNELS) + 1):
+    last = len(ENCODER_CHANNELS)
+    for i in range(1, last + 1):
+        # every conv but the last hands its output on the next op's zero-padded
+        # grid; one that feeds a pool leaves its relu to the pool
+        pooled = i in POOL_AFTER
         x, rec = conv2d_forward(x, params.values[f"enc{i}.weights"],
-                                params.values[f"enc{i}.bias"], 1, relu=True)
+                                params.values[f"enc{i}.bias"], 1, relu=not pooled,
+                                grid_in=i > 1, grid_out=i < last)
         tape.append((f"enc{i}", rec))
-        if i in POOL_AFTER:
-            x, rec = maxpool2x2_forward(x)
+        if pooled:
+            x, rec = maxpool2x2_forward(x, grid=True)
             tape.append((None, rec))
     return x, tape
 

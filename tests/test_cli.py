@@ -592,6 +592,22 @@ class TestOneConfigRule:
         with pytest.raises(ConfigError, match=key):
             ModelConfig(**{key: value})
 
+    def test_an_int_lr_beyond_the_float_range_is_refused(self):
+        # math.isfinite would convert the int to float and overflow
+        for lr in (10 ** 400, -10 ** 400):
+            with pytest.raises(ConfigError, match="lr"):
+                ModelConfig(lr=lr)
+        assert ModelConfig(lr=10 ** 300).lr == 10 ** 300
+
+    def test_an_int_lr_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"lr": 1' + "0" * 400 + "}")
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
+                        "--out", str(ckpt)]) == 2
+        assert "lr must be a finite number" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_numbers_of_any_kind_are_accepted(self):
         config = ModelConfig(image_size=np.int64(32), rnn_units=np.uint8(4),
                              lr=np.float32(0.5), momentum=0, threshold=1)

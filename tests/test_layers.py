@@ -250,6 +250,79 @@ class TestMaxpool:
             maxpool2x2_forward(np.zeros((1, 3, 4, 1), np.float32))
 
 
+# ---------------------------------------------------------------------------
+# the encoder's chain on zero-padded grids
+# ---------------------------------------------------------------------------
+
+def on_grid(x, p=1):
+    """x in the interior of a zero-padded (N, h+2p, w+2p, c) grid."""
+    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+
+
+class TestPaddedGrid:
+    def test_grid_forms_give_the_compact_bytes_with_a_zero_border(self):
+        # same-size convs at k = 2p+1 over several blocks of rows: whichever
+        # side is on the grid, its interior holds the compact op's bytes and
+        # its border is +0, forward and backward
+        rng = np.random.default_rng(101)
+        for k, pad in ((3, 1), (5, 2), (1, 0)):
+            x = rng.standard_normal((2, 40, 33, 3)).astype(np.float32)
+            w = rng.standard_normal((k, k, 3, 4)).astype(np.float32)
+            b = rng.standard_normal(4).astype(np.float32)
+            for relu in (False, True):
+                out, rec = conv2d_forward(x, w, b, pad, relu=relu)
+                up = rng.standard_normal(out.shape).astype(np.float32)
+                dx, grads = backward(rec, up)
+                for grid_in in (False, True):
+                    for grid_out in (False, True):
+                        got, rec = conv2d_forward(on_grid(x, pad) if grid_in else x, w, b, pad,
+                                                  relu=relu, grid_in=grid_in, grid_out=grid_out)
+                        want = on_grid(out, pad) if grid_out else out
+                        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+                        g_dx, g_grads = backward(rec, on_grid(up, pad) if grid_out else up)
+                        want = on_grid(dx, pad) if grid_in else dx
+                        assert g_dx.tobytes() == np.ascontiguousarray(want).tobytes()
+                        for key in grads:
+                            assert g_grads[key].tobytes() == grads[key].tobytes(), key
+
+    def test_grid_shapes_are_checked(self):
+        x = np.zeros((1, 6, 6, 2), np.float32)
+        w, b = np.zeros((3, 3, 2, 1), np.float32), np.zeros(1, np.float32)
+        with pytest.raises(ShapeError, match="same-size"):  # k = 3 needs padding 1
+            conv2d_forward(x, w, b, 0, grid_out=True)
+        with pytest.raises(ShapeError):  # a 2x2 grid has no interior inside padding 1
+            conv2d_forward(x[:, :2, :2], w, b, 1, grid_in=True)
+        out, _ = conv2d_forward(x, w, b, 1, grid_in=True)
+        assert out.shape == (1, 4, 4, 1)
+
+    def test_fused_relu_and_winner_give_the_bytes_of_relu_then_pool(self):
+        # a conv that feeds a pool leaves its relu to the pool: the relu'd
+        # window max and the winner index give today's relu, pool and
+        # relu-masked pool gradient bit for bit, ties, all-zero windows,
+        # all-negative windows, signed zeros and NaN windows included
+        rng = np.random.default_rng(107)
+        for dtype in (np.float32, np.float64):
+            for _ in range(10):
+                x = rng.integers(-2, 3, size=(3, 8, 6, 4)).astype(dtype)  # full of ties
+                x[0, :2, :2] = 0.0
+                x[0, 2:4, :2] = -1.0
+                x[1, :2, :2] = [[[-0.0], [-1.0]], [[0.0], [-0.0]]]
+                x[rng.uniform(size=x.shape) < 0.03] = np.nan
+                up = rng.standard_normal((3, 4, 3, 4)).astype(dtype)
+                up[0, 0, 0] = np.nan
+                up[1, 1, 1] = -0.0
+                relu = np.maximum(x, 0)
+                want, rec = maxpool2x2_forward(relu)
+                d_relu, _ = backward(rec, up)
+                want_dx = d_relu * (relu > 0)
+
+                got, rec = maxpool2x2_forward(on_grid(x), grid=True)
+                assert rec.saved["winner"].dtype == np.uint8 and "x" not in rec.saved
+                assert got.tobytes() == on_grid(want).tobytes()
+                dx, _ = backward(rec, on_grid(up))
+                assert dx.tobytes() == on_grid(want_dx).tobytes()
+
+
 class TestActivations:
     def test_values(self):
         # the sigmoid head, and the relu a conv ends in (here a 1x1 identity)

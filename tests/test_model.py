@@ -19,6 +19,7 @@ from sweepseg.errors import (
     TrainingDivergedError,
 )
 from sweepseg.layers import (
+    OpRecord,
     activation_forward,
     conv2d_forward,
     finite_diff_check,
@@ -102,6 +103,21 @@ class TestBuild:
 
 def encode(images, params):
     return _encode_tape(images, params)[0]
+
+
+def forward_peak(shape) -> float:
+    """The tracemalloc peak of one forward pass on an (h, w) image, in bytes."""
+    params = build_model(ModelConfig(), Rng(17))
+    image = np.random.default_rng(6).uniform(size=shape + (3,)).astype(np.float32)
+    forward(image[:64, :64], params)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        forward(image, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before
 
 
 def decode(renet_out, params):
@@ -217,21 +233,18 @@ class TestForward:
         assert held - before < 1e6
 
     def test_forward_keeps_no_tape(self):
-        # inference drops each op record once the next op has run: a 256 px
-        # forward peaks at 15.8 MB (13.9 MB before the convs' records kept
-        # their relu masks), and peaked at 26.0 MB when every record lived
-        # until the mask was returned
-        params = build_model(ModelConfig(), Rng(17))
-        image = np.random.default_rng(6).uniform(size=(256, 256, 3)).astype(np.float32)
-        forward(image[:64, :64], params)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            forward(image, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 18e6
+        # inference drops each op record once the next op has run, and the
+        # encoder's ops hand each other one zero-padded grid per activation:
+        # a 256 px forward peaks at 11.77 MB (15.7 MB while every conv padded
+        # a copy of its input and kept a relu mask, 26.0 MB when every record
+        # lived until the mask was returned)
+        assert forward_peak((256, 256)) < 1.1 * 11.77e6
+
+    def test_photo_size_forward_peak(self):
+        # a 768x1024 forward, the size an ISBI photo pads to, peaks at 139.1
+        # MB, about 177 B per pixel (186.3 MB, 237 B per pixel, while every
+        # conv padded a copy of its input)
+        assert forward_peak((768, 1024)) < 1.1 * 139.1e6
 
     def test_samples_are_independent(self):
         params = build_model(small_config(), Rng(19))
@@ -267,10 +280,11 @@ class TestBatchStep:
             assert float(np.abs(grads[k] - want).max()) <= 1e-10 * scale, k
 
     def test_step_memory_peak(self):
-        # one 64 px step of batch 4 peaks at 9.77 MB under tracemalloc, in
-        # dec3's backward, and may not exceed that by 10%; it peaked at
-        # 14.86 MB in enc2's backward while the whole tape lived until the
-        # step ended and each conv backward made three copies of its gradient
+        # one 64 px step of batch 4 peaks at 6.86 MB under tracemalloc and
+        # may not exceed that by 10%. It peaked at 9.77 MB while each encoder
+        # record kept a relu mask, a padded copy of its input and the pooled
+        # convs' outputs, and at 14.86 MB while the whole tape lived until
+        # the step ended and each conv backward made three copies of its gradient
         params = build_model(ModelConfig(), Rng(42))
         batch = [(r.image, r.mask) for r in generate_synthetic(42, 4, 64)]
         model_module._batch_step(batch, params)
@@ -281,26 +295,77 @@ class TestBatchStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < 1.1 * 9.77e6
+        assert peak - before < 1.1 * 6.86e6
 
     def test_records_are_freed_as_the_gradient_passes_them(self, monkeypatch):
-        # each record leaves the tape as its backward runs, so a decoder
-        # record's arrays are gone by the time enc1's backward runs
+        # each record leaves the tape as its backward runs, so every array a
+        # decoder record holds, its phase conv's included, is gone by the
+        # time enc1's backward runs
         original = model_module.backward
-        mask, alive_at_enc1 = [], []
+        refs, alive_at_enc1 = [], []
+
+        def arrays(rec):
+            for value in rec.saved.values():
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif isinstance(value, OpRecord):
+                    yield from arrays(value)
 
         def watching(rec, up, **kwargs):
-            if rec.kind == "tconv" and not mask:
-                mask.append(weakref.ref(rec.saved["relu_mask"]))
+            if rec.kind == "tconv" and not refs:
+                refs.extend(weakref.ref(a) for a in arrays(rec))
             if not kwargs.get("input_grad", True):
-                alive_at_enc1.append(mask[0]() is not None)
+                alive_at_enc1.append(sum(ref() is not None for ref in refs))
             return original(rec, up, **kwargs)
 
         monkeypatch.setattr(model_module, "backward", watching)
         params = build_model(small_config(), Rng(73))
         rec = generate_synthetic(73, 1, 16)[0]
         loss_and_gradients([(rec.image, rec.mask)], params)
-        assert alive_at_enc1 == [False]
+        assert len(refs) == 3  # the relu mask, the phase conv's rows and kernel
+        assert alive_at_enc1 == [0]
+
+    def test_every_grid_the_encoder_hands_on_has_a_zero_border(self, monkeypatch):
+        # the implicit GEMM's junk rows land on the border of each grid an
+        # encoder op hands on, forward (its output) and backward (its input
+        # gradient), and must read +0 there: the next conv reads that border
+        # as its zero padding
+        grids = []
+        conv, pool, original = (model_module.conv2d_forward, model_module.maxpool2x2_forward,
+                                model_module.backward)
+
+        def keep(grid):
+            grids.append(grid.copy())  # later ops mask gradients in place
+
+        def watching_conv(*args, **kwargs):
+            out, rec = conv(*args, **kwargs)
+            if kwargs.get("grid_out"):
+                keep(out)
+            return out, rec
+
+        def watching_pool(*args, **kwargs):
+            out, rec = pool(*args, **kwargs)
+            keep(out)
+            return out, rec
+
+        def watching_backward(rec, up, **kwargs):
+            dx, grads = original(rec, up, **kwargs)
+            if rec.saved.get("grid_in") or "winner" in rec.saved:
+                keep(dx)
+            return dx, grads
+
+        monkeypatch.setattr(model_module, "conv2d_forward", watching_conv)
+        monkeypatch.setattr(model_module, "maxpool2x2_forward", watching_pool)
+        monkeypatch.setattr(model_module, "backward", watching_backward)
+        params = build_model(small_config(), Rng(79))
+        pairs = [(r.image, r.mask) for r in generate_synthetic(79, 2, 16)]
+        loss_and_gradients(pairs, params)
+        # enc1-enc6 and both pools forward; enc2-enc7 and both pools backward
+        assert len(grids) == 16
+        for grid in grids:
+            inner = np.pad(grid[:, 1:-1, 1:-1], ((0, 0), (1, 1), (1, 1), (0, 0)))
+            assert grid.tobytes() == inner.tobytes()
+            assert grid[:, 1:-1, 1:-1].any()
 
     def test_image_gradient_is_skipped(self, monkeypatch):
         calls = []
