@@ -6,10 +6,12 @@ Runs, in a fresh temporary directory and from this checkout's `src`:
 `synth` of the training set (8 images, seed 42) and the test set (4
 images, seed 43), `train` with {"epochs": 3}, `infer` on
 data/test/synth000.ppm, `eval --model --data data/test`, and
-`gradcheck --seed 42`. Prints one line per output: the first 16 hex
-digits of the sha256 of the checkpoint, the trace, the mask, the report
-and gradcheck's standard output. A change that must keep every byte
-prints the same five lines before and after.
+`gradcheck --seed 42`, and `synth` of 2 images of 128 px (seed 7), each
+of which takes 589,824 draws in one fill. Prints one line per output:
+the first 16 hex digits of the sha256 of the checkpoint, the trace, the
+mask, the report, gradcheck's standard output and the 128 px set (its
+files' names and bytes, in name order). A change that must keep every
+byte prints the same six lines before and after.
 """
 
 from __future__ import annotations
@@ -52,9 +54,13 @@ def main() -> None:
         sweepseg(d, "eval", "--model", "model.ckpt", "--data", "data/test",
                  "--report", "report.txt")
         gradcheck = sweepseg(d, "gradcheck", "--seed", "42")
+        sweepseg(d, "synth", "--out", "synth128", "--count", "2", "--size", "128", "--seed", "7")
+        synth = b"".join(f.name.encode() + b"\0" + f.read_bytes()
+                         for f in sorted((d / "synth128").iterdir()))
         for name in ("model.ckpt", "trace.csv", "pred.pgm", "report.txt"):
             print(f"{prefix((d / name).read_bytes())}  {name}")
         print(f"{prefix(gradcheck)}  gradcheck --seed 42")
+        print(f"{prefix(synth)}  synth --count 2 --size 128 --seed 7")
 
 
 if __name__ == "__main__":

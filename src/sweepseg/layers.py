@@ -315,7 +315,8 @@ def _window_cells(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
-def maxpool2x2_forward(x: np.ndarray, grid: bool = False) -> tuple[np.ndarray, OpRecord]:
+def maxpool2x2_forward(x: np.ndarray, grid: bool = False,
+                       keep_winner: bool = True) -> tuple[np.ndarray, OpRecord]:
     """Disjoint 2x2 window max per channel; ties go to the first cell row-major.
 
     With grid, the pool also applies the relu of the conv before it, which
@@ -324,7 +325,9 @@ def maxpool2x2_forward(x: np.ndarray, grid: bool = False) -> tuple[np.ndarray, O
     into the interior of a zeroed (N, h/2+2, w/2+2, c) grid for the next
     conv. The record then keeps one uint8 winner per window instead of x,
     so the conv's output is freed once it is pooled; the upstream gradient
-    lies on the output grid and the input gradient on x's, border 0.
+    lies on the output grid and the input gradient on x's, border 0. A
+    forward that no backward follows passes keep_winner=False, and the
+    grid pool then skips the winners, so its record has no backward.
     """
     _check_batch(x, "maxpool")
     inner = x[:, 1:-1, 1:-1] if grid else x
@@ -335,12 +338,12 @@ def maxpool2x2_forward(x: np.ndarray, grid: bool = False) -> tuple[np.ndarray, O
     top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
     if not grid:
         return top, _record("maxpool2x2", top.shape, _maxpool_backward, x=x, out=top)
-    winner = _winners(cells, top)
+    saved = {"winner": _winners(cells, top)} if keep_winner else {}
     out = np.empty((n, h // 2 + 2, w // 2 + 2, c), dtype=x.dtype)
     _zero_border(out, 1)
     np.maximum(top, 0, out=out[:, 1:-1, 1:-1])
-    return out, _record("maxpool2x2", out.shape, _relu_pool_backward, winner=winner,
-                        in_shape=x.shape)
+    return out, _record("maxpool2x2", out.shape, _relu_pool_backward, in_shape=x.shape,
+                        **saved)
 
 
 def _winners(cells: list[np.ndarray], top: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from .layers import (
 )
 from .metrics import ConfusionCounts, confusion_counts, metrics_from_counts
 from .renet import PATCH, RenetParams, SweepParams, renet_block
-from .tensor import Rng, glorot_init, load_checkpoint, save_checkpoint
+from .tensor import Rng, glorot_scale, load_checkpoint, save_checkpoint
 
 ENCODER_CHANNELS = (16, 16, 32, 32, 64, 64, 64)
 POOL_AFTER = frozenset((2, 4))  # pool follows these conv indices (1-based)
@@ -134,24 +134,6 @@ class TrainTrace:
 RELU_GAIN = np.float32(np.sqrt(2.0))
 
 
-def _conv_glorot(shape, rng, gain=RELU_GAIN):
-    kh, kw, ci, co = shape
-    w = glorot_init(shape, kh * kw * ci, kh * kw * co, rng)
-    w *= gain
-    return w
-
-
-def _tconv_glorot(shape, rng):
-    # a stride-s transposed conv touches each output cell through (k/s)^2
-    # taps, not k^2; counting the full kernel as fan shrinks the decoder
-    # signal 3x per stage and stalls training inside the epoch budget
-    k, _, ci, co = shape
-    fan = (k // TCONV_STRIDE) ** 2
-    w = glorot_init(shape, fan * ci, fan * co, rng)
-    w *= RELU_GAIN
-    return w
-
-
 def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Every parameter's name and shape, in declaration (and draw) order."""
     shapes = []
@@ -176,23 +158,45 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def _init_param(name: str, shape: tuple[int, ...], rng: Rng) -> np.ndarray:
-    if name.endswith(".bias"):
-        return np.zeros(shape, dtype=np.float32)
-    if name.startswith("enc"):
-        return _conv_glorot(shape, rng)
+def _glorot_fans(name: str, shape: tuple[int, ...]) -> tuple[int, int, np.float32]:
+    """A weight's Glorot fan-in and fan-out, and the gain its draws are scaled by."""
     if name.startswith("dec"):
-        return _tconv_glorot(shape, rng)
-    if name == "out.weights":
+        # a stride-s transposed conv touches each output cell through (k/s)^2
+        # taps, not k^2; counting the full kernel as fan shrinks the decoder
+        # signal 3x per stage and stalls training inside the epoch budget
+        k, _, ci, co = shape
+        fan = (k // TCONV_STRIDE) ** 2
+        return fan * ci, fan * co, RELU_GAIN
+    if len(shape) == 4:
+        kh, kw, ci, co = shape
         # the logit head feeds a sigmoid, not a relu, so it keeps plain Glorot
-        return _conv_glorot(shape, rng, gain=np.float32(1.0))
-    return glorot_init(shape, shape[0], shape[1], rng)  # recurrent wx and wz
+        gain = np.float32(1.0) if name == "out.weights" else RELU_GAIN
+        return kh * kw * ci, kh * kw * co, gain
+    return shape[0], shape[1], np.float32(1.0)  # recurrent wx and wz
 
 
 def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
-    """Allocate and Glorot-initialize every parameter, in declaration order."""
-    return ModelParams(values={name: _init_param(name, shape, rng)
-                               for name, shape in param_shapes(config)})
+    """Allocate and Glorot-initialize every parameter, in declaration order.
+
+    One fill draws every weight, so each weight gets exactly the draws a
+    fill of its own would give; biases start at zero and draw nothing.
+    """
+    shapes = param_shapes(config)
+    draws = rng.fill(sum(math.prod(shape) for name, shape in shapes
+                         if not name.endswith(".bias")))
+    values = {}
+    at = 0
+    for name, shape in shapes:
+        if name.endswith(".bias"):
+            values[name] = np.zeros(shape, dtype=np.float32)
+            continue
+        size = math.prod(shape)
+        fan_in, fan_out, gain = _glorot_fans(name, shape)
+        w = glorot_scale(draws[at:at + size], fan_in, fan_out).reshape(shape)
+        w *= gain
+        values[name] = w
+        at += size
+    return ModelParams(values=values)
 
 
 def _renet_params(params: ModelParams) -> RenetParams:
@@ -205,7 +209,8 @@ def _renet_params(params: ModelParams) -> RenetParams:
 
 def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
     """Encoder output and the op tape: (prefix, record) pairs appended to
-    `sink`, a fresh list when it is None."""
+    `sink`, a fresh list when it is None. A sink that keeps nothing means no
+    backward follows, so the pools skip the winners that only it reads."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
     h, w = images.shape[1:3]
@@ -213,6 +218,7 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
         raise ShapeError(f"image is {w}x{h}: each side must be divisible by {SIDE_MULTIPLE} "
                          f"(two 2x2 pools, then {PATCH}x{PATCH} patches)")
     tape = [] if sink is None else sink
+    keep_winner = getattr(tape, "maxlen", None) != 0
     x = images
     last = len(ENCODER_CHANNELS)
     for i in range(1, last + 1):
@@ -224,7 +230,7 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
                                 grid_in=i > 1, grid_out=i < last)
         tape.append((f"enc{i}", rec))
         if pooled:
-            x, rec = maxpool2x2_forward(x, grid=True)
+            x, rec = maxpool2x2_forward(x, grid=True, keep_winner=keep_winner)
             tape.append((None, rec))
     return x, tape
 

@@ -4,7 +4,9 @@ Tensors are plain numpy float32 arrays in row-major (C) order; float64 is
 used transiently by the gradient-check harness. All randomness in the
 package flows through the xorshift64* generator below, which is bit-exact
 across platforms, so identical seeds give identical models, shuffles and
-synthetic datasets.
+synthetic datasets. Its batch draw works through L2-sized chunks of lanes
+stepped together, a power of two long by the chunk's size, and starts
+each lane by jumping ahead through byte tables; see `Rng`.
 """
 
 from __future__ import annotations
@@ -29,16 +31,18 @@ _MULTIPLIER = 2685821657736338717
 _INV_2_53 = 2.0 ** -53
 _U1, _U11, _U12, _U25, _U27 = (np.uint64(v) for v in (1, 11, 12, 25, 27))
 _UMULTIPLIER = np.uint64(_MULTIPLIER)
-_BIT_INDEX = np.arange(64, dtype=np.uint64)
-_JUMP_BLOCK = 128  # states per (block, 64) bit table in _jump
-_LANE_BITS = 6
-_LANE = 1 << _LANE_BITS  # consecutive draws per lane in fill()
+_BYTE_INDEX = np.arange(8)
+_CHUNK_BITS = 17
+_CHUNK = 1 << _CHUNK_BITS  # most draws per chunk in fill(): 1 MB of output stays in L2
 # fill() steps lanes from this many draws up and runs the serial loop below
-# it. The two cost the same near 800 draws: the serial loop takes 0.40 us a
-# draw, the lanes about 0.31 ms whatever the count up to a few thousand
-# (0.31 vs 0.32 ms at 768 draws, 0.36 vs 0.32 ms at 896; medians of 9
-# calls, one Xeon core, numpy 2.4).
-_VECTOR_MIN = 800
+# it. The two cost the same near 100 draws: the serial loop takes about
+# 0.55 us a draw (53 us at 96 draws, 70 us at 128), 4-draw lanes about 55
+# us at either; medians of 25 calls, one Xeon core, numpy 2.4.
+_VECTOR_MIN = 100
+# a jump of up to this many states gathers all 8 bytes in one indexing call;
+# a longer one takes byte by byte, which costs less per state (about 30 ns
+# against 70) but about 20 us more per call (16 calls instead of 2)
+_GATHER_MAX = 256
 
 CHECKPOINT_MAGIC = b"RSEG"
 CHECKPOINT_VERSION = 1
@@ -55,16 +59,21 @@ class Rng:
     reproducible, so callers must draw in a fixed, documented order.
 
     `fill(n)` returns exactly the draws, and leaves exactly the state, of n
-    calls to `next()`. From _VECTOR_MIN draws up it cuts the stream into
-    n // 64 lanes of 64 consecutive draws and steps every lane at once in
+    calls to `next()`. From _VECTOR_MIN draws up it works through chunks of
+    at most _CHUNK draws, whose output stays in L2. Each chunk is cut into
+    lanes of L consecutive draws, L a power of two chosen from the first
+    chunk's size (`_lane_length`), and every lane is stepped at once in
     uint64 arithmetic (the multiply wraps mod 2^64), writing lane k's draws
-    to positions 64k..64k+63; the last n % 64 draws continue the last lane
-    one at a time. The update is linear over GF(2), so lane k starts from
-    M^(64k) applied to the state, where M is the 64x64 bit matrix of one
-    update: the lane starts double level by level, each level applying the
-    jump M^(64 * 2^level) from the fixed table _LANE_JUMPS to the starts
-    found so far (Haramoto et al., "Efficient jump ahead for F2-linear
-    random number generators", INFORMS JoC 2008).
+    to the chunk's positions kL..kL+L-1; the last n % L draws continue the
+    last lane one at a time. The update is linear over GF(2), so lane k
+    starts from M^(kL) applied to the chunk's start, where M is the 64x64
+    bit matrix of one update. The first chunk's lane starts double level by
+    level, each level applying M^(L * 2^level) to the starts found so far;
+    each later chunk's lanes start M^_CHUNK past the previous chunk's. A
+    jump M^(2^j) is applied through its byte table in _JUMPS: 8 lookups,
+    one per byte of the state read little-endian, and 7 XORs (Haramoto et
+    al., "Efficient jump ahead for F2-linear random number generators",
+    INFORMS JoC 2008).
     """
 
     def __init__(self, seed: int):
@@ -85,22 +94,35 @@ class Rng:
     def fill(self, count: int) -> np.ndarray:
         """Draw `count` uniforms into a float64 array (row-major order)."""
         out = np.empty(count, dtype=np.float64)
-        lanes = count // _LANE if count >= _VECTOR_MIN else 0
+        bits = out.view(np.uint64)  # a chunk's top 53 bits, scaled in place
         state = self.state
-        if lanes:
-            state = _fill_lanes(state, out[:lanes * _LANE].reshape(lanes, _LANE))
-        self.state = _fill_serial(state, out[lanes * _LANE:])
-        out *= _INV_2_53
+        done = 0
+        if count >= _VECTOR_MIN:
+            first = min(count, _CHUNK)
+            length = _lane_length(first)
+            starts = _lane_starts(state, first // length, length)
+            for at in range(0, count, _CHUNK):
+                lanes = min(_CHUNK, count - at) // length
+                if not lanes:
+                    break
+                if at:
+                    starts = _jump(_JUMPS[_CHUNK_BITS], starts[:lanes])
+                done = at + lanes * length
+                state = _fill_lanes(starts[:lanes], bits[at:done].reshape(lanes, length))
+                chunk = out[at:done]
+                chunk[...] = bits[at:done]
+                chunk *= _INV_2_53
+        self.state = _fill_serial(state, out[done:])
         return out
 
 
 def _fill_serial(state: int, out: np.ndarray) -> int:
-    """Write the top 53 bits of each next output to `out`; return the state."""
+    """Write each next draw to `out`; return the state."""
     for i in range(len(out)):
         state ^= state >> 12
         state = (state ^ (state << 25)) & _MASK64
         state ^= state >> 27
-        out[i] = ((state * _MULTIPLIER) & _MASK64) >> 11
+        out[i] = (((state * _MULTIPLIER) & _MASK64) >> 11) * _INV_2_53
     return state
 
 
@@ -114,48 +136,80 @@ def _step(s: np.ndarray, tmp: np.ndarray) -> None:
     s ^= tmp
 
 
-def _jump(states: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
-    """Write to `out` the GF(2) matrix with these 64 column words times each state.
+def _jump(table: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The jump whose (8, 256) byte table is `table` applied to each state.
 
-    Works in blocks, so the (block, 64) table of state bits stays small.
+    Row k of the table maps a byte v to the jump of v << 8k, so a state's
+    jump is the XOR of its 8 bytes' rows. `out` must not overlap `states`.
     """
-    for i in range(0, len(states), _JUMP_BLOCK):
-        bits = states[i:i + _JUMP_BLOCK, None] >> _BIT_INDEX
-        bits &= _U1
-        bits *= columns
-        np.bitwise_xor.reduce(bits, axis=1, out=out[i:i + _JUMP_BLOCK])
+    b = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    if out is None:
+        out = np.empty(len(states), dtype=np.uint64)
+    if len(states) <= _GATHER_MAX:
+        np.bitwise_xor.reduce(table[_BYTE_INDEX, b], axis=1, out=out)
+        return out
+    tmp = np.empty_like(out)
+    table[0].take(b[:, 0], out=out)
+    for k in range(1, 8):
+        table[k].take(b[:, k], out=tmp)
+        out ^= tmp
+    return out
 
 
-def _fill_lanes(state: int, grid: np.ndarray) -> int:
-    """Fill `grid` (lanes, _LANE) with the draws' top 53 bits; return the state."""
-    lanes = grid.shape[0]
+def _lane_length(chunk: int) -> int:
+    """Draws per lane for a chunk: about sqrt(chunk) / 16, a power of two, at
+    least 4. Lanes then cost about as much to start (one jump each) as their
+    steps cost in per-call numpy overhead (16 at a full chunk)."""
+    return 1 << max(2, (chunk.bit_length() - 1) // 2 - 4)
+
+
+def _lane_starts(state: int, lanes: int, length: int) -> np.ndarray:
+    """States M^(length * k) applied to `state`, for k < lanes."""
     s = np.empty(lanes, dtype=np.uint64)
     s[0] = state
     known = 1  # lane starts found so far; each level doubles them
-    for columns in _LANE_JUMPS[:(lanes - 1).bit_length()]:
+    level = length.bit_length() - 1
+    for table in _JUMPS[level:level + (lanes - 1).bit_length()]:
         new = min(known, lanes - known)
-        _jump(s[:new], columns, s[known:known + new])
+        _jump(table, s[:new], s[known:known + new])
         known += new
+    return s
+
+
+def _fill_lanes(starts: np.ndarray, grid: np.ndarray) -> int:
+    """Fill `grid` (lanes, length) with the top 53 bits of each lane's
+    outputs, lane k starting from starts[k]; return the last lane's end state."""
+    s = starts.copy()
     tmp = np.empty_like(s)
-    for t in range(_LANE):
+    for t in range(grid.shape[1]):
         _step(s, tmp)
-        np.multiply(s, _UMULTIPLIER, out=tmp)
-        np.right_shift(tmp, _U11, out=grid[:, t])
+        np.multiply(s, _UMULTIPLIER, out=grid[:, t])
+    grid >>= _U11
     return int(s[-1])
 
 
-def _lane_jumps() -> np.ndarray:
-    """Row k: the column words of M^(_LANE * 2^k), M being one update."""
-    columns = np.left_shift(_U1, _BIT_INDEX)
+def _byte_table(columns: np.ndarray) -> np.ndarray:
+    """Byte table of the GF(2) matrix whose 64 column words are `columns`."""
+    table = np.zeros((8, 256), dtype=np.uint64)
+    bit_columns = columns.reshape(8, 8)  # [byte, bit]
+    for bit in range(8):
+        np.bitwise_xor(table[:, :1 << bit], bit_columns[:, bit:bit + 1],
+                       out=table[:, 1 << bit:2 << bit])
+    return table
+
+
+def _jump_tables() -> np.ndarray:
+    """Row j: the byte table of M^(2^j), M being one update, up to M^_CHUNK."""
+    columns = np.left_shift(_U1, np.arange(64, dtype=np.uint64))
     _step(columns, np.empty_like(columns))
-    table = np.empty((_LANE_BITS + 64, 64), dtype=np.uint64)
-    table[0] = columns
-    for k in range(1, len(table)):  # square: M^(2^k)
-        _jump(table[k - 1], table[k - 1], table[k])
-    return table[_LANE_BITS:]  # 64 levels: up to 2^64 lanes
+    tables = np.empty((_CHUNK_BITS + 1, 8, 256), dtype=np.uint64)
+    for j in range(len(tables)):
+        tables[j] = _byte_table(columns)
+        columns = _jump(tables[j], columns)  # square: M^(2^(j+1))
+    return tables
 
 
-_LANE_JUMPS = _lane_jumps()
+_JUMPS = _jump_tables()
 
 
 def glorot_init(shape: Iterable[int], fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
@@ -166,11 +220,15 @@ def glorot_init(shape: Iterable[int], fan_in: int, fan_out: int, rng: Rng) -> np
     dims = list(shape)
     if not dims or any(int(d) < 1 for d in dims):
         raise ShapeError(f"invalid shape {dims}")
+    return glorot_scale(rng.fill(int(np.prod(dims))), fan_in, fan_out).reshape(dims)
+
+
+def glorot_scale(draws: np.ndarray, fan_in: int, fan_out: int) -> np.ndarray:
+    """Map uniform draws in [0,1) to float32 Uniform(-a, a), a = sqrt(6/(fan_in+fan_out))."""
     if fan_in < 1 or fan_out < 1:
         raise ShapeError("fan_in and fan_out must be >= 1")
     a = math.sqrt(6.0 / (fan_in + fan_out))
-    u = rng.fill(int(np.prod(dims)))
-    return ((u * 2.0 - 1.0) * a).astype(np.float32).reshape(dims)
+    return ((draws * 2.0 - 1.0) * a).astype(np.float32)
 
 
 def save_checkpoint(entries: Mapping[str, np.ndarray], sink: BinaryIO) -> int:

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import sweepseg.layers as layers_module
 import sweepseg.model as model_module
 from sweepseg.data import generate_synthetic
 from sweepseg.errors import (
@@ -29,6 +30,8 @@ from sweepseg.model import (
     ENCODER_CHANNELS,
     MAX_IMAGE_SIZE,
     MAX_RNN_UNITS,
+    RELU_GAIN,
+    TCONV_STRIDE,
     ModelConfig,
     ModelParams,
     TrainTrace,
@@ -40,12 +43,13 @@ from sweepseg.model import (
     forward,
     load_model,
     loss_and_gradients,
+    param_shapes,
     predict_mask,
     save_model,
     sgd_update,
     train,
 )
-from sweepseg.tensor import Rng, load_checkpoint, save_checkpoint
+from sweepseg.tensor import Rng, glorot_init, load_checkpoint, save_checkpoint
 
 
 def small_config(**kw):
@@ -93,12 +97,44 @@ class TestBuild:
         for k, v in params.values.items():
             assert params.momentum[k].shape == v.shape
 
+    @pytest.mark.parametrize("rnn_units", [ModelConfig().rnn_units, 8, MAX_RNN_UNITS])
+    def test_one_fill_gives_the_bytes_of_one_fill_per_weight(self, rnn_units):
+        config = ModelConfig(rnn_units=rnn_units)
+        one, per_weight = Rng(29), Rng(29)
+        got = build_model(config, one).values
+        want = per_weight_init(config, per_weight)
+        assert list(got) == list(want)
+        for name, w in want.items():
+            assert got[name].dtype == np.float32 and got[name].shape == w.shape, name
+            assert got[name].tobytes() == w.tobytes(), name
+        assert one.state == per_weight.state
+
     def test_mismatched_buffers_rejected(self):
         params = build_model(small_config(), Rng(5))
         momentum = dict(params.momentum)
         momentum["out.bias"] = np.zeros(2, dtype=np.float32)
         with pytest.raises(ShapeError):
             ModelParams(values=params.values, momentum=momentum)
+
+
+def per_weight_init(config, rng):
+    """The parameters as drawn by one glorot_init call per weight, in
+    declaration order: the reference for build_model's single fill."""
+    values = {}
+    for name, shape in param_shapes(config):
+        if name.endswith(".bias"):
+            values[name] = np.zeros(shape, dtype=np.float32)
+        elif name.startswith("dec"):
+            k, _, ci, co = shape
+            fan = (k // TCONV_STRIDE) ** 2
+            values[name] = glorot_init(shape, fan * ci, fan * co, rng) * RELU_GAIN
+        elif len(shape) == 4:
+            kh, kw, ci, co = shape
+            w = glorot_init(shape, kh * kw * ci, kh * kw * co, rng)
+            values[name] = w if name == "out.weights" else w * RELU_GAIN
+        else:
+            values[name] = glorot_init(shape, shape[0], shape[1], rng)
+    return values
 
 
 def encode(images, params):
@@ -245,6 +281,23 @@ class TestForward:
         # MB, about 177 B per pixel (186.3 MB, 237 B per pixel, while every
         # conv padded a copy of its input)
         assert forward_peak((768, 1024)) < 1.1 * 139.1e6
+
+    def test_forward_skips_the_pool_winners_that_only_a_backward_reads(self, monkeypatch):
+        calls = []
+        winners = layers_module._winners
+        monkeypatch.setattr(layers_module, "_winners",
+                            lambda *a: calls.append(a[1].shape) or winners(*a))
+        params = build_model(small_config(), Rng(19))
+        rng = np.random.default_rng(8)
+        image = rng.uniform(size=(16, 16, 3)).astype(np.float32)
+        mask = (rng.uniform(size=(16, 16, 1)) < 0.5).astype(np.float32)
+        prob = forward(image, params)
+        assert calls == []
+        taped, _ = _forward_tape(image[None], params)
+        assert prob.tobytes() == taped[0].tobytes()
+        calls.clear()
+        loss_and_gradients([(image, mask)], params)
+        assert len(calls) == 2  # one per pool
 
     def test_samples_are_independent(self):
         params = build_model(small_config(), Rng(19))

@@ -1,5 +1,7 @@
+import functools
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from sweepseg.errors import (
     VersionMismatchError,
 )
 from sweepseg.tensor import (
-    _LANE,
+    _CHUNK,
     _VECTOR_MIN,
     Rng,
+    _lane_length,
     glorot_init,
     load_checkpoint,
     save_checkpoint,
@@ -31,7 +34,13 @@ def reference_xorshift64star(seed, count):
 
 def reference_stream(seed, count):
     """The oracle's `count` draws and the state it ends in."""
-    values = []
+    values, states = reference_walk(seed, count)
+    return values, states[-1]
+
+
+def reference_walk(seed, count):
+    """The oracle's `count` draws and its states: states[i] after i draws."""
+    values, states = [], [seed]
     state = np.uint64(seed)
     mult = np.uint64(2685821657736338717)
     with np.errstate(over="ignore"):
@@ -41,20 +50,34 @@ def reference_stream(seed, count):
             state ^= state >> np.uint64(27)
             out = state * mult
             values.append(float(out >> np.uint64(11)) * 2.0**-53)
-    return values, int(state)
+            states.append(int(state))
+    return values, states
 
 
 SEEDS = st.integers(1, (1 << 64) - 1)
-# the serial/lane crossover, and whole lane counts at jump-table levels
-# (16 -> 17 and 32 -> 33 lanes add a level) and at one 64 and one 128 px
-# synthetic image (2304 and 9216 lanes), each with its neighbours
+FULL_LANE = _lane_length(_CHUNK)
+# the serial/lane crossover; each power of two from there to one chunk,
+# with its neighbours, which covers every lane length the rule picks at both
+# ends of its range; and one and two chunks followed by nothing, by a
+# serial tail alone, by whole lanes, and by lanes plus a serial tail
 BOUNDARY_COUNTS = sorted(
-    {0, 1, _LANE - 1, _LANE, _LANE + 1, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1}
-    | {lanes * _LANE + d for lanes in (12, 13, 16, 17, 32, 33, 2304, 9216) for d in (-1, 0, 1)})
+    {0, 1, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1}
+    | {(1 << b) + d for b in range(_VECTOR_MIN.bit_length(), _CHUNK.bit_length())
+       for d in (-1, 0, 1)}
+    | {k * _CHUNK + d for k in (1, 2)
+       for d in (-1, 0, 1, FULL_LANE - 1, FULL_LANE, 2 * FULL_LANE + 3)})
+SEAM_SEED = (1 << 64) - 1
+
+
+@functools.cache
+def seam_walk():
+    """SEAM_SEED's oracle walk, long enough for every boundary count."""
+    return reference_walk(SEAM_SEED, max(BOUNDARY_COUNTS))
+
+
 SMALL_COUNTS = st.one_of(st.sampled_from([c for c in BOUNDARY_COUNTS if c <= 5000]),
                          st.integers(0, 5000))
-COUNTS = st.one_of(st.sampled_from(BOUNDARY_COUNTS), st.integers(0, 5000),
-                   st.integers(0, 600_000))
+COUNTS = st.one_of(st.integers(0, 5000), st.integers(0, 600_000))
 
 
 class TestRng:
@@ -88,11 +111,27 @@ class TestRng:
         assert np.all(u >= 0.0)
         assert np.all(u < 1.0)
 
+    @pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+    def test_fill_equals_the_scalar_recurrence_at_every_seam(self, count):
+        values, states = seam_walk()
+        rng = Rng(SEAM_SEED)
+        got = rng.fill(count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        np.testing.assert_array_equal(got, np.array(values[:count], dtype=np.float64))
+        assert rng.state == states[count]
+
+    def test_seams_cover_every_lane_length(self):
+        picked_by = {}
+        for count in range(_VECTOR_MIN, _CHUNK + 1):
+            picked_by.setdefault(_lane_length(count), []).append(count)
+        assert len(picked_by) > 1
+        for counts in picked_by.values():
+            assert counts[0] in BOUNDARY_COUNTS and counts[-1] in BOUNDARY_COUNTS
+
     @settings(max_examples=40, deadline=None)
     @example(seed=1, count=0)
     @example(seed=(1 << 64) - 1, count=1)
-    @example(seed=1, count=9216 * _LANE + 1)
-    @example(seed=(1 << 64) - 1, count=600_000)
+    @example(seed=1, count=12 * 128 * 128 * 3 + 1)  # a 128 px synthetic image's fill, plus one
     @given(seed=SEEDS, count=COUNTS)
     def test_fill_equals_the_scalar_recurrence(self, seed, count):
         rng = Rng(seed)
@@ -102,8 +141,19 @@ class TestRng:
         np.testing.assert_array_equal(got, np.array(want, dtype=np.float64))
         assert rng.state == state  # count 0: the seed itself
 
+    def test_fill_holds_no_buffer_the_size_of_its_count(self):
+        rng = Rng(3)
+        rng.fill(1 << 20)  # warm every lazily allocated numpy buffer
+        tracemalloc.start()
+        try:
+            rng.fill(1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (1 << 20) + (1 << 20)  # the output plus a fixed 1 MB
+
     @settings(max_examples=30, deadline=None)
-    @example(seed=1, calls=[None, _VECTOR_MIN, None, _LANE + 1, _VECTOR_MIN + _LANE - 1])
+    @example(seed=1, calls=[None, _VECTOR_MIN, None, FULL_LANE + 1, _CHUNK + FULL_LANE - 1])
     @given(seed=SEEDS, calls=st.lists(st.one_of(st.none(), SMALL_COUNTS), max_size=8))
     def test_interleaved_next_and_fill_are_one_stream(self, seed, calls):
         """None is one next(); a number is one fill(number)."""
