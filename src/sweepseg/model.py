@@ -207,10 +207,10 @@ def _renet_params(params: ModelParams) -> RenetParams:
                        right=sweep("right"), left=sweep("left"))
 
 
-def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
+def _encode_tape(images: np.ndarray, params: ModelParams, sink=None, keep_winner=True):
     """Encoder output and the op tape: (prefix, record) pairs appended to
-    `sink`, a fresh list when it is None. A sink that keeps nothing means no
-    backward follows, so the pools skip the winners that only it reads."""
+    `sink`, a fresh list when it is None. A forward that no backward follows
+    passes keep_winner=False, so the pools skip the winners only it reads."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
     h, w = images.shape[1:3]
@@ -218,7 +218,6 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None):
         raise ShapeError(f"image is {w}x{h}: each side must be divisible by {SIDE_MULTIPLE} "
                          f"(two 2x2 pools, then {PATCH}x{PATCH} patches)")
     tape = [] if sink is None else sink
-    keep_winner = getattr(tape, "maxlen", None) != 0
     x = images
     last = len(ENCODER_CHANNELS)
     for i in range(1, last + 1):
@@ -264,9 +263,9 @@ def _decode_tape(x: np.ndarray, params: ModelParams, sink=None):
     return x, tape
 
 
-def _forward_tape(images: np.ndarray, params: ModelParams, sink=None):
+def _forward_tape(images: np.ndarray, params: ModelParams, sink=None, keep_winner=True):
     """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape."""
-    x, tape = _encode_tape(images, params, sink)
+    x, tape = _encode_tape(images, params, sink, keep_winner)
     x, rec = renet_block(x, _renet_params(params))
     tape.append(("renet", rec))
     return _decode_tape(x, params, tape)
@@ -276,9 +275,10 @@ def forward(image: np.ndarray, params: ModelParams) -> np.ndarray:
     """Full network: probability mask with the input's spatial shape.
 
     No backward pass follows, so the tape is a sink that keeps nothing:
-    each op's record is dropped once the next op has run.
+    each op's record is dropped once the next op has run, and the pools
+    keep no winner index.
     """
-    return _forward_tape(image[None], params, deque(maxlen=0))[0][0]
+    return _forward_tape(image[None], params, deque(maxlen=0), keep_winner=False)[0][0]
 
 
 def _batch_step(batch, params: ModelParams):

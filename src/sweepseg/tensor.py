@@ -4,9 +4,9 @@ Tensors are plain numpy float32 arrays in row-major (C) order; float64 is
 used transiently by the gradient-check harness. All randomness in the
 package flows through the xorshift64* generator below, which is bit-exact
 across platforms, so identical seeds give identical models, shuffles and
-synthetic datasets. Its batch draw works through L2-sized chunks of lanes
-stepped together, a power of two long by the chunk's size, and starts
-each lane by jumping ahead through byte tables; see `Rng`.
+synthetic datasets. Its batch draw works through L2-sized chunks of
+16-draw lanes stepped together, and starts each lane by jumping ahead
+through byte tables; see `Rng`.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ _UMULTIPLIER = np.uint64(_MULTIPLIER)
 _BYTE_INDEX = np.arange(8)
 _CHUNK_BITS = 17
 _CHUNK = 1 << _CHUNK_BITS  # most draws per chunk in fill(): 1 MB of output stays in L2
+_LANE_BITS = 4
+_LANE = 1 << _LANE_BITS  # draws per lane in fill()
 # fill() steps lanes from this many draws up and runs the serial loop below
-# it. The two cost the same near 100 draws: the serial loop takes about
-# 0.55 us a draw (53 us at 96 draws, 70 us at 128), 4-draw lanes about 55
-# us at either; medians of 25 calls, one Xeon core, numpy 2.4.
-_VECTOR_MIN = 100
+# it. The two cost the same near 192 draws: the serial loop takes about
+# 0.45 us a draw (84-96 us at 192 draws, 115-120 us at 256), 16-draw lanes
+# about 82-89 us at either; medians of 25 calls, one Xeon core, numpy 2.4.
+_VECTOR_MIN = 192
 # a jump of up to this many states gathers all 8 bytes in one indexing call;
 # a longer one takes byte by byte, which costs less per state (about 30 ns
 # against 70) but about 20 us more per call (16 calls instead of 2)
@@ -61,11 +63,10 @@ class Rng:
     `fill(n)` returns exactly the draws, and leaves exactly the state, of n
     calls to `next()`. From _VECTOR_MIN draws up it works through chunks of
     at most _CHUNK draws, whose output stays in L2. Each chunk is cut into
-    lanes of L consecutive draws, L a power of two chosen from the first
-    chunk's size (`_lane_length`), and every lane is stepped at once in
-    uint64 arithmetic (the multiply wraps mod 2^64), writing lane k's draws
-    to the chunk's positions kL..kL+L-1; the last n % L draws continue the
-    last lane one at a time. The update is linear over GF(2), so lane k
+    lanes of L = _LANE consecutive draws, and every lane is stepped at once
+    in uint64 arithmetic (the multiply wraps mod 2^64), writing lane k's
+    draws to the chunk's positions kL..kL+L-1; the last n % L draws continue
+    the last lane one at a time. The update is linear over GF(2), so lane k
     starts from M^(kL) applied to the chunk's start, where M is the 64x64
     bit matrix of one update. The first chunk's lane starts double level by
     level, each level applying M^(L * 2^level) to the starts found so far;
@@ -98,17 +99,15 @@ class Rng:
         state = self.state
         done = 0
         if count >= _VECTOR_MIN:
-            first = min(count, _CHUNK)
-            length = _lane_length(first)
-            starts = _lane_starts(state, first // length, length)
+            starts = _lane_starts(state, min(count, _CHUNK) // _LANE)
             for at in range(0, count, _CHUNK):
-                lanes = min(_CHUNK, count - at) // length
+                lanes = min(_CHUNK, count - at) // _LANE
                 if not lanes:
                     break
                 if at:
                     starts = _jump(_JUMPS[_CHUNK_BITS], starts[:lanes])
-                done = at + lanes * length
-                state = _fill_lanes(starts[:lanes], bits[at:done].reshape(lanes, length))
+                done = at + lanes * _LANE
+                state = _fill_lanes(starts[:lanes], bits[at:done].reshape(lanes, _LANE))
                 chunk = out[at:done]
                 chunk[...] = bits[at:done]
                 chunk *= _INV_2_53
@@ -156,20 +155,12 @@ def _jump(table: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def _lane_length(chunk: int) -> int:
-    """Draws per lane for a chunk: about sqrt(chunk) / 16, a power of two, at
-    least 4. Lanes then cost about as much to start (one jump each) as their
-    steps cost in per-call numpy overhead (16 at a full chunk)."""
-    return 1 << max(2, (chunk.bit_length() - 1) // 2 - 4)
-
-
-def _lane_starts(state: int, lanes: int, length: int) -> np.ndarray:
-    """States M^(length * k) applied to `state`, for k < lanes."""
+def _lane_starts(state: int, lanes: int) -> np.ndarray:
+    """States M^(_LANE * k) applied to `state`, for k < lanes."""
     s = np.empty(lanes, dtype=np.uint64)
     s[0] = state
     known = 1  # lane starts found so far; each level doubles them
-    level = length.bit_length() - 1
-    for table in _JUMPS[level:level + (lanes - 1).bit_length()]:
+    for table in _JUMPS[_LANE_BITS:_LANE_BITS + (lanes - 1).bit_length()]:
         new = min(known, lanes - known)
         _jump(table, s[:new], s[known:known + new])
         known += new
@@ -220,15 +211,20 @@ def glorot_init(shape: Iterable[int], fan_in: int, fan_out: int, rng: Rng) -> np
     dims = list(shape)
     if not dims or any(int(d) < 1 for d in dims):
         raise ShapeError(f"invalid shape {dims}")
+    _check_fans(fan_in, fan_out)  # before drawing: a rejected call leaves `rng` as it was
     return glorot_scale(rng.fill(int(np.prod(dims))), fan_in, fan_out).reshape(dims)
 
 
 def glorot_scale(draws: np.ndarray, fan_in: int, fan_out: int) -> np.ndarray:
     """Map uniform draws in [0,1) to float32 Uniform(-a, a), a = sqrt(6/(fan_in+fan_out))."""
-    if fan_in < 1 or fan_out < 1:
-        raise ShapeError("fan_in and fan_out must be >= 1")
+    _check_fans(fan_in, fan_out)
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return ((draws * 2.0 - 1.0) * a).astype(np.float32)
+
+
+def _check_fans(fan_in: int, fan_out: int) -> None:
+    if fan_in < 1 or fan_out < 1:
+        raise ShapeError("fan_in and fan_out must be >= 1")
 
 
 def save_checkpoint(entries: Mapping[str, np.ndarray], sink: BinaryIO) -> int:

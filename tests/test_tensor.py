@@ -18,9 +18,9 @@ from sweepseg.errors import (
 )
 from sweepseg.tensor import (
     _CHUNK,
+    _LANE,
     _VECTOR_MIN,
     Rng,
-    _lane_length,
     glorot_init,
     load_checkpoint,
     save_checkpoint,
@@ -55,17 +55,18 @@ def reference_walk(seed, count):
 
 
 SEEDS = st.integers(1, (1 << 64) - 1)
-FULL_LANE = _lane_length(_CHUNK)
-# the serial/lane crossover; each power of two from there to one chunk,
-# with its neighbours, which covers every lane length the rule picks at both
-# ends of its range; and one and two chunks followed by nothing, by a
-# serial tail alone, by whole lanes, and by lanes plus a serial tail
+# one lane and the serial/lane crossover; whole lane counts at each jump
+# table level from there to one chunk (2^k and 2^k + 1 lanes, the second
+# adding a level); and one and two chunks followed by nothing, by a serial
+# tail alone, by whole lanes, and by lanes plus a serial tail; each with
+# its neighbours
 BOUNDARY_COUNTS = sorted(
-    {0, 1, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1}
-    | {(1 << b) + d for b in range(_VECTOR_MIN.bit_length(), _CHUNK.bit_length())
-       for d in (-1, 0, 1)}
+    {0, 1, _LANE - 1, _LANE, _LANE + 1, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1}
+    | {lanes * _LANE + d
+       for k in range((_VECTOR_MIN // _LANE).bit_length(), (_CHUNK // _LANE).bit_length())
+       for lanes in (1 << k, (1 << k) + 1) for d in (-1, 0, 1)}
     | {k * _CHUNK + d for k in (1, 2)
-       for d in (-1, 0, 1, FULL_LANE - 1, FULL_LANE, 2 * FULL_LANE + 3)})
+       for d in (-1, 0, 1, _LANE - 1, _LANE, 2 * _LANE + 3)})
 SEAM_SEED = (1 << 64) - 1
 
 
@@ -120,14 +121,6 @@ class TestRng:
         np.testing.assert_array_equal(got, np.array(values[:count], dtype=np.float64))
         assert rng.state == states[count]
 
-    def test_seams_cover_every_lane_length(self):
-        picked_by = {}
-        for count in range(_VECTOR_MIN, _CHUNK + 1):
-            picked_by.setdefault(_lane_length(count), []).append(count)
-        assert len(picked_by) > 1
-        for counts in picked_by.values():
-            assert counts[0] in BOUNDARY_COUNTS and counts[-1] in BOUNDARY_COUNTS
-
     @settings(max_examples=40, deadline=None)
     @example(seed=1, count=0)
     @example(seed=(1 << 64) - 1, count=1)
@@ -153,7 +146,7 @@ class TestRng:
         assert peak <= 8 * (1 << 20) + (1 << 20)  # the output plus a fixed 1 MB
 
     @settings(max_examples=30, deadline=None)
-    @example(seed=1, calls=[None, _VECTOR_MIN, None, FULL_LANE + 1, _CHUNK + FULL_LANE - 1])
+    @example(seed=1, calls=[None, _VECTOR_MIN, None, _LANE + 1, _CHUNK + _LANE - 1])
     @given(seed=SEEDS, calls=st.lists(st.one_of(st.none(), SMALL_COUNTS), max_size=8))
     def test_interleaved_next_and_fill_are_one_stream(self, seed, calls):
         """None is one next(); a number is one fill(number)."""
@@ -193,6 +186,12 @@ class TestGlorot:
             glorot_init([2, 2], 0, 3, Rng(1))
         with pytest.raises(ShapeError):
             glorot_init([2, 2], 3, 0, Rng(1))
+
+    def test_rejected_fans_draw_nothing(self):
+        rng = Rng(1)
+        with pytest.raises(ShapeError):
+            glorot_init([2, 2], 0, 3, rng)
+        assert rng.state == 1
 
 
 class TestCheckpoint:
