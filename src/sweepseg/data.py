@@ -42,6 +42,11 @@ class ImageRecord:
 # PNM (P5 grayscale / P6 rgb), maxval 255, binary payload
 # ---------------------------------------------------------------------------
 
+# longest header field read: a header that lacks a field would otherwise
+# scan the binary payload byte by byte as one token
+_MAX_TOKEN = 32
+
+
 def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     """Read whitespace-separated tokens, honoring # comments; returns (tokens, pos)."""
     tokens = []
@@ -56,6 +61,8 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
             pos += 1
+            if pos - start > _MAX_TOKEN:
+                raise PnmError(f"PNM header field longer than {_MAX_TOKEN} bytes")
         if pos == start:
             raise PnmTruncatedError("header ended before all fields were read")
         tokens.append(data[start:pos])

@@ -121,8 +121,11 @@ def run_suite(seed: int = 42) -> list[CheckResult]:
     results.append(_probe_check(rng, "tconv4x4_s2", LINEAR_TOL,
                                 lambda: tconv_forward(x, w, b, 2, 0), x,
                                 {"weights": w, "bias": b}))
-    # distinct values 0.1 apart, so pool argmaxes survive +-h
-    x = 0.1 * np.argsort(rng.fill(72)).reshape(1, 6, 6, 2)
+    # distinct values 0.1 apart, so pool argmaxes survive +-h, inside the
+    # zero border of a conv's output grid; every window's max is at least
+    # 0.3, so the pool's relu never cuts at its kink
+    x = np.pad(0.1 * np.argsort(rng.fill(72)).reshape(1, 6, 6, 2),
+               ((0, 0), (1, 1), (1, 1), (0, 0)))
     results.append(_probe_check(rng, "maxpool2x2", NONLINEAR_TOL,
                                 lambda: maxpool2x2_forward(x), x))
     # the relu alone, via a 1x1 identity conv; inputs kept 0.05 off its kink

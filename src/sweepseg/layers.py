@@ -37,16 +37,16 @@ conv's output cell r sits at its own cell of the next conv's padded grid,
 and the junk rows, each sample's last 2p rows and columns, land exactly
 on that grid's border, which is then zeroed: the output is the next
 conv's padded input (`grid_out`), read in place (`grid_in`) with no pad
-copy. A pool between two convs reads the first one's grid, applies that
-conv's relu (relu commutes with max bit for bit), writes into the
-interior of a zeroed grid and keeps one uint8 winner per window instead
-of its input, so the conv's output is freed once it is pooled. The
-backward mirrors this: a conv's input gradient is written, by the same
-shift, onto the grid that the previous op's backward reads, its border
-zeroed, and that backward masks it in place, so no chained conv zeroes a
-fresh gradient buffer or copies its upstream gradient into one. Only its
-bias gradient reads a compact gather of that gradient, which keeps the
-GEMV's summation order and so its bits.
+copy. The pool has this one form, between two convs: it reads the first
+one's grid, applies that conv's relu (relu commutes with max bit for
+bit), writes into the interior of a zeroed grid and keeps one uint8
+winner per window instead of its input, so the conv's output is freed
+once it is pooled. The backward mirrors this: a conv's input gradient is
+written, by the same shift, onto the grid that the previous op's
+backward reads, its border zeroed, and that backward masks it in place,
+so no chained conv zeroes a fresh gradient buffer or copies its upstream
+gradient into one. Only its bias gradient reads a compact gather of that
+gradient, which keeps the GEMV's summation order and so its bits.
 
 The fractionally strided (transposed) convolution is, by definition, a
 sparse matrix times the flattened input: the rows enumerate output cells,
@@ -315,42 +315,39 @@ def _window_cells(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
-def maxpool2x2_forward(x: np.ndarray, grid: bool = False,
-                       keep_winner: bool = True) -> tuple[np.ndarray, OpRecord]:
-    """Disjoint 2x2 window max per channel; ties go to the first cell row-major.
+def maxpool2x2_forward(x: np.ndarray, keep_winner: bool = True) -> tuple[np.ndarray, OpRecord]:
+    """Relu, then disjoint 2x2 window max per channel, of a conv's output grid.
 
-    With grid, the pool also applies the relu of the conv before it, which
-    relu commutes with max bit for bit: x is that conv's zero-padded output
-    grid (N, h+2, w+2, c), and the relu'd max of its interior is written
-    into the interior of a zeroed (N, h/2+2, w/2+2, c) grid for the next
-    conv. The record then keeps one uint8 winner per window instead of x,
-    so the conv's output is freed once it is pooled; the upstream gradient
-    lies on the output grid and the input gradient on x's, border 0. A
-    forward that no backward follows passes keep_winner=False, and the
-    grid pool then skips the winners, so its record has no backward.
+    x is the zero-padded output grid (N, h+2, w+2, c) of the conv before
+    the pool, whose relu the pool applies (relu commutes with max bit for
+    bit); the relu'd max of its interior is written into the interior of a
+    zeroed (N, h/2+2, w/2+2, c) grid for the next conv. The record keeps
+    one uint8 winner per window instead of x, so the conv's output is
+    freed once it is pooled; ties go to the first cell row-major. The
+    upstream gradient lies on the output grid and the input gradient on
+    x's, border 0. A forward that no backward follows passes
+    keep_winner=False, and the pool then skips the winners, so its record
+    has no backward.
     """
     _check_batch(x, "maxpool")
-    inner = x[:, 1:-1, 1:-1] if grid else x
+    inner = x[:, 1:-1, 1:-1]
     n, h, w, c = inner.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
     cells = _window_cells(inner)
     top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
-    if not grid:
-        return top, _record("maxpool2x2", top.shape, _maxpool_backward, x=x, out=top)
     saved = {"winner": _winners(cells, top)} if keep_winner else {}
     out = np.empty((n, h // 2 + 2, w // 2 + 2, c), dtype=x.dtype)
     _zero_border(out, 1)
     np.maximum(top, 0, out=out[:, 1:-1, 1:-1])
-    return out, _record("maxpool2x2", out.shape, _relu_pool_backward, in_shape=x.shape,
-                        **saved)
+    return out, _record("maxpool2x2", out.shape, _maxpool_backward, in_shape=x.shape, **saved)
 
 
 def _winners(cells: list[np.ndarray], top: np.ndarray) -> np.ndarray:
-    """Each window's winner as `_maxpool_backward` picks it after a relu:
-    the first cell equal to the window's max `top` in row-major order, or
-    cell 3 when none is (a NaN window), plus 4 where that cell is not
-    above 0, so that the relu passes the window no gradient."""
+    """Each window's winner: the first cell equal to the window's max `top`
+    in row-major order, or cell 3 when none is (a NaN window), plus 4
+    where that cell is not above 0, so that the relu passes the window no
+    gradient."""
     # with n_k = (cell k != top), the first match is n0 * (1 + n1 * (1 + n2))
     winner = np.not_equal(cells[2], top).view(np.uint8)
     winner += 1
@@ -366,23 +363,6 @@ def _winners(cells: list[np.ndarray], top: np.ndarray) -> np.ndarray:
 
 
 def _maxpool_backward(rec: OpRecord, up: np.ndarray):
-    """Each window's gradient goes to its first maximal cell in row-major
-    order, or to its last cell when none matches (a NaN window)."""
-    out = rec.saved["out"]
-    cells = _window_cells(rec.saved["x"])
-    dx = np.empty(rec.saved["x"].shape, dtype=up.dtype)
-    d_cells = _window_cells(dx)
-    free = np.ones(out.shape, dtype=bool)  # windows whose winner is still open
-    for k in range(3):
-        won = np.equal(cells[k], out)
-        won &= free
-        np.multiply(up, won, out=d_cells[k])
-        free ^= won
-    np.multiply(up, free, out=d_cells[3])
-    return dx, {}
-
-
-def _relu_pool_backward(rec: OpRecord, up: np.ndarray):
     """Each window's gradient goes to its winner cell, to none where the
     relu cut it (a winner of 4 or more); dx lies on the conv's output grid,
     border 0."""

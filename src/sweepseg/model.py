@@ -7,7 +7,8 @@ with padding 1, so each doubles the map exactly, and relu, finished by a
 1x1 convolution and a sigmoid. Every relu runs inside its (transposed)
 conv, so the tape holds one op per layer. Output is a per-pixel
 foreground probability at the input resolution, each of whose sides must
-be a multiple of SIDE_MULTIPLE (8: two 2x2 pools, then 2x2 patches).
+be a multiple of SIDE_MULTIPLE (8: two 2x2 pools, then 2x2 patches), and
+which holds at most MAX_IMAGE_SIZE**2 pixels.
 
 A training step runs its whole batch through one forward and one backward
 pass, every op taking the (N, h, w, c) batch at once. The backward pops
@@ -207,17 +208,21 @@ def _renet_params(params: ModelParams) -> RenetParams:
                        right=sweep("right"), left=sweep("left"))
 
 
-def _encode_tape(images: np.ndarray, params: ModelParams, sink=None, keep_winner=True):
-    """Encoder output and the op tape: (prefix, record) pairs appended to
-    `sink`, a fresh list when it is None. A forward that no backward follows
-    passes keep_winner=False, so the pools skip the winners only it reads."""
+def _encode_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True):
+    """Encoder output and the op tape, a list of (prefix, record) pairs. A
+    forward that no backward follows passes keep_tape=False: the tape then
+    keeps no record, and the pools skip the winners that only a backward
+    reads."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
     h, w = images.shape[1:3]
     if h % SIDE_MULTIPLE or w % SIDE_MULTIPLE:
         raise ShapeError(f"image is {w}x{h}: each side must be divisible by {SIDE_MULTIPLE} "
                          f"(two 2x2 pools, then {PATCH}x{PATCH} patches)")
-    tape = [] if sink is None else sink
+    if h * w > MAX_IMAGE_SIZE ** 2:
+        raise ShapeError(f"image is {w}x{h}: at most {MAX_IMAGE_SIZE ** 2} pixels "
+                         f"({MAX_IMAGE_SIZE}x{MAX_IMAGE_SIZE}) are accepted, got {h * w}")
+    tape = [] if keep_tape else deque(maxlen=0)
     x = images
     last = len(ENCODER_CHANNELS)
     for i in range(1, last + 1):
@@ -229,7 +234,7 @@ def _encode_tape(images: np.ndarray, params: ModelParams, sink=None, keep_winner
                                 grid_in=i > 1, grid_out=i < last)
         tape.append((f"enc{i}", rec))
         if pooled:
-            x, rec = maxpool2x2_forward(x, grid=True, keep_winner=keep_winner)
+            x, rec = maxpool2x2_forward(x, keep_winner=keep_tape)
             tape.append((None, rec))
     return x, tape
 
@@ -249,8 +254,8 @@ def decoder_matrices(params: ModelParams, grid: int) -> list:
     return mats
 
 
-def _decode_tape(x: np.ndarray, params: ModelParams, sink=None):
-    tape = [] if sink is None else sink
+def _decode_tape(x: np.ndarray, params: ModelParams, tape):
+    """Decoder output; its (prefix, record) pairs are appended to `tape`."""
     for k in range(1, len(DECODER_CHANNELS) + 1):
         # padding 1 cuts the (g-1)*2 + 4 = 2g+2 cells to exactly 2g
         x, rec = tconv_forward(x, params.values[f"dec{k}.weights"],
@@ -263,9 +268,9 @@ def _decode_tape(x: np.ndarray, params: ModelParams, sink=None):
     return x, tape
 
 
-def _forward_tape(images: np.ndarray, params: ModelParams, sink=None, keep_winner=True):
+def _forward_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True):
     """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape."""
-    x, tape = _encode_tape(images, params, sink, keep_winner)
+    x, tape = _encode_tape(images, params, keep_tape)
     x, rec = renet_block(x, _renet_params(params))
     tape.append(("renet", rec))
     return _decode_tape(x, params, tape)
@@ -274,11 +279,10 @@ def _forward_tape(images: np.ndarray, params: ModelParams, sink=None, keep_winne
 def forward(image: np.ndarray, params: ModelParams) -> np.ndarray:
     """Full network: probability mask with the input's spatial shape.
 
-    No backward pass follows, so the tape is a sink that keeps nothing:
-    each op's record is dropped once the next op has run, and the pools
-    keep no winner index.
+    No backward pass follows, so the tape keeps nothing: each op's record
+    is dropped once the next op has run, and the pools keep no winner index.
     """
-    return _forward_tape(image[None], params, deque(maxlen=0), keep_winner=False)[0][0]
+    return _forward_tape(image[None], params, keep_tape=False)[0][0]
 
 
 def _batch_step(batch, params: ModelParams):
@@ -443,7 +447,11 @@ def load_model(source) -> tuple[ModelParams, ModelConfig]:
     values: dict[str, np.ndarray] = {}
     for name, tensor in entries.items():
         if name.startswith("meta."):
-            meta[name[len("meta."):]] = float(tensor.reshape(-1)[0])
+            key = name[len("meta."):]
+            if tensor.shape != (1,):
+                raise CheckpointError(f"checkpoint meta entry {key} must hold one value, "
+                                      f"got shape {tensor.shape}")
+            meta[key] = float(tensor[0])
         else:
             values[name] = tensor
     missing = [k for k in META_KEYS if k not in meta]

@@ -36,11 +36,6 @@ _CHUNK_BITS = 17
 _CHUNK = 1 << _CHUNK_BITS  # most draws per chunk in fill(): 1 MB of output stays in L2
 _LANE_BITS = 4
 _LANE = 1 << _LANE_BITS  # draws per lane in fill()
-# fill() steps lanes from this many draws up and runs the serial loop below
-# it. The two cost the same near 192 draws: the serial loop takes about
-# 0.45 us a draw (84-96 us at 192 draws, 115-120 us at 256), 16-draw lanes
-# about 82-89 us at either; medians of 25 calls, one Xeon core, numpy 2.4.
-_VECTOR_MIN = 192
 # a jump of up to this many states gathers all 8 bytes in one indexing call;
 # a longer one takes byte by byte, which costs less per state (about 30 ns
 # against 70) but about 20 us more per call (16 calls instead of 2)
@@ -61,20 +56,20 @@ class Rng:
     reproducible, so callers must draw in a fixed, documented order.
 
     `fill(n)` returns exactly the draws, and leaves exactly the state, of n
-    calls to `next()`. From _VECTOR_MIN draws up it works through chunks of
-    at most _CHUNK draws, whose output stays in L2. Each chunk is cut into
-    lanes of L = _LANE consecutive draws, and every lane is stepped at once
-    in uint64 arithmetic (the multiply wraps mod 2^64), writing lane k's
-    draws to the chunk's positions kL..kL+L-1; the last n % L draws continue
-    the last lane one at a time. The update is linear over GF(2), so lane k
-    starts from M^(kL) applied to the chunk's start, where M is the 64x64
-    bit matrix of one update. The first chunk's lane starts double level by
-    level, each level applying M^(L * 2^level) to the starts found so far;
-    each later chunk's lanes start M^_CHUNK past the previous chunk's. A
-    jump M^(2^j) is applied through its byte table in _JUMPS: 8 lookups,
-    one per byte of the state read little-endian, and 7 XORs (Haramoto et
-    al., "Efficient jump ahead for F2-linear random number generators",
-    INFORMS JoC 2008).
+    calls to `next()`. It works through chunks of at most _CHUNK draws,
+    whose output stays in L2. Each chunk is cut into lanes of L = _LANE
+    consecutive draws, and every lane is stepped at once in uint64
+    arithmetic (the multiply wraps mod 2^64), writing lane k's draws to the
+    chunk's positions kL..kL+L-1; the last n % L draws continue the last
+    lane one at a time (a fill of fewer than L draws is all tail). The
+    update is linear over GF(2), so lane k starts from M^(kL) applied to
+    the chunk's start, where M is the 64x64 bit matrix of one update. The
+    first chunk's lane starts double level by level, each level applying
+    M^(L * 2^level) to the starts found so far; each later chunk's lanes
+    start M^_CHUNK past the previous chunk's. A jump M^(2^j) is applied
+    through its byte table in _JUMPS: 8 lookups, one per byte of the state
+    read little-endian, and 7 XORs (Haramoto et al., "Efficient jump ahead
+    for F2-linear random number generators", INFORMS JoC 2008).
     """
 
     def __init__(self, seed: int):
@@ -98,7 +93,7 @@ class Rng:
         bits = out.view(np.uint64)  # a chunk's top 53 bits, scaled in place
         state = self.state
         done = 0
-        if count >= _VECTOR_MIN:
+        if count >= _LANE:
             starts = _lane_starts(state, min(count, _CHUNK) // _LANE)
             for at in range(0, count, _CHUNK):
                 lanes = min(_CHUNK, count - at) // _LANE

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import sweepseg.model as model_module
 from sweepseg import cli
 from sweepseg.cli import CONFIG_KEYS, build_parser, load_config, run_cli
 from sweepseg.data import read_pnm, write_pnm
@@ -383,6 +384,22 @@ class TestInfer:
         assert run_cli(["infer", "--model", str(ckpt), "--image", str(img),
                         "--out", str(tmp_path / "o.pgm")]) == 2
         assert "divisible" in capsys.readouterr().err
+
+    # the cap counts pixels, whatever the sides: both sizes divide by 8 and
+    # hold more than 1024 * 1024 pixels
+    @pytest.mark.parametrize("width, height", [(1032, 1024), (MAX_IMAGE_SIZE ** 2 // 8 + 8, 8)])
+    def test_image_above_the_pixel_cap_exits_2_before_any_conv(self, trained, tmp_path, capsys,
+                                                               monkeypatch, width, height):
+        _, ckpt = trained
+        img = tmp_path / "big.ppm"
+        img.write_bytes(f"P6\n{width} {height}\n255\n".encode() + bytes(width * height * 3))
+        monkeypatch.setattr(model_module, "conv2d_forward",
+                            lambda *a, **k: pytest.fail("a conv ran on an over-large image"))
+        out = tmp_path / "o.pgm"
+        assert run_cli(["infer", "--model", str(ckpt), "--image", str(img),
+                        "--out", str(out)]) == 2
+        assert f"at most {MAX_IMAGE_SIZE ** 2} pixels" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grayscale_input_is_replicated(self, trained, tmp_path, capsys):
         _, ckpt = trained

@@ -1,6 +1,7 @@
 """Tests for PNM IO, dataset loading, and the synthetic lesion generator."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ class TestReadPnm:
     def test_malformed_dimension(self):
         with pytest.raises(PnmError):
             read_pnm(b"P5 two 2 255 " + bytes(4))
+
+    def test_header_missing_a_field_fails_before_scanning_the_payload(self):
+        # without its maxval, or the byte after it, the header runs into a
+        # 10 MB payload, which a field scan would walk byte by byte
+        for header in (b"P6 1024 768\n", b"P6 1024 768 255"):
+            start = time.perf_counter()
+            with pytest.raises(PnmError, match="longer than"):
+                read_pnm(header + bytes(10_000_000))
+            assert time.perf_counter() - start < 0.1
 
 
 _TOKENS = st.one_of(

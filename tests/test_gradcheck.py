@@ -1,9 +1,12 @@
 """Tests for the finite-difference verification suite."""
 
+import sys
 import time
 
 import numpy as np
 
+import sweepseg.layers as layers_module
+from sweepseg.data import generate_synthetic
 from sweepseg.gradcheck import (
     LINEAR_TOL,
     NONLINEAR_TOL,
@@ -12,6 +15,8 @@ from sweepseg.gradcheck import (
     run_suite,
 )
 from sweepseg.layers import central_difference, finite_diff_check
+from sweepseg.model import ModelConfig, build_model, loss_and_gradients
+from sweepseg.tensor import Rng
 
 EXPECTED_NAMES = [
     "conv3x3", "tconv4x4_s2",
@@ -51,6 +56,36 @@ class TestRunSuite:
         b = run_suite(9)
         assert [(r.name, r.max_rel_error) for r in a] == \
                [(r.name, r.max_rel_error) for r in b]
+
+
+def backward_functions(monkeypatch, run) -> set:
+    """Every `rec.grad` that `layers.backward` calls while `run()` runs,
+    through whichever name a module imported it under."""
+    backward = layers_module.backward
+    seen = set()
+
+    def watching(rec, *args, **kwargs):
+        seen.add(rec.grad)
+        return backward(rec, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name == "sweepseg" or name.startswith("sweepseg."):
+                for attr, value in list(vars(module).items()):
+                    if value is backward:
+                        patch.setattr(module, attr, watching)
+        run()
+    return seen
+
+
+class TestCoverage:
+    def test_checks_every_backward_a_training_step_runs(self, monkeypatch):
+        params = build_model(ModelConfig(image_size=16, rnn_units=4), Rng(5))
+        batch = [(r.image, r.mask) for r in generate_synthetic(3, 2, 16)]
+        step = backward_functions(monkeypatch, lambda: loss_and_gradients(batch, params))
+        suite = backward_functions(monkeypatch, lambda: run_suite(42))
+        assert len(step) == 7  # conv, pool, sweep, renet block, tconv, sigmoid, bce
+        assert sorted(f.__qualname__ for f in step - suite) == []
 
 
 _CACHE = {}

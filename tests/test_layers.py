@@ -91,13 +91,15 @@ def pool_backward_by_winner(x, up):
 
 
 def pool_oracle(x):
+    """Each window's max; a window with a NaN pools to NaN."""
     h, w, c = x.shape
     out = np.zeros((h // 2, w // 2, c), dtype=x.dtype)
     for i in range(h // 2):
         for j in range(w // 2):
             for ch in range(c):
-                out[i, j, ch] = max(x[2 * i, 2 * j, ch], x[2 * i, 2 * j + 1, ch],
-                                    x[2 * i + 1, 2 * j, ch], x[2 * i + 1, 2 * j + 1, ch])
+                window = [x[2 * i, 2 * j, ch], x[2 * i, 2 * j + 1, ch],
+                          x[2 * i + 1, 2 * j, ch], x[2 * i + 1, 2 * j + 1, ch]]
+                out[i, j, ch] = np.nan if np.isnan(window).any() else max(window)
     return out
 
 
@@ -209,11 +211,28 @@ class TestConv:
             conv2d_forward(x, np.zeros((3, 3, 2, 1), np.float32), np.zeros(1, np.float32), -1)
 
 
+def on_grid(x, p=1):
+    """x in the interior of a zero-padded (N, h+2p, w+2p, c) grid."""
+    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+
+
+def relu_pool_oracle(x, up):
+    """The pool of a conv's relu'd output and the relu-masked pool gradient,
+    from the oracles: the encoder's pool applies the relu of the conv
+    before it."""
+    relu = np.maximum(x, 0)
+    out = np.stack([pool_oracle(sample) for sample in relu])
+    return out, pool_backward_by_winner(relu, up) * (relu > 0)
+
+
 class TestMaxpool:
+    # the pool reads a conv's output grid, so every input here is on_grid(x)
+
     def test_worked_example(self):
-        x = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4, 1)
-        out, _ = maxpool2x2_forward(x)
-        assert np.array_equal(out[0, :, :, 0], [[6, 8], [14, 16]])
+        x = np.arange(-7, 9, dtype=np.float32).reshape(1, 4, 4, 1)
+        out, _ = maxpool2x2_forward(on_grid(x))
+        assert np.array_equal(out[0, :, :, 0], [[0, 0, 0, 0], [0, 0, 0, 0],
+                                                [0, 6, 8, 0], [0, 0, 0, 0]])
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(11)
@@ -222,15 +241,17 @@ class TestMaxpool:
             w = 2 * int(rng.integers(1, 6))
             c = int(rng.integers(1, 5))
             x = rng.standard_normal((int(rng.integers(1, 4)), h, w, c)).astype(np.float32)
-            out, _ = maxpool2x2_forward(x)
-            assert np.array_equal(out, np.stack([pool_oracle(sample) for sample in x]))
+            out, _ = maxpool2x2_forward(on_grid(x))
+            want = np.stack([pool_oracle(sample) for sample in np.maximum(x, 0)])
+            assert out.tobytes() == on_grid(want).tobytes()
 
     def test_ties_route_gradient_to_first_cell_row_major(self):
         x = np.full((1, 2, 2, 1), 5.0, dtype=np.float32)
-        out, rec = maxpool2x2_forward(x)
-        assert out[0, 0, 0, 0] == 5.0
-        dx, _ = backward(rec, np.ones((1, 1, 1, 1), dtype=np.float32))
-        assert np.array_equal(dx[0, :, :, 0], [[1, 0], [0, 0]])
+        out, rec = maxpool2x2_forward(on_grid(x))
+        assert out[0, 1, 1, 0] == 5.0
+        dx, _ = backward(rec, on_grid(np.ones((1, 1, 1, 1), dtype=np.float32)))
+        assert np.array_equal(dx[0, 1:-1, 1:-1, 0], [[1, 0], [0, 0]])
+        assert not dx[0, [0, -1]].any() and not dx[0, :, [0, -1]].any()
 
     def test_backward_equals_the_winner_index_form_on_ties_and_nans(self):
         rng = np.random.default_rng(13)
@@ -241,23 +262,18 @@ class TestMaxpool:
                 up = rng.standard_normal((3, 4, 3, 4)).astype(dtype)
                 up[0, 0, 0] = np.nan
                 up[1, 1, 1] = -0.0
-                _, rec = maxpool2x2_forward(x)
-                dx, _ = backward(rec, up)
-                assert dx.tobytes() == pool_backward_by_winner(x, up).tobytes()
+                _, rec = maxpool2x2_forward(on_grid(x))
+                dx, _ = backward(rec, on_grid(up))
+                assert dx.tobytes() == on_grid(relu_pool_oracle(x, up)[1]).tobytes()
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool2x2_forward(np.zeros((1, 3, 4, 1), np.float32))
+            maxpool2x2_forward(on_grid(np.zeros((1, 3, 4, 1), np.float32)))
 
 
 # ---------------------------------------------------------------------------
 # the encoder's chain on zero-padded grids
 # ---------------------------------------------------------------------------
-
-def on_grid(x, p=1):
-    """x in the interior of a zero-padded (N, h+2p, w+2p, c) grid."""
-    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-
 
 class TestPaddedGrid:
     def test_grid_forms_give_the_compact_bytes_with_a_zero_border(self):
@@ -297,7 +313,7 @@ class TestPaddedGrid:
 
     def test_fused_relu_and_winner_give_the_bytes_of_relu_then_pool(self):
         # a conv that feeds a pool leaves its relu to the pool: the relu'd
-        # window max and the winner index give today's relu, pool and
+        # window max and the winner index give the oracles' relu, pool and
         # relu-masked pool gradient bit for bit, ties, all-zero windows,
         # all-negative windows, signed zeros and NaN windows included
         rng = np.random.default_rng(107)
@@ -311,12 +327,9 @@ class TestPaddedGrid:
                 up = rng.standard_normal((3, 4, 3, 4)).astype(dtype)
                 up[0, 0, 0] = np.nan
                 up[1, 1, 1] = -0.0
-                relu = np.maximum(x, 0)
-                want, rec = maxpool2x2_forward(relu)
-                d_relu, _ = backward(rec, up)
-                want_dx = d_relu * (relu > 0)
+                want, want_dx = relu_pool_oracle(x, up)
 
-                got, rec = maxpool2x2_forward(on_grid(x), grid=True)
+                got, rec = maxpool2x2_forward(on_grid(x))
                 assert rec.saved["winner"].dtype == np.uint8 and "x" not in rec.saved
                 assert got.tobytes() == on_grid(want).tobytes()
                 dx, _ = backward(rec, on_grid(up))
@@ -625,15 +638,20 @@ class TestGradients:
         assert err < 1e-6
 
     def test_maxpool_gradients(self):
+        # the pool's relu cuts some windows; every input lies 0.05 or more
+        # off the kink
         rng = np.random.default_rng(41)
         x = rng.standard_normal((2, 6, 4, 3))
-        r = proj(rng, (2, 3, 2, 3))
+        x += 0.05 * np.sign(x)
+        x = on_grid(x)
+        r = on_grid(proj(rng, (2, 3, 2, 3)))
 
         def f():
             y, _ = maxpool2x2_forward(x)
             return float((y * r).sum())
 
-        _, rec = maxpool2x2_forward(x)
+        y, rec = maxpool2x2_forward(x)
+        assert 0 < np.count_nonzero(y) < y[:, 1:-1, 1:-1].size  # both sides of the kink
         dx, _ = backward(rec, r)
         assert finite_diff_check(f, [x], [dx]) < 1e-6
 
@@ -755,28 +773,34 @@ class TestGradients:
         assert finite_diff_check(f, [pred], [dpred]) < 1e-4
 
     def test_chained_ops_gradients(self):
-        # conv+relu -> pool -> sigmoid -> bce composes through the per-op
+        # conv -> relu+pool -> conv -> sigmoid -> bce, chained on zero-padded
+        # grids as the encoder chains them, composes through the per-op
         # records exactly like the model-level tape
         rng = np.random.default_rng(71)
         x = rng.standard_normal((1, 4, 4, 2))
         w = rng.standard_normal((3, 3, 2, 3)) * 0.5
         b = rng.standard_normal(3) * 0.1
-        target = (rng.uniform(size=(1, 2, 2, 3)) < 0.5).astype(np.float64)
+        w2 = rng.standard_normal((3, 3, 3, 2)) * 0.5
+        b2 = rng.standard_normal(2) * 0.1
+        target = (rng.uniform(size=(1, 2, 2, 2)) < 0.5).astype(np.float64)
 
         def run():
-            y1, r1 = conv2d_forward(x, w, b, 1, relu=True)
+            y1, r1 = conv2d_forward(x, w, b, 1, grid_out=True)
             y2, r2 = maxpool2x2_forward(y1)
-            y3, r3 = activation_forward(y2)
-            loss, r4 = bce_loss(y3, target)
-            return float(loss.sum()), (r1, r2, r3, r4)
+            y3, r3 = conv2d_forward(y2, w2, b2, 1, grid_in=True)
+            y4, r4 = activation_forward(y3)
+            loss, r5 = bce_loss(y4, target)
+            return float(loss.sum()), (r1, r2, r3, r4, r5)
 
-        loss, (r1, r2, r3, r4) = run()
-        g, _ = backward(r4, 1.0)
-        g, _ = backward(r3, g)
+        loss, (r1, r2, r3, r4, r5) = run()
+        g, _ = backward(r5, 1.0)
+        g, _ = backward(r4, g)
+        g, grads2 = backward(r3, g)
         g, _ = backward(r2, g)
         dx, grads = backward(r1, g)
-        err = finite_diff_check(lambda: run()[0], [x, w, b],
-                                [dx, grads["weights"], grads["bias"]])
+        err = finite_diff_check(lambda: run()[0], [x, w, b, w2, b2],
+                                [dx, grads["weights"], grads["bias"],
+                                 grads2["weights"], grads2["bias"]])
         assert err < 1e-4
 
     def test_zero_upstream_gives_zero_gradients(self):
@@ -789,10 +813,10 @@ class TestGradients:
         assert not dx.any() and not grads["weights"].any() and not grads["bias"].any()
 
     def test_upstream_shape_mismatch_rejected(self):
-        x = np.zeros((1, 4, 4, 1), dtype=np.float32)
+        x = on_grid(np.zeros((1, 4, 4, 1), dtype=np.float32))
         _, rec = maxpool2x2_forward(x)
         with pytest.raises(ShapeError):
-            backward(rec, np.zeros((1, 4, 4, 1), dtype=np.float32))
+            backward(rec, np.zeros((1, 2, 2, 1), dtype=np.float32))
 
     def test_conv_input_gradient_across_kernels_and_paddings(self):
         # the input gradient is a full correlation with the flipped kernel
@@ -852,9 +876,9 @@ class TestGradients:
         dx, grads = backward(rec, up, input_grad=False)
         assert dx is None
         assert all(np.array_equal(grads[k], full[k]) for k in full)
-        _, pool = maxpool2x2_forward(np.zeros((1, 2, 2, 1)))
-        with pytest.raises(ValueError):
-            backward(pool, np.zeros((1, 1, 1, 1)), input_grad=False)
+        _, pool = maxpool2x2_forward(on_grid(np.zeros((1, 2, 2, 1))))
+        with pytest.raises(ValueError, match="always returns"):
+            backward(pool, on_grid(np.zeros((1, 1, 1, 1))), input_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +928,7 @@ class TestBatchAxis:
     def test_maxpool(self):
         rng = np.random.default_rng(223)
         assert_batch_equals_stacked_samples(maxpool2x2_forward,
-                                            rng.standard_normal((3, 6, 4, 2)))
+                                            on_grid(rng.standard_normal((3, 6, 4, 2))))
 
     def test_activations(self):
         rng = np.random.default_rng(227)

@@ -157,7 +157,7 @@ def forward_peak(shape) -> float:
 
 
 def decode(renet_out, params):
-    return _decode_tape(renet_out, params)[0]
+    return _decode_tape(renet_out, params, [])[0]
 
 
 class TestEncodeDecode:
@@ -732,6 +732,16 @@ class TestCheckpointSchema:
                 entries[f"meta.{key}"] = np.array([bad], np.float32)
 
             with pytest.raises(CheckpointError, match=key):
+                load_model(checkpoint_with(edit))
+
+    def test_meta_entry_of_more_than_one_value_rejected(self):
+        # a meta entry is one value; its first would otherwise load silently
+        for key, bad in (("image_size", [16.0, 999.0]), ("threshold", [[0.5, 0.5]]),
+                         ("rnn_units", [[4.0]])):
+            def edit(entries):
+                entries[f"meta.{key}"] = np.array(bad, np.float32)
+
+            with pytest.raises(CheckpointError, match=f"{key} must hold one value"):
                 load_model(checkpoint_with(edit))
 
     def test_load_makes_no_rng_draws(self, monkeypatch):

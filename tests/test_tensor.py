@@ -19,7 +19,6 @@ from sweepseg.errors import (
 from sweepseg.tensor import (
     _CHUNK,
     _LANE,
-    _VECTOR_MIN,
     Rng,
     glorot_init,
     load_checkpoint,
@@ -55,15 +54,16 @@ def reference_walk(seed, count):
 
 
 SEEDS = st.integers(1, (1 << 64) - 1)
-# one lane and the serial/lane crossover; whole lane counts at each jump
-# table level from there to one chunk (2^k and 2^k + 1 lanes, the second
+# the serial loop alone, and the serial/lane crossover at one lane; 12
+# lanes, a count that is no power of two; whole lane counts at each jump
+# table level from one lane to one chunk (2^k and 2^k + 1 lanes, the second
 # adding a level); and one and two chunks followed by nothing, by a serial
 # tail alone, by whole lanes, and by lanes plus a serial tail; each with
 # its neighbours
 BOUNDARY_COUNTS = sorted(
-    {0, 1, _LANE - 1, _LANE, _LANE + 1, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1}
+    {0, 1, _LANE - 1, _LANE, _LANE + 1, 12 * _LANE - 1, 12 * _LANE, 12 * _LANE + 1}
     | {lanes * _LANE + d
-       for k in range((_VECTOR_MIN // _LANE).bit_length(), (_CHUNK // _LANE).bit_length())
+       for k in range((_CHUNK // _LANE).bit_length())
        for lanes in (1 << k, (1 << k) + 1) for d in (-1, 0, 1)}
     | {k * _CHUNK + d for k in (1, 2)
        for d in (-1, 0, 1, _LANE - 1, _LANE, 2 * _LANE + 3)})
@@ -146,7 +146,7 @@ class TestRng:
         assert peak <= 8 * (1 << 20) + (1 << 20)  # the output plus a fixed 1 MB
 
     @settings(max_examples=30, deadline=None)
-    @example(seed=1, calls=[None, _VECTOR_MIN, None, _LANE + 1, _CHUNK + _LANE - 1])
+    @example(seed=1, calls=[None, 12 * _LANE, None, _LANE + 1, _CHUNK + _LANE - 1])
     @given(seed=SEEDS, calls=st.lists(st.one_of(st.none(), SMALL_COUNTS), max_size=8))
     def test_interleaved_next_and_fill_are_one_stream(self, seed, calls):
         """None is one next(); a number is one fill(number)."""
