@@ -42,30 +42,32 @@ class ImageRecord:
 # PNM (P5 grayscale / P6 rgb), maxval 255, binary payload
 # ---------------------------------------------------------------------------
 
-# longest header field read: a header that lacks a field would otherwise
-# scan the binary payload byte by byte as one token
-_MAX_TOKEN = 32
+# a header's fields must end within its first _MAX_HEADER bytes: a header
+# that lacks a field, or pads with whitespace or an unterminated comment,
+# would otherwise walk the binary payload byte by byte
+_MAX_HEADER = 1024
 
 
 def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     """Read whitespace-separated tokens, honoring # comments; returns (tokens, pos)."""
+    head = data[:_MAX_HEADER]
     tokens = []
     pos = 0
     while len(tokens) < count:
-        while pos < len(data) and data[pos:pos + 1].isspace():
+        while pos < len(head) and head[pos:pos + 1].isspace():
             pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
+        if pos < len(head) and head[pos:pos + 1] == b"#":
+            while pos < len(head) and head[pos:pos + 1] != b"\n":
                 pos += 1
             continue
         start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
+        while pos < len(head) and not head[pos:pos + 1].isspace() and head[pos:pos + 1] != b"#":
             pos += 1
-            if pos - start > _MAX_TOKEN:
-                raise PnmError(f"PNM header field longer than {_MAX_TOKEN} bytes")
+        if pos == len(head) < len(data):
+            raise PnmError(f"PNM header longer than {_MAX_HEADER} bytes")
         if pos == start:
             raise PnmTruncatedError("header ended before all fields were read")
-        tokens.append(data[start:pos])
+        tokens.append(head[start:pos])
     return tokens, pos
 
 

@@ -45,8 +45,11 @@ once it is pooled. The backward mirrors this: a conv's input gradient is
 written, by the same shift, onto the grid that the previous op's
 backward reads, its border zeroed, and that backward masks it in place,
 so no chained conv zeroes a fresh gradient buffer or copies its upstream
-gradient into one. Only its bias gradient reads a compact gather of that
-gradient, which keeps the GEMV's summation order and so its bits.
+gradient into one. Every conv's bias gradient, a transposed conv's
+included, is one GEMV over the rows that its weight-gradient GEMMs read,
+zero junk rows and all; a same-size conv's output cell r lies at the same
+one of those rows on either layout, so both sum the same values in the
+same order.
 
 The fractionally strided (transposed) convolution is, by definition, a
 sparse matrix times the flattened input: the rows enumerate output cells,
@@ -219,12 +222,6 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, padding
     return out, rec
 
 
-def _bias_grad(up: np.ndarray) -> np.ndarray:
-    """The channel sums of an (N, h, w, c) gradient, as one GEMV."""
-    rows = up.reshape(-1, up.shape[-1])
-    return np.ones(rows.shape[0], dtype=up.dtype) @ rows
-
-
 def _grad_buffer(rec: OpRecord, dtype) -> tuple[np.ndarray, np.ndarray]:
     """A conv's zero gradient buffer and its (N, h+2p, w+2p, c_out) grid view.
 
@@ -243,7 +240,9 @@ def _grad_buffer(rec: OpRecord, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _conv_grads(rec: OpRecord, buf: np.ndarray, input_grad: bool):
-    """dx (or None) and dW of a conv whose upstream gradient fills `buf`'s grid."""
+    """dx (or None) and {"weights", "bias"} of a conv whose upstream
+    gradient fills `buf`'s grid: one GEMM per tap for dW, and the bias
+    gradient as one GEMV over the same rows, whose junk rows are 0."""
     rows = rec.saved["rows"]
     weights = rec.saved["weights"]
     p = rec.saved["padding"]
@@ -257,8 +256,9 @@ def _conv_grads(rec: OpRecord, buf: np.ndarray, input_grad: bool):
     d_weights = np.empty(weights.shape, dtype=buf.dtype)
     for ki, kj, off in taps:
         d_weights[ki, kj] = rows[off:off + length].T @ up_rows
+    grads = {"weights": d_weights, "bias": np.ones(length, dtype=buf.dtype) @ up_rows}
     if not input_grad:
-        return None, d_weights
+        return None, grads
 
     # padded input row t gets grid row t - (ki*wp + kj) times weights[ki, kj].T
     # from each tap: the tap loop with the flipped, transposed kernel, read
@@ -273,13 +273,13 @@ def _conv_grads(rec: OpRecord, buf: np.ndarray, input_grad: bool):
     dx = dx.reshape(n, hp, wp, ci)
     if rec.saved["grid_in"]:
         _zero_border(dx, p)
-        return dx, d_weights
-    return dx[:, :h, :w], d_weights
+        return dx, grads
+    return dx[:, :h, :w], grads
 
 
 def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
     """The upstream gradient, times the relu's mask, lies once on the
-    output's padded grid; dW's GEMMs and dx's tap loop both read it there.
+    output's padded grid, and `_conv_grads` reads it there.
 
     A grid output's gradient already lies on that grid and is masked in
     place; a compact one is written, masked, into a zero gradient buffer.
@@ -288,22 +288,15 @@ def _conv2d_backward(rec: OpRecord, up: np.ndarray, input_grad: bool = True):
     if rec.saved["grid_out"]:
         if relu is not None:
             np.multiply(up, relu > 0, out=up)
-        p = rec.saved["padding"]
-        _, hp, wp, co = up.shape
-        buf = up.reshape(-1, co)
-        compact = up[:, p:hp - p, p:wp - p]
+        buf = up.reshape(-1, up.shape[-1])
     else:
-        if relu is not None:
-            up = up * relu
         buf, grid = _grad_buffer(rec, up.dtype)
-        grid[:, :up.shape[1], :up.shape[2]] = up
-        compact = up
-    # summed over the compact rows (the grid's border rows would regroup the
-    # GEMV's sum and change its bits), freed before dx's accumulator
-    d_bias = _bias_grad(compact)
-    del up, compact
-    dx, d_weights = _conv_grads(rec, buf, input_grad)
-    return dx, {"weights": d_weights, "bias": d_bias}
+        dst = grid[:, :up.shape[1], :up.shape[2]]
+        if relu is None:
+            dst[...] = up
+        else:
+            np.multiply(up, relu, out=dst)
+    return _conv_grads(rec, buf, input_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +531,9 @@ def _tconv_backward(rec: OpRecord, up: np.ndarray):
                 dst[...] = src
             else:
                 np.multiply(src, mask[:, y0::s, x0::s], out=dst)
-    dx, d_phase = _conv_grads(phase, buf, input_grad=True)
-    d_bias = _bias_grad(grid).reshape(s * s, co).sum(axis=0)
+    dx, grads = _conv_grads(phase, buf, input_grad=True)
+    d_phase = grads["weights"]
+    d_bias = grads["bias"].reshape(s * s, co).sum(axis=0)
     # invert _phase_kernel's selection: every kernel tap is one phase tap
     q, _, ci, _ = d_phase.shape
     split = d_phase.reshape(q, q, ci, s, s, co).transpose(0, 3, 1, 4, 2, 5)[::-1, :, ::-1]

@@ -844,7 +844,8 @@ class TestGradients:
     def test_conv_backward_keeps_the_separate_copies_bits(self):
         # on the 16->16 encoder conv at N=4, 64 px, writing the gradient once
         # into one buffer gives the bits of the masked copy, padded grid and
-        # padded dx conv it replaced
+        # padded dx conv it replaced; the bias gradient sums the rows that
+        # the dW GEMMs read, zero junk rows included
         rng = np.random.default_rng(89)
         x = rng.standard_normal((4, 64, 64, 16)).astype(np.float32)
         w = (rng.standard_normal((3, 3, 16, 16)) * 0.2).astype(np.float32)
@@ -860,8 +861,7 @@ class TestGradients:
         rows, up_rows = rec.saved["rows"], grid.reshape(-1, 16)[:length]
         for ki, kj, off in taps:
             assert np.array_equal(grads["weights"][ki, kj], rows[off:off + length].T @ up_rows)
-        assert np.array_equal(grads["bias"], np.ones(masked[..., 0].size, np.float32)
-                              @ masked.reshape(-1, 16))
+        assert np.array_equal(grads["bias"], np.ones(length, np.float32) @ up_rows)
         flipped = w[::-1, ::-1].transpose(0, 1, 3, 2)
         want, _ = conv2d_forward(masked, flipped, np.zeros(16, np.float32), 1)
         assert np.array_equal(dx, want)
