@@ -40,9 +40,9 @@ from .errors import (
     TrainingDivergedError,
 )
 from .gradcheck import format_results, run_suite
-from .metrics import evaluate_dataset, format_report, format_report_kv
+from .metrics import evaluate_dataset, format_per_image, format_report, format_report_kv
 from .model import ModelConfig, forward, load_model, predict_mask, save_model, train
-from .tensor import Rng
+from .tensor import Rng, overwrite
 
 CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
 
@@ -76,6 +76,11 @@ def load_config(path) -> ModelConfig:
     return ModelConfig(**doc)
 
 
+def _write_text(path, text: str) -> None:
+    with overwrite(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _cmd_synth(args) -> int:
     records = generate_synthetic(args.seed, args.count, args.size)
     save_dataset(records, args.out)
@@ -89,7 +94,7 @@ def _cmd_train(args) -> int:
     params, trace = train(config, records, Rng(config.seed))
     save_model(params, config, args.out)
     if args.trace:
-        Path(args.trace).write_text(trace.serialize())
+        _write_text(args.trace, trace.serialize())
     if trace.entries:
         epoch, loss, dice = trace.entries[-1]
         print(f"epoch {epoch}: loss {loss:.6f} dice {dice:.6f}")
@@ -107,7 +112,8 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _mask_pairs(pred_dir, gt_dir) -> list[tuple[np.ndarray, np.ndarray]]:
+def _mask_pairs(pred_dir, gt_dir) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
+    """The mask names, in order, and their (prediction, ground truth) pairs."""
     pred_root, gt_root = Path(pred_dir), Path(gt_dir)
     pred_names = {p.name for p in pred_root.glob("*.pgm")}
     gt_names = {p.name for p in gt_root.glob("*.pgm")}
@@ -116,11 +122,12 @@ def _mask_pairs(pred_dir, gt_dir) -> list[tuple[np.ndarray, np.ndarray]]:
         raise DataError(f"prediction/ground-truth mismatch for: {', '.join(odd)}")
     if not pred_names:
         raise DataError(f"no .pgm masks under {pred_dir}")
+    names = sorted(pred_names)
     pairs = []
-    for name in sorted(pred_names):
+    for name in names:
         pairs.append((binarize_mask(read_pnm_file(pred_root / name)),
                       binarize_mask(read_pnm_file(gt_root / name))))
-    return pairs
+    return names, pairs
 
 
 def _cmd_eval(args) -> int:
@@ -137,18 +144,21 @@ def _cmd_eval(args) -> int:
         records = load_dataset(args.data, config.image_size)
         if not records:
             raise DataError(f"no images under {args.data}")
-        pairs = []
+        ids, pairs = [], []
         for rec in records:
             if rec.mask is None:
                 raise DataError(f"{rec.id}: no ground-truth mask to evaluate against")
             prob = forward(rec.image, params)
+            ids.append(rec.id)
             pairs.append((predict_mask(prob, config.threshold), rec.mask))
     else:
-        pairs = _mask_pairs(args.pred, args.gt)
+        ids, pairs = _mask_pairs(args.pred, args.gt)
 
-    macro, micro, _ = evaluate_dataset(pairs)
+    macro, micro, per_image = evaluate_dataset(pairs)
     rows = [("macro", macro), ("micro", micro)]
-    Path(args.report).write_text(format_report_kv(rows))
+    _write_text(args.report, format_report_kv(rows))
+    if args.per_image:
+        _write_text(args.per_image, format_per_image(ids, per_image))
     print(format_report(rows), end="")
     if args.min_jaccard is not None and macro.ja < args.min_jaccard:
         print(f"macro jaccard {macro.ja:.6f} is below the required "
@@ -198,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", help="directory of predicted masks (with --gt)")
     p.add_argument("--gt", help="directory of ground-truth masks (with --pred)")
     p.add_argument("--report", required=True, help="key/value report file to write")
+    p.add_argument("--per-image", help="optional id,ac,se,sp,di,ja file, one row per image")
     p.add_argument("--min-jaccard", type=float,
                    help="exit 3 if macro Jaccard falls below this bound")
     p.set_defaults(handler=_cmd_eval)

@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
 )
 from .model import check_side
-from .tensor import Rng
+from .tensor import Rng, overwrite
 
 MASK_SUFFIX = "_segmentation"
 
@@ -117,7 +117,8 @@ def write_pnm(t: np.ndarray, sink) -> int:
     if hasattr(sink, "write"):
         sink.write(blob)
     else:
-        Path(sink).write_bytes(blob)
+        with overwrite(sink) as fh:
+            fh.write(blob)
     return len(blob)
 
 

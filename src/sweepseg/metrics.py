@@ -10,6 +10,8 @@ instead of poisoning the averages.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,3 +127,13 @@ def format_report_kv(rows: list[tuple[str, MetricsReport]]) -> str:
         for name, value in zip(MetricsReport.FIELDS, report.values()):
             lines.append(f"{label}.{name}={value:.6f}")
     return "\n".join(lines) + "\n"
+
+
+def format_per_image(ids: list[str], reports: list[MetricsReport]) -> str:
+    """CSV with header id,ac,se,sp,di,ja and one row per image, 6 decimals."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(("id",) + MetricsReport.FIELDS)
+    for name, report in zip(ids, reports, strict=True):
+        out.writerow([name] + [f"{v:.6f}" for v in report.values()])
+    return buf.getvalue()

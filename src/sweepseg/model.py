@@ -44,7 +44,7 @@ from .layers import (
 )
 from .metrics import ConfusionCounts, confusion_counts, metrics_from_counts
 from .renet import PATCH, RenetParams, SweepParams, renet_block
-from .tensor import Rng, glorot_scale, load_checkpoint, save_checkpoint
+from .tensor import Rng, glorot_scale, load_checkpoint, overwrite, save_checkpoint
 
 ENCODER_CHANNELS = (16, 16, 32, 32, 64, 64, 64)
 POOL_AFTER = frozenset((2, 4))  # pool follows these conv indices (1-based)
@@ -432,7 +432,7 @@ def save_model(params: ModelParams, config: ModelConfig, sink) -> int:
         entries[f"meta.{key}"] = np.array([value], dtype=np.float32)
     if hasattr(sink, "write"):
         return save_checkpoint(entries, sink)
-    with open(sink, "wb") as fh:
+    with overwrite(sink) as fh:
         return save_checkpoint(entries, fh)
 
 

@@ -1,4 +1,5 @@
-"""Dense tensor values, seeded RNG, parameter init, checkpoint serialization.
+"""Dense tensor values, seeded RNG, parameter init, checkpoint serialization,
+and the one writer of every output file.
 
 Tensors are plain numpy float32 arrays in row-major (C) order; float64 is
 used transiently by the gradient-check harness. All randomness in the
@@ -12,8 +13,11 @@ through byte tables; see `Rng`.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
-from typing import BinaryIO, Iterable, Mapping
+from contextlib import contextmanager
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -220,6 +224,35 @@ def glorot_scale(draws: np.ndarray, fan_in: int, fan_out: int) -> np.ndarray:
 def _check_fans(fan_in: int, fan_out: int) -> None:
     if fan_in < 1 or fan_out < 1:
         raise ShapeError("fan_in and fan_out must be >= 1")
+
+
+@contextmanager
+def overwrite(path) -> Iterator[BinaryIO]:
+    """A buffered binary file that writes `path` from its first byte.
+
+    The file is opened without O_TRUNC (created with mode 0o666 less the
+    umask if it is new). An existing regular file is cut to its first byte
+    instead of to zero: emptying a file makes ext4 start writeback when it
+    is closed (its auto_da_alloc rule), so each overwrite would pay for a
+    flush, while a cut to one byte does not. The first byte written replaces
+    the one kept, so the file holds exactly the bytes written so far: a run
+    killed mid-write leaves a short file that fails to load, as after
+    O_TRUNC, never new bytes followed by an older file's tail. A body that
+    writes nothing leaves an empty file. A symlink or hard link is written
+    through and keeps its inode. A target that is not a regular file
+    (/dev/stdout, a pipe, /dev/null) is never cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        st = os.fstat(fd)
+        kept = stat.S_ISREG(st.st_mode) and st.st_size > 0
+        if kept:
+            os.ftruncate(fd, 1)
+        try:
+            yield fh
+        finally:
+            if kept and fh.tell() == 0:
+                os.ftruncate(fd, 0)  # nothing written: drop the kept byte
 
 
 def save_checkpoint(entries: Mapping[str, np.ndarray], sink: BinaryIO) -> int:

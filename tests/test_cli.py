@@ -1,5 +1,6 @@
 """Tests for the command-line interface: flags, exit codes, artifacts."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -559,6 +560,116 @@ class TestEval:
 
     def test_no_mode_is_usage_error(self, tmp_path, capsys):
         assert run_cli(["eval", "--report", str(tmp_path / "r.txt")]) == 1
+
+    @staticmethod
+    def _per_image_means(path, report):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", "ac", "se", "sp", "di", "ja"]
+        values = dict(line.split("=") for line in report.read_text().split())
+        for k, metric in enumerate(rows[0][1:], start=1):
+            mean = np.mean([float(row[k]) for row in rows[1:]])
+            assert abs(mean - float(values[f"macro.{metric}"])) <= 1e-6, metric
+        return [row[0] for row in rows[1:]]
+
+    def test_per_image_rows_average_to_the_macro_report(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        report, rows = tmp_path / "r.txt", tmp_path / "rows.csv"
+        assert run_cli(["eval", "--model", str(ckpt), "--data", str(data),
+                        "--report", str(report), "--per-image", str(rows)]) == 0
+        assert self._per_image_means(rows, report) == ["synth000", "synth001", "synth002"]
+
+    def test_per_image_rows_name_the_masks_in_dir_mode(self, trained, tmp_path, capsys):
+        data, _ = trained
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for k, p in enumerate(sorted(data.glob("*_segmentation.pgm"))):
+            # shift each mask by its own amount so that the rows differ
+            write_pnm(np.roll(read_pnm(p.read_bytes()), k + 1, axis=1), pred / p.name)
+        report, rows = tmp_path / "r.txt", tmp_path / "rows.csv"
+        assert run_cli(["eval", "--pred", str(pred), "--gt", str(data),
+                        "--report", str(report), "--per-image", str(rows)]) == 0
+        names = self._per_image_means(rows, report)
+        assert names == sorted(p.name for p in data.glob("*_segmentation.pgm"))
+        assert len(set(rows.read_text().splitlines()[1:])) == 3
+
+    def test_no_per_image_file_by_default(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        assert run_cli(["eval", "--model", str(ckpt), "--data", str(data),
+                        "--report", str(tmp_path / "r.txt")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt"]
+
+
+def _junk(path, size=20_000):
+    """Fill `path` with `size` random bytes, more than any output below."""
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+
+
+class TestOverwriteOutputs:
+    """Every output written over a longer file ends byte-equal to a fresh write."""
+
+    def test_infer(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        fresh, old = tmp_path / "fresh.pgm", tmp_path / "old.pgm"
+        _junk(old)
+        for out in (fresh, old):
+            assert run_cli(["infer", "--model", str(ckpt), "--image", str(data / "synth000.ppm"),
+                            "--out", str(out)]) == 0
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_synth(self, tmp_path, capsys):
+        fresh = make_dataset(tmp_path, "fresh")
+        old = tmp_path / "old"
+        old.mkdir()
+        for p in fresh.iterdir():
+            _junk(old / p.name)
+        make_dataset(tmp_path, "old")
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == \
+            {p.name: p.read_bytes() for p in fresh.iterdir()}
+
+    def test_train_checkpoint_and_trace(self, tmp_path, capsys):
+        data = make_dataset(tmp_path)
+        cfg = write_config(tmp_path / "c.json", epochs=1)
+        outs = {}
+        for side in ("fresh", "old"):
+            ckpt, trace = tmp_path / f"{side}.ckpt", tmp_path / f"{side}.csv"
+            if side == "old":
+                _junk(ckpt, size=len(outs["fresh"][0]) + 4096)
+                _junk(trace)
+            assert run_cli(["train", "--data", str(data), "--config", str(cfg),
+                            "--out", str(ckpt), "--trace", str(trace)]) == 0
+            outs[side] = (ckpt.read_bytes(), trace.read_bytes())
+        assert outs["old"] == outs["fresh"]
+
+    def test_eval_report_and_per_image(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        outs = {}
+        for side in ("fresh", "old"):
+            report, rows = tmp_path / f"{side}.txt", tmp_path / f"{side}.csv"
+            if side == "old":
+                _junk(report)
+                _junk(rows)
+            assert run_cli(["eval", "--model", str(ckpt), "--data", str(data),
+                            "--report", str(report), "--per-image", str(rows)]) == 0
+            outs[side] = (report.read_bytes(), rows.read_bytes())
+        assert outs["old"] == outs["fresh"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_infer_to_dev_stdout_and_dev_null(self, trained, tmp_path, capsys):
+        data, ckpt = trained
+        fresh = tmp_path / "fresh.pgm"
+        args = ["infer", "--model", str(ckpt), "--image", str(data / "synth000.ppm"), "--out"]
+        assert run_cli(args + [str(fresh)]) == 0
+        assert run_cli(args + [os.devnull]) == 0
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "sweepseg"] + args + ["/dev/stdout"],
+                              env=env, capture_output=True, check=True, timeout=300)
+        assert proc.stdout == fresh.read_bytes()
+
+    def test_write_pnm_to_dev_null_returns_the_byte_count(self):
+        assert write_pnm(np.zeros((4, 6, 1), np.float32), os.devnull) == len(b"P5\n6 4\n255\n") + 24
 
 
 def with_meta(ckpt, out, key, value):

@@ -1,27 +1,36 @@
+import ast
 import functools
 import io
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sweepseg.data import read_pnm_file, write_pnm
 from sweepseg.errors import (
     BadMagicError,
     CheckpointError,
     InvalidSeedError,
+    PnmTruncatedError,
     ShapeError,
     TruncatedStreamError,
     VersionMismatchError,
 )
+from sweepseg.model import ModelConfig, build_model, load_model, save_model
 from sweepseg.tensor import (
     _CHUNK,
     _LANE,
     Rng,
     glorot_init,
     load_checkpoint,
+    overwrite,
     save_checkpoint,
 )
 
@@ -315,3 +324,231 @@ class TestCheckpointFuzz:
         for name, value in entries.items():
             assert isinstance(name, str)
             assert value.dtype == np.float32 and value.ndim >= 1
+
+
+def _run_child(code: str) -> int:
+    """Run `code` in a fresh interpreter that imports this tree's sweepseg; its exit code."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=300).returncode
+
+
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+class TestOverwrite:
+    """The writer against what open(path, "wb") does."""
+
+    def test_longer_file_ends_as_a_fresh_write(self, tmp_path):
+        junk = np.random.default_rng(0).bytes(20_000)
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        old.write_bytes(junk)
+        for path in (fresh, old):
+            with overwrite(path) as fh:
+                fh.write(b"abc")
+                fh.write(b"defg")
+        assert fresh.read_bytes() == old.read_bytes() == b"abcdefg"
+
+    def test_shorter_file_grows(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"xy")
+        with overwrite(path) as fh:
+            fh.write(b"0123456789")
+        assert path.read_bytes() == b"0123456789"
+
+    def test_empty_body_empties_the_file(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"old bytes")
+        with overwrite(path):
+            pass
+        assert path.read_bytes() == b""
+
+    def test_a_body_that_raises_before_writing_empties_the_file(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(RuntimeError):
+            with overwrite(path):
+                raise RuntimeError("before any write")
+        assert path.read_bytes() == b""
+
+    def test_the_file_holds_only_the_bytes_written_so_far(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"x" * 5000)
+        with overwrite(path) as fh:
+            assert path.read_bytes() == b"x"  # the one old byte kept until the first write
+            fh.write(b"new")
+            fh.flush()
+            assert path.read_bytes() == b"new"
+            fh.write(b" bytes")
+        assert path.read_bytes() == b"new bytes"
+
+    def test_a_raising_body_leaves_the_prefix_it_wrote(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"a much longer old file")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with overwrite(path) as fh:
+                fh.write(b"new")
+                raise RuntimeError("mid-write")
+        assert path.read_bytes() == b"new"
+
+    def test_keeps_the_inode(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(bytes(5000))
+        inode = path.stat().st_ino
+        with overwrite(path) as fh:
+            fh.write(b"new")
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == b"new"
+
+    def test_writes_through_a_symlink_and_a_hard_link(self, tmp_path):
+        target = tmp_path / "target"
+        target.write_bytes(bytes(5000))
+        link, hard = tmp_path / "link", tmp_path / "hard"
+        link.symlink_to(target)
+        os.link(target, hard)
+        with overwrite(link) as fh:
+            fh.write(b"via link")
+        assert link.is_symlink()
+        assert target.read_bytes() == hard.read_bytes() == b"via link"
+        with overwrite(hard) as fh:
+            fh.write(b"hard")
+        assert target.read_bytes() == b"hard"
+
+    def test_a_new_file_gets_the_mode_of_open_wb(self, tmp_path):
+        with overwrite(tmp_path / "new") as fh:
+            fh.write(b"x")
+        with open(tmp_path / "by_open", "wb") as fh:
+            fh.write(b"x")
+        mode = (tmp_path / "new").stat().st_mode & 0o777
+        assert mode == (tmp_path / "by_open").stat().st_mode & 0o777
+        assert mode == 0o666 & ~_umask()
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a POSIX null device")
+    def test_a_device_gets_no_truncate(self):
+        with overwrite(os.devnull) as fh:
+            assert fh.write(b"discarded") == 9
+
+    def test_a_directory_is_an_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            with overwrite(tmp_path):
+                pass
+
+    def test_a_checkpoint_killed_mid_write_fails_to_load(self, tmp_path):
+        # over an older checkpoint of the same config, new bytes followed by
+        # the old tail would load as a mix of two models
+        path = tmp_path / "model.ckpt"
+        config = ModelConfig()
+        save_model(build_model(config, Rng(1)), config, path)
+        size = path.stat().st_size
+        code = f"""
+import os
+from sweepseg import model
+from sweepseg.tensor import Rng, save_checkpoint
+
+def dying(entries, fh):
+    class Sink:
+        written = 0
+        def write(self, data):
+            fh.write(data)
+            Sink.written += len(data)
+            if Sink.written > {size // 2}:
+                fh.flush()
+                os._exit(9)
+    return save_checkpoint(entries, Sink())
+
+model.save_checkpoint = dying
+config = model.ModelConfig()
+model.save_model(model.build_model(config, Rng(2)), config, {str(path)!r})
+"""
+        assert _run_child(code) == 9
+        assert size // 2 < path.stat().st_size < size
+        with pytest.raises(TruncatedStreamError):
+            load_model(path)
+
+    def test_a_mask_killed_mid_write_fails_to_read(self, tmp_path):
+        path = tmp_path / "mask.pgm"
+        write_pnm(np.ones((64, 64, 1), np.float32), path)
+        header = b"P5\n64 64\n255\n"
+        code = f"""
+import os
+from sweepseg.tensor import overwrite
+with overwrite({str(path)!r}) as fh:
+    fh.write({header!r} + bytes(2048))
+    fh.flush()
+    os._exit(9)
+"""
+        assert _run_child(code) == 9
+        assert path.read_bytes() == header + bytes(2048)
+        with pytest.raises(PnmTruncatedError):
+            read_pnm_file(path)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sweepseg"
+_WRITE_MODE = set("wax+")
+
+
+def _file_writes(tree: ast.AST, writer: ast.FunctionDef | None) -> list[str]:
+    """Each file write in `tree` that bypasses `writer`, as "line: what"."""
+    inside = set() if writer is None else {id(n) for n in ast.walk(writer)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if name in ("write_bytes", "write_text"):
+            found.append(f"{node.lineno}: {name}")
+        elif owner == "os" and name in ("open", "fdopen"):
+            if id(node) not in inside:
+                found.append(f"{node.lineno}: os.{name}")
+        elif name == "open":
+            # open(file, mode) against path.open(mode)
+            at = 0 if isinstance(func, ast.Attribute) else 1
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+            for mode in modes:
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                        or _WRITE_MODE & set(mode.value):
+                    found.append(f"{node.lineno}: open with mode {ast.unparse(mode)}")
+    return found
+
+
+def test_every_file_write_in_src_goes_through_overwrite():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    writers = 0
+    bypasses = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writer = None
+        if path.name == "tensor.py":
+            writer = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "overwrite")
+            writers += 1
+            assert _file_writes(writer, None), "overwrite opens no file"
+        bypasses += [f"{path.name}:{hit}" for hit in _file_writes(tree, writer)]
+    assert writers == 1
+    assert bypasses == []
+
+
+def test_the_write_finder_sees_every_form():
+    code = """
+import os
+from pathlib import Path
+Path("a").write_bytes(b"")
+Path("a").write_text("")
+open("a", "wb")
+open("a", mode="a")
+open("a", "r+b")
+Path("a").open("w")
+open("a", some_mode)
+os.open("a", os.O_WRONLY)
+os.fdopen(3, "wb")
+open("a")
+open("a", "rb")
+"""
+    assert len(_file_writes(ast.parse(code), None)) == 9
