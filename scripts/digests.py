@@ -10,12 +10,15 @@ data/test/synth000.ppm, `eval --model --data data/test`, and
 of which takes 589,824 draws in one fill. Prints one line per output:
 the first 16 hex digits of the sha256 of the checkpoint, the trace, the
 mask, the report, gradcheck's standard output and the 128 px set (its
-files' names and bytes, in name order). A change that must keep every
-byte prints the same six lines before and after.
+files' names and bytes, in name order). A seventh line names the
+OpenBLAS core (kernel) that numpy loaded, or `unknown`: the same library
+and kernel give the same bytes, and another kernel may not. A change that
+must keep every byte prints the same seven lines before and after.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -41,6 +44,36 @@ def prefix(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                    "openblas_get_corename")
+
+
+def blas_core() -> str:
+    """The core name that numpy's OpenBLAS reports, or "unknown".
+
+    The library is found by symbol, not by file name: each shared object
+    mapped into this process is asked for one of CORENAME_SYMBOLS.
+    """
+    import numpy  # noqa: F401  (maps its BLAS into this process)
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({f[5] for f in map(str.split, fh) if len(f) == 6 and ".so" in f[5]})
+    except OSError:
+        return "unknown"
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for symbol in CORENAME_SYMBOLS:
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode(errors="replace")
+    return "unknown"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -61,6 +94,7 @@ def main() -> None:
             print(f"{prefix((d / name).read_bytes())}  {name}")
         print(f"{prefix(gradcheck)}  gradcheck --seed 42")
         print(f"{prefix(synth)}  synth --count 2 --size 128 --seed 7")
+    print(f"{blas_core()}  OpenBLAS core")
 
 
 if __name__ == "__main__":

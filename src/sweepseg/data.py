@@ -9,6 +9,7 @@ order, so a (seed, count, size) triple always produces identical bytes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,8 +173,24 @@ def load_dataset(directory, image_size: int) -> list[ImageRecord]:
 
 
 def save_dataset(records: list[ImageRecord], directory) -> None:
-    """Write records back out in the same directory layout."""
+    """Write records back out in the same directory layout.
+
+    Raises DataError, before writing anything, if the directory holds an
+    image or mask that these records would not overwrite: a later load
+    would read it as part of this dataset.
+    """
     root = Path(directory)
+    ours = {f"{rec.id}.ppm" for rec in records}
+    ours |= {f"{rec.id}{MASK_SUFFIX}.pgm" for rec in records if rec.mask is not None}
+    try:
+        with os.scandir(root) as entries:
+            stale = sorted(e.name for e in entries if e.name not in ours and (
+                e.name.endswith(".ppm") or e.name.endswith(f"{MASK_SUFFIX}.pgm")))
+    except FileNotFoundError:
+        stale = []
+    if stale:
+        raise DataError(f"{root} holds files that this dataset would not overwrite, "
+                        f"and a later load would read them with it: {', '.join(stale)}")
     root.mkdir(parents=True, exist_ok=True)
     for rec in records:
         write_pnm(rec.image, root / f"{rec.id}.ppm")

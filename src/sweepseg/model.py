@@ -107,17 +107,9 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Named parameter tensors plus a same-shaped momentum buffer."""
+    """Named parameter tensors, in declaration order."""
 
     values: dict[str, np.ndarray]
-    momentum: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.momentum:
-            self.momentum = {k: np.zeros_like(v) for k, v in self.values.items()}
-        for k, v in self.values.items():
-            if self.momentum[k].shape != v.shape:
-                raise ShapeError(f"momentum shape mismatch for parameter {k!r}")
 
 
 @dataclass
@@ -133,47 +125,41 @@ class TrainTrace:
 # relu halves activation variance; without this gain the 7-deep encoder
 # attenuates signal ~10x and cannot overfit within the fixed epoch budget
 RELU_GAIN = np.float32(np.sqrt(2.0))
+NO_GAIN = np.float32(1.0)
 
 
-def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Every parameter's name and shape, in declaration (and draw) order."""
-    shapes = []
+def param_table(config: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple | None]]:
+    """Every parameter in declaration (and draw) order: its name, its shape,
+    and for a weight its Glorot fan-in and fan-out and the gain its draws
+    are scaled by. A bias (None) starts at zero and draws nothing."""
+    table = []
     c_in = 3
     for i, c_out in enumerate(ENCODER_CHANNELS, start=1):
-        shapes += [(f"enc{i}.weights", (3, 3, c_in, c_out)), (f"enc{i}.bias", (c_out,))]
+        table += [(f"enc{i}.weights", (3, 3, c_in, c_out), (9 * c_in, 9 * c_out, RELU_GAIN)),
+                  (f"enc{i}.bias", (c_out,), None)]
         c_in = c_out
 
     u = config.rnn_units
     length = PATCH * PATCH * ENCODER_CHANNELS[-1]
     for direction, rows in (("down", length), ("up", length),
                             ("right", 2 * u), ("left", 2 * u)):
-        shapes += [(f"renet.{direction}.wx", (rows, u)), (f"renet.{direction}.wz", (u, u)),
-                   (f"renet.{direction}.bias", (u,))]
+        table += [(f"renet.{direction}.wx", (rows, u), (rows, u, NO_GAIN)),
+                  (f"renet.{direction}.wz", (u, u), (u, u, NO_GAIN)),
+                  (f"renet.{direction}.bias", (u,), None)]
 
+    # a stride-s transposed conv touches each output cell through (k/s)^2
+    # taps, not k^2; counting the full kernel as fan shrinks the decoder
+    # signal 3x per stage and stalls training inside the epoch budget
+    taps = (TCONV_KERNEL // TCONV_STRIDE) ** 2
     c_in = 2 * u
     for k, c_out in enumerate(DECODER_CHANNELS, start=1):
-        shapes += [(f"dec{k}.weights", (TCONV_KERNEL, TCONV_KERNEL, c_in, c_out)),
-                   (f"dec{k}.bias", (c_out,))]
+        table += [(f"dec{k}.weights", (TCONV_KERNEL, TCONV_KERNEL, c_in, c_out),
+                   (taps * c_in, taps * c_out, RELU_GAIN)),
+                  (f"dec{k}.bias", (c_out,), None)]
         c_in = c_out
-    shapes += [("out.weights", (1, 1, DECODER_CHANNELS[-1], 1)), ("out.bias", (1,))]
-    return shapes
-
-
-def _glorot_fans(name: str, shape: tuple[int, ...]) -> tuple[int, int, np.float32]:
-    """A weight's Glorot fan-in and fan-out, and the gain its draws are scaled by."""
-    if name.startswith("dec"):
-        # a stride-s transposed conv touches each output cell through (k/s)^2
-        # taps, not k^2; counting the full kernel as fan shrinks the decoder
-        # signal 3x per stage and stalls training inside the epoch budget
-        k, _, ci, co = shape
-        fan = (k // TCONV_STRIDE) ** 2
-        return fan * ci, fan * co, RELU_GAIN
-    if len(shape) == 4:
-        kh, kw, ci, co = shape
-        # the logit head feeds a sigmoid, not a relu, so it keeps plain Glorot
-        gain = np.float32(1.0) if name == "out.weights" else RELU_GAIN
-        return kh * kw * ci, kh * kw * co, gain
-    return shape[0], shape[1], np.float32(1.0)  # recurrent wx and wz
+    # the logit head feeds a sigmoid, not a relu, so it keeps plain Glorot
+    table += [("out.weights", (1, 1, c_in, 1), (c_in, 1, NO_GAIN)), ("out.bias", (1,), None)]
+    return table
 
 
 def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
@@ -182,17 +168,16 @@ def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
     One fill draws every weight, so each weight gets exactly the draws a
     fill of its own would give; biases start at zero and draw nothing.
     """
-    shapes = param_shapes(config)
-    draws = rng.fill(sum(math.prod(shape) for name, shape in shapes
-                         if not name.endswith(".bias")))
+    table = param_table(config)
+    draws = rng.fill(sum(math.prod(shape) for _, shape, fans in table if fans))
     values = {}
     at = 0
-    for name, shape in shapes:
-        if name.endswith(".bias"):
+    for name, shape, fans in table:
+        if fans is None:
             values[name] = np.zeros(shape, dtype=np.float32)
             continue
         size = math.prod(shape)
-        fan_in, fan_out, gain = _glorot_fans(name, shape)
+        fan_in, fan_out, gain = fans
         w = glorot_scale(draws[at:at + size], fan_in, fan_out).reshape(shape)
         w *= gain
         values[name] = w
@@ -325,15 +310,16 @@ def loss_and_gradients(batch, params: ModelParams):
     return loss, grads
 
 
-def sgd_update(params: ModelParams, grads: dict[str, np.ndarray], lr: float,
-               momentum: float) -> ModelParams:
-    """v <- momentum*v - lr*g; theta <- theta + v, in fixed name order. In place."""
+def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
+               velocity: dict[str, np.ndarray], lr: float, momentum: float) -> ModelParams:
+    """v <- momentum*v - lr*g; theta <- theta + v, in fixed name order. In place,
+    on the parameters and on `velocity`, one same-shaped buffer per parameter."""
     with np.errstate(over="ignore"):  # train names an overflowed parameter after the epoch
         for name, theta in params.values.items():
             g = grads.get(name)
             if g is None or g.shape != theta.shape:
                 raise ShapeError(f"gradient missing or mis-shaped for parameter {name!r}")
-            v = params.momentum[name]
+            v = velocity[name]
             v[...] = momentum * v - lr * g
             theta += v
     return params
@@ -383,6 +369,7 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
         raise DataError("cannot train on an empty dataset")
 
     params = build_model(config, rng)
+    velocity = {name: np.zeros_like(theta) for name, theta in params.values.items()}
     trace = TrainTrace()
     for epoch in range(1, config.epochs + 1):
         order = _fisher_yates(len(pairs), rng)
@@ -401,7 +388,7 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
             loss_sum += loss * len(batch)
             for prob, (_, mask) in zip(probs, batch):
                 counts = counts + confusion_counts(predict_mask(prob, config.threshold), mask)
-            sgd_update(params, grads, config.lr, config.momentum)
+            sgd_update(params, grads, velocity, config.lr, config.momentum)
         bad = next((name for name, v in params.values.items() if not np.isfinite(v).all()),
                    None)
         if bad is not None:
@@ -470,7 +457,7 @@ def load_model(source) -> tuple[ModelParams, ModelConfig]:
                              rnn_units=whole(meta["rnn_units"]), threshold=meta["threshold"])
     except ConfigError as e:
         raise CheckpointError(f"checkpoint meta entries: {e}") from None
-    expected = dict(param_shapes(config))
+    expected = {name: shape for name, shape, _ in param_table(config)}
     for name, shape in expected.items():
         if name not in values:
             raise CheckpointError(f"checkpoint lacks parameter {name!r}")

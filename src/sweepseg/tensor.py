@@ -17,7 +17,7 @@ import os
 import stat
 import struct
 from contextlib import contextmanager
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterator, Mapping
 
 import numpy as np
 
@@ -202,28 +202,12 @@ def _jump_tables() -> np.ndarray:
 _JUMPS = _jump_tables()
 
 
-def glorot_init(shape: Iterable[int], fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
-    """Uniform(-a, a) init with a = sqrt(6/(fan_in+fan_out)), row-major draws.
-
-    Advances `rng` by exactly prod(shape) draws.
-    """
-    dims = list(shape)
-    if not dims or any(int(d) < 1 for d in dims):
-        raise ShapeError(f"invalid shape {dims}")
-    _check_fans(fan_in, fan_out)  # before drawing: a rejected call leaves `rng` as it was
-    return glorot_scale(rng.fill(int(np.prod(dims))), fan_in, fan_out).reshape(dims)
-
-
 def glorot_scale(draws: np.ndarray, fan_in: int, fan_out: int) -> np.ndarray:
     """Map uniform draws in [0,1) to float32 Uniform(-a, a), a = sqrt(6/(fan_in+fan_out))."""
-    _check_fans(fan_in, fan_out)
-    a = math.sqrt(6.0 / (fan_in + fan_out))
-    return ((draws * 2.0 - 1.0) * a).astype(np.float32)
-
-
-def _check_fans(fan_in: int, fan_out: int) -> None:
     if fan_in < 1 or fan_out < 1:
         raise ShapeError("fan_in and fan_out must be >= 1")
+    a = math.sqrt(6.0 / (fan_in + fan_out))
+    return ((draws * 2.0 - 1.0) * a).astype(np.float32)
 
 
 @contextmanager

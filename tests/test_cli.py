@@ -212,6 +212,24 @@ class TestSynth:
         assert run_cli(["synth", "--out", str(tmp_path / "d"),
                         "--count", "1", "--seed", "0"]) == 2
 
+    def test_refuses_to_leave_an_older_sets_pairs_behind(self, tmp_path, capsys):
+        # a smaller set over a larger one once left the larger set's extra
+        # pairs in place, and a later load read them as part of it
+        out = tmp_path / "d"
+        flags = ["synth", "--out", str(out), "--size", "16"]
+        assert run_cli(flags + ["--count", "4", "--seed", "1"]) == 0
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(old) == 8
+        capsys.readouterr()
+        assert run_cli(flags + ["--count", "2", "--seed", "2"]) == 2
+        err = capsys.readouterr().err
+        for stem in ("synth002", "synth003"):
+            assert f"{stem}.ppm" in err and f"{stem}_segmentation.pgm" in err
+        assert "synth001" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+        assert run_cli(flags + ["--count", "4", "--seed", "1"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
 
     # a size above the image cap once died in the lesion renderer with a
     # raw MemoryError (an 8000000 px side asked for 466 TiB)

@@ -1,5 +1,6 @@
 """Tests for PNM IO, dataset loading, and the synthetic lesion generator."""
 
+import dataclasses
 import io
 import time
 
@@ -258,6 +259,17 @@ class TestLoadDataset:
         for a, b in zip(records, back):
             assert np.max(np.abs(a.image - b.image)) <= 1.0 / 510 + 1e-7
             assert np.array_equal(a.mask, b.mask)
+
+    def test_save_refuses_a_mask_it_would_not_overwrite(self, tmp_path):
+        records = generate_synthetic(5, 1, 16)
+        save_dataset(records, tmp_path)
+        (tmp_path / "notes.txt").write_text("kept")
+        maskless = [dataclasses.replace(records[0], mask=None)]
+        with pytest.raises(DataError, match="synth000_segmentation.pgm"):
+            save_dataset(maskless, tmp_path)
+        (tmp_path / "synth000_segmentation.pgm").unlink()
+        save_dataset(maskless, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt", "synth000.ppm"]
 
 
 class TestSynthetic:

@@ -43,13 +43,13 @@ from sweepseg.model import (
     forward,
     load_model,
     loss_and_gradients,
-    param_shapes,
+    param_table,
     predict_mask,
     save_model,
     sgd_update,
     train,
 )
-from sweepseg.tensor import Rng, glorot_init, load_checkpoint, save_checkpoint
+from sweepseg.tensor import Rng, glorot_scale, load_checkpoint, save_checkpoint
 
 
 def small_config(**kw):
@@ -91,12 +91,6 @@ class TestBuild:
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 build_model(ModelConfig(**bad), Rng(1))
 
-    def test_buffer_shapes_agree(self):
-        params = build_model(small_config(), Rng(5))
-        assert list(params.momentum) == list(params.values)
-        for k, v in params.values.items():
-            assert params.momentum[k].shape == v.shape
-
     @pytest.mark.parametrize("rnn_units", [ModelConfig().rnn_units, 8, MAX_RNN_UNITS])
     def test_one_fill_gives_the_bytes_of_one_fill_per_weight(self, rnn_units):
         config = ModelConfig(rnn_units=rnn_units)
@@ -109,31 +103,30 @@ class TestBuild:
             assert got[name].tobytes() == w.tobytes(), name
         assert one.state == per_weight.state
 
-    def test_mismatched_buffers_rejected(self):
-        params = build_model(small_config(), Rng(5))
-        momentum = dict(params.momentum)
-        momentum["out.bias"] = np.zeros(2, dtype=np.float32)
-        with pytest.raises(ShapeError):
-            ModelParams(values=params.values, momentum=momentum)
-
 
 def per_weight_init(config, rng):
-    """The parameters as drawn by one glorot_init call per weight, in
-    declaration order: the reference for build_model's single fill."""
+    """The parameters as drawn by one fill per weight, in declaration order,
+    with the fan rules restated from the names and shapes alone: the
+    reference for build_model's single fill and its table's fans and gains."""
     values = {}
-    for name, shape in param_shapes(config):
+    for name, shape, _ in param_table(config):
         if name.endswith(".bias"):
             values[name] = np.zeros(shape, dtype=np.float32)
-        elif name.startswith("dec"):
+            continue
+        gain = RELU_GAIN
+        if name.startswith("dec"):
             k, _, ci, co = shape
             fan = (k // TCONV_STRIDE) ** 2
-            values[name] = glorot_init(shape, fan * ci, fan * co, rng) * RELU_GAIN
+            fan_in, fan_out = fan * ci, fan * co
         elif len(shape) == 4:
             kh, kw, ci, co = shape
-            w = glorot_init(shape, kh * kw * ci, kh * kw * co, rng)
-            values[name] = w if name == "out.weights" else w * RELU_GAIN
+            fan_in, fan_out = kh * kw * ci, kh * kw * co
+            if name == "out.weights":
+                gain = np.float32(1.0)
         else:
-            values[name] = glorot_init(shape, shape[0], shape[1], rng)
+            (fan_in, fan_out), gain = shape, np.float32(1.0)
+        w = glorot_scale(rng.fill(math.prod(shape)), fan_in, fan_out).reshape(shape)
+        values[name] = w * gain
     return values
 
 
@@ -499,23 +492,30 @@ class TestLoss:
         assert err < 1e-3
 
 
+def zero_velocity(params):
+    return {name: np.zeros_like(theta) for name, theta in params.values.items()}
+
+
 class TestSgd:
     def test_plain_gradient_step(self):
         params = ModelParams(values={"w": np.array([1.0], np.float32)})
-        sgd_update(params, {"w": np.array([0.5], np.float32)}, lr=0.1, momentum=0.0)
+        sgd_update(params, {"w": np.array([0.5], np.float32)}, zero_velocity(params),
+                   lr=0.1, momentum=0.0)
         assert np.allclose(params.values["w"], [0.95])
 
     def test_zero_gradient_keeps_params_with_zero_velocity(self):
         params = ModelParams(values={"w": np.array([2.0], np.float32)})
-        sgd_update(params, {"w": np.zeros(1, np.float32)}, lr=0.1, momentum=0.9)
+        sgd_update(params, {"w": np.zeros(1, np.float32)}, zero_velocity(params),
+                   lr=0.1, momentum=0.9)
         assert np.array_equal(params.values["w"], [2.0])
 
     def test_two_momentum_steps_match_hand_recurrence(self):
         params = ModelParams(values={"w": np.array([1.0], np.float32)})
+        velocity = zero_velocity(params)
         g1 = np.array([0.5], np.float32)
         g2 = np.array([0.25], np.float32)
-        sgd_update(params, {"w": g1}, lr=0.1, momentum=0.9)
-        sgd_update(params, {"w": g2}, lr=0.1, momentum=0.9)
+        sgd_update(params, {"w": g1}, velocity, lr=0.1, momentum=0.9)
+        sgd_update(params, {"w": g2}, velocity, lr=0.1, momentum=0.9)
         v1 = 0.9 * 0.0 - 0.1 * 0.5
         w1 = 1.0 + v1
         v2 = 0.9 * v1 - 0.1 * 0.25
@@ -524,10 +524,11 @@ class TestSgd:
 
     def test_shape_mismatch_rejected(self):
         params = ModelParams(values={"w": np.zeros(2, np.float32)})
+        velocity = zero_velocity(params)
         with pytest.raises(ShapeError):
-            sgd_update(params, {"w": np.zeros(3, np.float32)}, 0.1, 0.9)
+            sgd_update(params, {"w": np.zeros(3, np.float32)}, velocity, 0.1, 0.9)
         with pytest.raises(ShapeError):
-            sgd_update(params, {}, 0.1, 0.9)
+            sgd_update(params, {}, velocity, 0.1, 0.9)
 
 
 class TestPredictMask:
@@ -672,6 +673,24 @@ class TestCheckpointRoundtrip:
         rng = np.random.default_rng(5)
         image = rng.uniform(size=(meta_config.image_size,) * 2 + (3,)).astype(np.float32)
         assert np.array_equal(forward(image, params), forward(image, loaded))
+
+    def test_load_holds_little_beyond_the_parameters(self, tmp_path):
+        # the loaded model is its parameters and nothing as large beside
+        # them: no optimizer state, no second copy of the file's bytes
+        config = ModelConfig()
+        path = tmp_path / "model.ckpt"
+        save_model(build_model(config, Rng(67)), config, path)
+        load_model(path)  # warm: first-call imports and caches are not the load
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            params, _ = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(v.nbytes for v in params.values.values())
+        assert param_bytes > 700_000
+        assert peak < 1.25 * param_bytes, (peak, param_bytes)
 
     def test_missing_meta_rejected(self):
         sink = io.BytesIO()

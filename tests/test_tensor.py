@@ -28,7 +28,7 @@ from sweepseg.tensor import (
     _CHUNK,
     _LANE,
     Rng,
-    glorot_init,
+    glorot_scale,
     load_checkpoint,
     overwrite,
     save_checkpoint,
@@ -177,30 +177,26 @@ class TestRng:
 
 class TestGlorot:
     def test_unit_bound_when_fans_are_3(self):
-        t = glorot_init([50, 50], 3, 3, Rng(11))
+        t = glorot_scale(Rng(11).fill(2500), 3, 3)
+        assert t.dtype == np.float32
         assert np.all(t > -1.0)
         assert np.all(t < 1.0)
 
     def test_deterministic(self):
-        a = glorot_init([4, 7], 10, 5, Rng(3))
-        b = glorot_init([4, 7], 10, 5, Rng(3))
+        a = glorot_scale(Rng(3).fill(28), 10, 5)
+        b = glorot_scale(Rng(3).fill(28), 10, 5)
         np.testing.assert_array_equal(a, b)
 
     def test_sample_mean_near_zero(self):
-        t = glorot_init([100_000], 3, 3, Rng(2024))
+        t = glorot_scale(Rng(2024).fill(100_000), 3, 3)
         assert abs(float(t.mean())) < 0.01
 
     def test_zero_fans_rejected(self):
+        draws = Rng(1).fill(4)
         with pytest.raises(ShapeError):
-            glorot_init([2, 2], 0, 3, Rng(1))
+            glorot_scale(draws, 0, 3)
         with pytest.raises(ShapeError):
-            glorot_init([2, 2], 3, 0, Rng(1))
-
-    def test_rejected_fans_draw_nothing(self):
-        rng = Rng(1)
-        with pytest.raises(ShapeError):
-            glorot_init([2, 2], 0, 3, rng)
-        assert rng.state == 1
+            glorot_scale(draws, 3, 0)
 
 
 class TestCheckpoint:
