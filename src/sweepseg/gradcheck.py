@@ -4,7 +4,7 @@ Each check builds a small float64 problem (a batch of one sample) and
 follows one protocol: run the forward, draw a probe shaped like its
 output, feed the probe to the layer's backward, and compare the analytic
 gradients against 64-bit central differences of sum(output * probe) at
-h=1e-3 (the loss check feeds its scalar upstream 1.0 instead). Inputs are
+h=1e-3 (the loss check takes the gradient the loss returns). Inputs are
 constructed so no piecewise boundary (relu kink, pool tie, bce clamp)
 sits within h of a sample point, which keeps the quotient meaningful for
 the piecewise-linear ops.
@@ -36,7 +36,7 @@ from .layers import (
     maxpool2x2_forward,
     tconv_forward,
 )
-from .renet import RenetParams, SweepParams, directional_sweep, renet_block
+from .renet import DIRECTIONS, directional_sweep, renet_block
 from .tensor import Rng
 
 LINEAR_TOL = 1e-6
@@ -98,17 +98,16 @@ def _check_bce(rng: Rng) -> float:
     # difference exceed 1e-4 for p outside roughly [0.1, 0.9]
     pred = _draw(rng, (1, 6, 6), lo=0.15, hi=0.85)
     target = (rng.fill(36).reshape(1, 6, 6) > 0.5).astype(np.float64)
-    _, rec = bce_loss(pred, target)
-    dpred, _ = backward(rec, 1.0)
+    _, dpred = bce_loss(pred, target)
     return finite_diff_check(lambda: float(bce_loss(pred, target)[0][0]), [pred], [dpred])
 
 
-def _sweep_params(rng: Rng, length: int, units: int) -> SweepParams:
+def _sweep_params(rng: Rng, length: int, units: int) -> dict[str, np.ndarray]:
     # modest scales bend tanh without saturating it, so the recurrence
     # keeps healthy gradient magnitudes along every path
-    return SweepParams(wx=_draw(rng, (length, units), lo=-0.3, hi=0.3),
-                       wz=_draw(rng, (units, units), lo=-0.3, hi=0.3),
-                       bias=_draw(rng, (units,), lo=-0.2, hi=0.2))
+    return {"wx": _draw(rng, (length, units), lo=-0.3, hi=0.3),
+            "wz": _draw(rng, (units, units), lo=-0.3, hi=0.3),
+            "bias": _draw(rng, (units,), lo=-0.2, hi=0.2)}
 
 
 def run_suite(seed: int = 42) -> list[CheckResult]:
@@ -138,25 +137,21 @@ def run_suite(seed: int = 42) -> list[CheckResult]:
     results.append(_probe_check(rng, "sigmoid", NONLINEAR_TOL, lambda: activation_forward(x), x))
     results.append(CheckResult("bce", _check_bce(rng), NONLINEAR_TOL))
 
-    fields = ("wx", "wz", "bias")
-    for direction in ("down", "up", "right", "left"):
+    for direction in DIRECTIONS:
         x = _draw(rng, (1, 3, 4, 5), lo=-0.5, hi=0.5)
         sweep = _sweep_params(rng, 5, 3)
         results.append(_probe_check(
             rng, f"sweep_{direction}", NONLINEAR_TOL,
-            lambda: directional_sweep(x, direction, sweep), x,
-            {f: getattr(sweep, f) for f in fields}, _scaled_diff_check))
+            lambda: directional_sweep(x, direction, sweep), x, sweep, _scaled_diff_check))
 
     units = 2
     x = _draw(rng, (1, 8, 8, 3), lo=-0.5, hi=0.5)
-    block = RenetParams(down=_sweep_params(rng, 12, units),
-                        up=_sweep_params(rng, 12, units),
-                        right=_sweep_params(rng, 2 * units, units),
-                        left=_sweep_params(rng, 2 * units, units))
+    block = {f"{direction}.{key}": value
+             for direction, length in zip(DIRECTIONS, (12, 12, 2 * units, 2 * units))
+             for key, value in _sweep_params(rng, length, units).items()}
     results.append(_probe_check(
-        rng, "renet_block", NONLINEAR_TOL, lambda: renet_block(x, block), x,
-        {f"{d}.{f}": getattr(getattr(block, d), f)
-         for d in ("down", "up", "right", "left") for f in fields}, _scaled_diff_check))
+        rng, "renet_block", NONLINEAR_TOL, lambda: renet_block(x, block), x, block,
+        _scaled_diff_check))
     return results
 
 

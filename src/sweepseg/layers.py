@@ -8,7 +8,8 @@ Conventions used throughout:
 * every forward returns (output, OpRecord), and the record names its own
   backward function (`record.grad`); `backward(record, upstream)` runs it
   and returns (input_gradient, {param_name: gradient}), with each
-  parameter gradient summed over the batch
+  parameter gradient summed over the batch; the loss, which ends the tape,
+  returns its gradient in place of a record
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
 * a conv or transposed conv can end in a fused relu (conv+bias+activation
@@ -545,13 +546,14 @@ def _tconv_backward(rec: OpRecord, up: np.ndarray):
 # binary cross-entropy
 # ---------------------------------------------------------------------------
 
-def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, OpRecord]:
+def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample mean of -[t ln p + (1-t) ln(1-p)] with p clamped to [1e-7, 1-1e-7].
 
-    pred and target are (N, ...) batches; the result is a float64 array of
-    N losses, one mean over each sample's entries. The reductions run in
-    float64 regardless of input dtype. `backward(record, g)` is the
-    gradient of g times the sum of the N losses.
+    pred and target are (N, ...) batches. Returns (losses, dpred): a float64
+    array of N losses, one mean over each sample's entries, with the
+    reductions in float64 regardless of input dtype, and the gradient of
+    the sum of the N losses with respect to pred, in pred's dtype. The loss
+    ends the tape, so it keeps no record.
     """
     if pred.shape != target.shape:
         raise ShapeError(f"pred shape {pred.shape} != target shape {target.shape}")
@@ -563,18 +565,10 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, OpRecord
     t = target.astype(np.float64)
     terms = t * np.log(p) + (1.0 - t) * np.log1p(-p)
     losses = -np.mean(terms.reshape(len(pred), -1), axis=1)
-    rec = _record("bce", (), _bce_backward, pred=pred, target=target)
-    return losses, rec
-
-
-def _bce_backward(rec: OpRecord, up):
-    pred = rec.saved["pred"]
-    target = rec.saved["target"]
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS).astype(pred.dtype)
     inside = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
     dpred = (p - target) / (p * (1.0 - p)) / (pred.size // len(pred))
-    dpred = np.where(inside, dpred, 0.0).astype(pred.dtype)
-    return dpred * up, {}
+    return losses, np.where(inside, dpred, 0.0).astype(pred.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +583,9 @@ def backward(rec: OpRecord, upstream,
     returns None for the input's: a network's first conv reads the images,
     whose gradient nothing uses.
     """
-    if rec.kind == "bce":
-        up = float(upstream)
-    else:
-        up = np.asarray(upstream)
-        if up.shape != rec.out_shape:
-            raise ShapeError(f"upstream shape {up.shape} != recorded output shape {rec.out_shape}")
+    up = np.asarray(upstream)
+    if up.shape != rec.out_shape:
+        raise ShapeError(f"upstream shape {up.shape} != recorded output shape {rec.out_shape}")
     if input_grad:
         return rec.grad(rec, up)
     if rec.kind != "conv2d":

@@ -43,7 +43,7 @@ from .layers import (
     tconv_sparse_matrix,
 )
 from .metrics import ConfusionCounts, confusion_counts, metrics_from_counts
-from .renet import PATCH, RenetParams, SweepParams, renet_block
+from .renet import PATCH, renet_block
 from .tensor import Rng, glorot_scale, load_checkpoint, overwrite, save_checkpoint
 
 ENCODER_CHANNELS = (16, 16, 32, 32, 64, 64, 64)
@@ -185,14 +185,6 @@ def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
     return ModelParams(values=values)
 
 
-def _renet_params(params: ModelParams) -> RenetParams:
-    v = params.values
-    sweep = lambda d: SweepParams(wx=v[f"renet.{d}.wx"], wz=v[f"renet.{d}.wz"],
-                                  bias=v[f"renet.{d}.bias"])
-    return RenetParams(down=sweep("down"), up=sweep("up"),
-                       right=sweep("right"), left=sweep("left"))
-
-
 def _encode_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True):
     """Encoder output and the op tape, a list of (prefix, record) pairs. A
     forward that no backward follows passes keep_tape=False: the tape then
@@ -256,7 +248,8 @@ def _decode_tape(x: np.ndarray, params: ModelParams, tape):
 def _forward_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True):
     """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape."""
     x, tape = _encode_tape(images, params, keep_tape)
-    x, rec = renet_block(x, _renet_params(params))
+    x, rec = renet_block(x, {name[len("renet."):]: value for name, value in params.values.items()
+                             if name.startswith("renet.")})
     tape.append(("renet", rec))
     return _decode_tape(x, params, tape)
 
@@ -275,11 +268,10 @@ def _batch_step(batch, params: ModelParams):
     images = np.stack([image for image, _ in batch])
     masks = np.stack([mask for _, mask in batch])
     prob, tape = _forward_tape(images, params)
-    losses, bce_rec = bce_loss(prob, masks)
+    losses, g = bce_loss(prob, masks)
     loss_total = 0.0
     for sample_loss in losses:
         loss_total += float(sample_loss)
-    g, _ = backward(bce_rec, 1.0)
     summed = {}
     while tape:
         # a record leaves the tape as its backward runs, so its arrays are

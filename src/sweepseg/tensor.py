@@ -84,12 +84,8 @@ class Rng:
             raise InvalidSeedError("rng seed must be nonzero modulo 2^64")
 
     def next(self) -> float:
-        x = self.state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self.state = x
-        return (((x * _MULTIPLIER) & _MASK64) >> 11) * _INV_2_53
+        self.state, draw = _advance(self.state)
+        return draw
 
     def fill(self, count: int) -> np.ndarray:
         """Draw `count` uniforms into a float64 array (row-major order)."""
@@ -110,18 +106,18 @@ class Rng:
                 chunk = out[at:done]
                 chunk[...] = bits[at:done]
                 chunk *= _INV_2_53
-        self.state = _fill_serial(state, out[done:])
+        for i in range(done, count):
+            state, out[i] = _advance(state)
+        self.state = state
         return out
 
 
-def _fill_serial(state: int, out: np.ndarray) -> int:
-    """Write each next draw to `out`; return the state."""
-    for i in range(len(out)):
-        state ^= state >> 12
-        state = (state ^ (state << 25)) & _MASK64
-        state ^= state >> 27
-        out[i] = (((state * _MULTIPLIER) & _MASK64) >> 11) * _INV_2_53
-    return state
+def _advance(state: int) -> tuple[int, float]:
+    """One xorshift64* update: the next state and its draw."""
+    state ^= state >> 12
+    state = (state ^ (state << 25)) & _MASK64
+    state ^= state >> 27
+    return state, (((state * _MULTIPLIER) & _MASK64) >> 11) * _INV_2_53
 
 
 def _step(s: np.ndarray, tmp: np.ndarray) -> None:

@@ -29,7 +29,7 @@ from sweepseg.model import (
     predict_mask,
     train,
 )
-from sweepseg.renet import SweepParams, directional_sweep, merge_patches, split_patches
+from sweepseg.renet import directional_sweep, merge_patches, split_patches
 from sweepseg.tensor import Rng
 
 LINEAR_CHECKS = {"conv3x3", "tconv4x4_s2"}
@@ -118,18 +118,18 @@ def test_patch_algebra():
     mirror_worst = 0.0
     for _ in range(20):
         feature = draw(rng, (1, 8, 12, 3))
-        grid = split_patches(feature, 2, 2)
-        identity_ok &= np.array_equal(merge_patches(grid, 2, 2), feature)
+        grid = split_patches(feature)
+        identity_ok &= np.array_equal(merge_patches(grid), feature)
 
-        mk = lambda: SweepParams(wx=draw(rng, (12, 4), lo=-0.5, hi=0.5),
-                                 wz=draw(rng, (4, 4), lo=-0.5, hi=0.5),
-                                 bias=draw(rng, (4,), lo=-0.5, hi=0.5))
+        mk = lambda: {"wx": draw(rng, (12, 4), lo=-0.5, hi=0.5),
+                      "wz": draw(rng, (4, 4), lo=-0.5, hi=0.5),
+                      "bias": draw(rng, (4,), lo=-0.5, hi=0.5)}
         down_p, up_p = mk(), mk()
         down1, _ = directional_sweep(grid, "down", down_p)
         up1, _ = directional_sweep(grid, "up", up_p)
         coupled1 = np.concatenate([down1, up1], axis=3)
 
-        up_p2 = SweepParams(wx=up_p.wx + 0.1, wz=up_p.wz - 0.1, bias=up_p.bias + 1.0)
+        up_p2 = {"wx": up_p["wx"] + 0.1, "wz": up_p["wz"] - 0.1, "bias": up_p["bias"] + 1.0}
         down2, _ = directional_sweep(grid, "down", down_p)
         up2, _ = directional_sweep(grid, "up", up_p2)
         coupled2 = np.concatenate([down2, up2], axis=3)

@@ -58,34 +58,47 @@ class TestRunSuite:
                [(r.name, r.max_rel_error) for r in b]
 
 
-def backward_functions(monkeypatch, run) -> set:
-    """Every `rec.grad` that `layers.backward` calls while `run()` runs,
-    through whichever name a module imported it under."""
-    backward = layers_module.backward
+def watched_calls(monkeypatch, run) -> tuple[set, int]:
+    """Every `rec.grad` that `layers.backward` calls while `run()` runs, and
+    the number of `layers.bce_loss` calls, through whichever name a module
+    imported each under."""
+    backward, bce_loss = layers_module.backward, layers_module.bce_loss
     seen = set()
+    loss_calls = 0
 
-    def watching(rec, *args, **kwargs):
+    def watching_backward(rec, *args, **kwargs):
         seen.add(rec.grad)
         return backward(rec, *args, **kwargs)
+
+    def watching_bce(*args):
+        nonlocal loss_calls
+        loss_calls += 1
+        return bce_loss(*args)
 
     with monkeypatch.context() as patch:
         for name, module in list(sys.modules.items()):
             if name == "sweepseg" or name.startswith("sweepseg."):
                 for attr, value in list(vars(module).items()):
                     if value is backward:
-                        patch.setattr(module, attr, watching)
+                        patch.setattr(module, attr, watching_backward)
+                    elif value is bce_loss:
+                        patch.setattr(module, attr, watching_bce)
         run()
-    return seen
+    return seen, loss_calls
 
 
 class TestCoverage:
     def test_checks_every_backward_a_training_step_runs(self, monkeypatch):
         params = build_model(ModelConfig(image_size=16, rnn_units=4), Rng(5))
         batch = [(r.image, r.mask) for r in generate_synthetic(3, 2, 16)]
-        step = backward_functions(monkeypatch, lambda: loss_and_gradients(batch, params))
-        suite = backward_functions(monkeypatch, lambda: run_suite(42))
-        assert len(step) == 7  # conv, pool, sweep, renet block, tconv, sigmoid, bce
+        step, step_losses = watched_calls(monkeypatch,
+                                          lambda: loss_and_gradients(batch, params))
+        suite, suite_losses = watched_calls(monkeypatch, lambda: run_suite(42))
+        assert len(step) == 6  # conv, pool, sweep, renet block, tconv, sigmoid
         assert sorted(f.__qualname__ for f in step - suite) == []
+        # the loss ends the tape with no record: bce_loss returns its gradient,
+        # so the step and the suite's loss check must both call it
+        assert step_losses and suite_losses
 
 
 _CACHE = {}

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from sweepseg.errors import ShapeError
+from sweepseg.gradcheck import _scaled_diff_check
 from sweepseg.layers import backward, finite_diff_check
 from sweepseg.renet import (
-    RenetParams,
-    SweepParams,
+    DIRECTIONS,
+    PATCH,
     directional_sweep,
     merge_patches,
     renet_block,
@@ -68,25 +69,40 @@ def per_sample(oracle, x, *args):
 
 def block_oracle(x, params, w_p, h_p):
     grid = split_oracle(x, w_p, h_p)
-    down = sweep_oracle(grid, params.down.wx, params.down.wz, params.down.bias, "down")
-    up = sweep_oracle(grid, params.up.wx, params.up.wz, params.up.bias, "up")
+    cell = lambda d: (params[f"{d}.wx"], params[f"{d}.wz"], params[f"{d}.bias"])
+    down = sweep_oracle(grid, *cell("down"), "down")
+    up = sweep_oracle(grid, *cell("up"), "up")
     vert = np.concatenate([down, up], axis=2)
-    right = sweep_oracle(vert, params.right.wx, params.right.wz, params.right.bias, "right")
-    left = sweep_oracle(vert, params.left.wx, params.left.wz, params.left.bias, "left")
+    right = sweep_oracle(vert, *cell("right"), "right")
+    left = sweep_oracle(vert, *cell("left"), "left")
     return np.concatenate([right, left], axis=2)
 
 
 def make_params(rng, length, units, scale=0.5):
-    return SweepParams(wx=rng.standard_normal((length, units)) * scale,
-                       wz=rng.standard_normal((units, units)) * scale,
-                       bias=rng.standard_normal(units) * 0.1)
+    return {"wx": rng.standard_normal((length, units)) * scale,
+            "wz": rng.standard_normal((units, units)) * scale,
+            "bias": rng.standard_normal(units) * 0.1}
+
+
+def zero_params(length, units):
+    return {"wx": np.zeros((length, units)), "wz": np.zeros((units, units)),
+            "bias": np.zeros(units)}
+
+
+def block_params(down, up, right, left):
+    """The block's "down.wx"-style mapping from four sweeps' mappings."""
+    return {f"{d}.{key}": value for d, sweep in zip(DIRECTIONS, (down, up, right, left))
+            for key, value in sweep.items()}
 
 
 def make_block_params(rng, length, units):
-    return RenetParams(down=make_params(rng, length, units),
-                       up=make_params(rng, length, units),
-                       right=make_params(rng, 2 * units, units),
-                       left=make_params(rng, 2 * units, units))
+    return block_params(make_params(rng, length, units), make_params(rng, length, units),
+                        make_params(rng, 2 * units, units), make_params(rng, 2 * units, units))
+
+
+def sweep_of(params, direction):
+    """One sweep's mapping out of the block's."""
+    return {key: params[f"{direction}.{key}"] for key in ("wx", "wz", "bias")}
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +112,7 @@ def make_block_params(rng, length, units):
 class TestPatches:
     def test_worked_example(self):
         x = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4, 1)
-        grid = split_patches(x, 2, 2)
+        grid = split_patches(x)
         assert grid.shape == (1, 2, 2, 4)
         assert np.array_equal(grid[0, 0, 0], [1, 2, 5, 6])
         assert np.array_equal(grid[0, 0, 1], [3, 4, 7, 8])
@@ -105,45 +121,41 @@ class TestPatches:
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(101)
         for _ in range(15):
-            h_p = int(rng.integers(1, 4))
-            w_p = int(rng.integers(1, 4))
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
-            x = rng.standard_normal((int(rng.integers(1, 4)), n * h_p, m * w_p, c)).astype(np.float32)
-            assert np.array_equal(split_patches(x, w_p, h_p),
-                                  per_sample(split_oracle, x, w_p, h_p))
+            x = rng.standard_normal((int(rng.integers(1, 4)), n * PATCH, m * PATCH, c)
+                                    ).astype(np.float32)
+            assert np.array_equal(split_patches(x), per_sample(split_oracle, x, PATCH, PATCH))
 
     def test_whole_image_patch(self):
         rng = np.random.default_rng(103)
-        x = rng.standard_normal((2, 3, 5, 2)).astype(np.float32)
-        grid = split_patches(x, 5, 3)
-        assert grid.shape == (2, 1, 1, 30)
+        x = rng.standard_normal((2, PATCH, PATCH, 2)).astype(np.float32)
+        grid = split_patches(x)
+        assert grid.shape == (2, 1, 1, PATCH * PATCH * 2)
         assert np.array_equal(grid[:, 0, 0], x.reshape(2, -1))
-        assert np.array_equal(merge_patches(grid, 5, 3), x)
+        assert np.array_equal(merge_patches(grid), x)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError):
-            split_patches(np.zeros((1, 5, 4, 1), np.float32), 2, 2)
+            split_patches(np.zeros((1, 5, 4, 1), np.float32))
         with pytest.raises(ShapeError):  # a map without its batch axis
-            split_patches(np.zeros((4, 4, 1), np.float32), 2, 2)
+            split_patches(np.zeros((4, 4, 1), np.float32))
 
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(107)
         for _ in range(10):
-            h_p = int(rng.integers(1, 5))
-            w_p = int(rng.integers(1, 5))
             x = rng.standard_normal((int(rng.integers(1, 4)),
-                                     h_p * int(rng.integers(1, 5)),
-                                     w_p * int(rng.integers(1, 5)),
+                                     PATCH * int(rng.integers(1, 5)),
+                                     PATCH * int(rng.integers(1, 5)),
                                      int(rng.integers(1, 4)))).astype(np.float32)
-            assert np.array_equal(merge_patches(split_patches(x, w_p, h_p), w_p, h_p), x)
+            assert np.array_equal(merge_patches(split_patches(x)), x)
 
     def test_malformed_grid_rejected(self):
         with pytest.raises(ShapeError):
-            merge_patches(np.zeros((1, 2, 2, 5), np.float32), 2, 2)
+            merge_patches(np.zeros((1, 2, 2, 5), np.float32))
         with pytest.raises(ShapeError):
-            merge_patches(np.zeros((2, 2, 8), np.float32), 2, 2)
+            merge_patches(np.zeros((2, 2, 8), np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +166,7 @@ class TestSweep:
     def test_zero_params_zero_output(self):
         rng = np.random.default_rng(109)
         x = rng.standard_normal((2, 3, 4, 5))
-        params = SweepParams(wx=np.zeros((5, 2)), wz=np.zeros((2, 2)), bias=np.zeros(2))
+        params = zero_params(5, 2)
         for d in ("down", "up", "right", "left"):
             out, _ = directional_sweep(x, d, params)
             assert not out.any()
@@ -164,7 +176,7 @@ class TestSweep:
         x = rng.standard_normal((2, 1, 4, 3))
         params = make_params(rng, 3, 2)
         out, _ = directional_sweep(x, "down", params)
-        want = np.tanh(x @ params.wx + params.bias)
+        want = np.tanh(x @ params["wx"] + params["bias"])
         assert np.allclose(out, want, atol=1e-12)
 
     def test_three_step_column_matches_unrolled_oracle(self):
@@ -172,8 +184,8 @@ class TestSweep:
         x = rng.standard_normal((1, 3, 2, 4))
         params = make_params(rng, 4, 3)
         out, _ = directional_sweep(x, "down", params)
-        assert np.allclose(out[0], sweep_oracle(x[0], params.wx, params.wz,
-                                                params.bias, "down"), atol=1e-6)
+        assert np.allclose(out[0], sweep_oracle(x[0], params["wx"], params["wz"],
+                                                params["bias"], "down"), atol=1e-6)
 
     def test_all_directions_match_oracle(self):
         rng = np.random.default_rng(131)
@@ -181,30 +193,39 @@ class TestSweep:
             x = rng.standard_normal((3, 4, 5, 3))
             params = make_params(rng, 3, 4)
             out, _ = directional_sweep(x, d, params)
-            want = per_sample(sweep_oracle, x, params.wx, params.wz, params.bias, d)
+            want = per_sample(sweep_oracle, x, params["wx"], params["wz"], params["bias"], d)
             assert np.allclose(out, want, atol=1e-10), d
 
     def test_accepts_patch_grid_and_raw_map(self):
         # a split patch grid is a plain (n, m, len) map to the sweep
         rng = np.random.default_rng(137)
         x = rng.standard_normal((2, 4, 4, 2)).astype(np.float32)
-        grid = split_patches(x, 2, 2)
+        grid = split_patches(x)
         params = make_params(rng, grid.shape[3], 3)
         a, _ = directional_sweep(grid, "right", params)
         b, _ = directional_sweep(per_sample(split_oracle, x, 2, 2), "right", params)
         assert np.array_equal(a, b)
 
     def test_length_mismatch_rejected(self):
-        params = SweepParams(wx=np.zeros((5, 2)), wz=np.zeros((2, 2)), bias=np.zeros(2))
+        params = zero_params(5, 2)
         with pytest.raises(ShapeError):
             directional_sweep(np.zeros((1, 2, 2, 4)), "down", params)
         with pytest.raises(ShapeError):  # a grid without its batch axis
             directional_sweep(np.zeros((2, 2, 5)), "down", params)
 
+    def test_inconsistent_params_rejected(self):
+        x = np.zeros((1, 2, 2, 4))
+        for wx, wz, bias in [((4, 2), (2, 3), (2,)),   # wz not square
+                             ((4, 2), (2,), (2,)),     # wz not a matrix
+                             ((4, 3), (2, 2), (2,)),   # wx columns != units
+                             ((4, 2), (2, 2), (3,))]:  # bias length != units
+            params = {"wx": np.zeros(wx), "wz": np.zeros(wz), "bias": np.zeros(bias)}
+            with pytest.raises(ShapeError, match="inconsistent sweep params"):
+                directional_sweep(x, "down", params)
+
     def test_unknown_direction_rejected(self):
-        params = SweepParams(wx=np.zeros((4, 2)), wz=np.zeros((2, 2)), bias=np.zeros(2))
         with pytest.raises(ShapeError):
-            directional_sweep(np.zeros((1, 2, 2, 4)), "diagonal", params)
+            directional_sweep(np.zeros((1, 2, 2, 4)), "diagonal", zero_params(4, 2))
 
 
 class TestCouple:
@@ -221,12 +242,13 @@ class TestCouple:
         rng = np.random.default_rng(139)
         x = rng.standard_normal((2, 4, 6, 2))
         params = make_block_params(rng, 2 * 2 * 2, 4)
-        params.left = SweepParams(wx=np.zeros((8, 4)), wz=np.zeros((4, 4)), bias=np.zeros(4))
+        params.update({f"left.{key}": value for key, value in zero_params(8, 4).items()})
         out, _ = renet_block(x, params)
         grid = per_sample(split_oracle, x, 2, 2)
-        down, _ = directional_sweep(grid, "down", params.down)
-        up, _ = directional_sweep(grid, "up", params.up)
-        right, _ = directional_sweep(np.concatenate([down, up], axis=3), "right", params.right)
+        down, _ = directional_sweep(grid, "down", sweep_of(params, "down"))
+        up, _ = directional_sweep(grid, "up", sweep_of(params, "up"))
+        right, _ = directional_sweep(np.concatenate([down, up], axis=3), "right",
+                                     sweep_of(params, "right"))
         assert np.array_equal(out[..., :4], right)
         assert not out[..., 4:].any()
 
@@ -244,9 +266,8 @@ class TestBlock:
         assert out.shape == (3, 8, 8, 64)
 
     def test_zero_params_zero_output(self):
-        zero = SweepParams(wx=np.zeros((8, 3)), wz=np.zeros((3, 3)), bias=np.zeros(3))
-        zero2 = SweepParams(wx=np.zeros((6, 3)), wz=np.zeros((3, 3)), bias=np.zeros(3))
-        params = RenetParams(down=zero, up=zero, right=zero2, left=zero2)
+        params = block_params(zero_params(8, 3), zero_params(8, 3),
+                              zero_params(6, 3), zero_params(6, 3))
         out, _ = renet_block(np.ones((2, 4, 4, 2)), params)
         assert not out.any()
 
@@ -257,6 +278,26 @@ class TestBlock:
             params = make_block_params(rng, 2 * 2 * 2, 3)
             out, _ = renet_block(x, params)
             assert np.allclose(out, per_sample(block_oracle, x, params, 2, 2), atol=1e-6)
+
+    def test_pairs_of_different_widths(self):
+        # each coupled pair splits its upstream gradient at its own first
+        # sweep's width, whatever the other pair's width; scaled per array,
+        # as gradcheck scales the recurrent checks, since sums over steps
+        # can cancel single entries to near zero
+        rng = np.random.default_rng(193)
+        x = rng.standard_normal((1, 4, 4, 2))
+        for down, up, right, left in [(3, 3, 4, 4), (3, 2, 4, 5)]:
+            params = block_params(make_params(rng, 8, down), make_params(rng, 8, up),
+                                  make_params(rng, down + up, right),
+                                  make_params(rng, down + up, left))
+            out, rec = renet_block(x, params)
+            assert out.shape == (1, 2, 2, right + left)
+            r = rng.uniform(-1, 1, size=out.shape)
+            dx, grads = backward(rec, r)
+            err = _scaled_diff_check(lambda: float((renet_block(x, params)[0] * r).sum()),
+                                     [x, *params.values()],
+                                     [dx, *(grads[name] for name in params)])
+            assert err < 1e-4, (down, up, right, left)
 
     def test_non_divisible_input_rejected(self):
         rng = np.random.default_rng(157)
@@ -292,10 +333,10 @@ class TestProperties:
         rng = np.random.default_rng(173)
         x = rng.standard_normal((2, 6, 6, 3)).astype(np.float32)
         params = make_block_params(rng, 2 * 2 * 3, 4)
-        down_before, _ = directional_sweep(split_patches(x, 2, 2), "down", params.down)
-        params.up.wx += 1.0
-        params.up.bias += 0.5
-        down_after, _ = directional_sweep(split_patches(x, 2, 2), "down", params.down)
+        down_before, _ = directional_sweep(split_patches(x), "down", sweep_of(params, "down"))
+        params["up.wx"] += 1.0
+        params["up.bias"] += 0.5
+        down_after, _ = directional_sweep(split_patches(x), "down", sweep_of(params, "down"))
         assert np.array_equal(down_before, down_after)
 
     def test_down_sweep_causality(self):
@@ -329,7 +370,7 @@ class TestProperties:
 
             _, rec = directional_sweep(x, d, params)
             dx, grads = backward(rec, r)
-            err = finite_diff_check(f, [x, params.wx, params.wz, params.bias],
+            err = finite_diff_check(f, [x, params["wx"], params["wz"], params["bias"]],
                                     [dx, grads["wx"], grads["wz"], grads["bias"]])
             assert err < 1e-4, d
 
@@ -345,14 +386,9 @@ class TestProperties:
 
         _, rec = renet_block(x, params)
         dx, grads = backward(rec, r)
-        arrays = [x]
-        analytic = [dx]
-        for name, sub in [("down", params.down), ("up", params.up),
-                          ("right", params.right), ("left", params.left)]:
-            for key in ("wx", "wz", "bias"):
-                arrays.append(getattr(sub, key))
-                analytic.append(grads[f"{name}.{key}"])
-        assert finite_diff_check(f, arrays, analytic) < 1e-4
+        assert set(grads) == set(params)
+        assert finite_diff_check(f, [x, *params.values()],
+                                 [dx, *(grads[name] for name in params)]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +424,10 @@ class TestBatchAxis:
     def test_split_and_merge(self):
         rng = np.random.default_rng(241)
         x = rng.standard_normal((3, 6, 4, 2))
-        grid = split_patches(x, 2, 3)
-        assert np.array_equal(grid, np.concatenate([split_patches(x[n:n + 1], 2, 3)
+        grid = split_patches(x)
+        assert np.array_equal(grid, np.concatenate([split_patches(x[n:n + 1])
                                                     for n in range(3)]))
-        assert np.array_equal(merge_patches(grid, 2, 3), x)
+        assert np.array_equal(merge_patches(grid), x)
 
     def test_sweeps(self):
         rng = np.random.default_rng(251)
