@@ -26,6 +26,7 @@ from .data import (
     load_dataset,
     read_pnm,
     read_pnm_file,
+    read_pnm_header,
     save_dataset,
     write_pnm,
 )
@@ -41,7 +42,8 @@ from .errors import (
 )
 from .gradcheck import format_results, run_suite
 from .metrics import evaluate_dataset, format_per_image, format_report, format_report_kv
-from .model import ModelConfig, forward, load_model, predict_mask, save_model, train
+from .model import (ModelConfig, check_image_dims, forward, load_model, predict_mask,
+                    save_model, train)
 from .tensor import Rng, overwrite
 
 CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
@@ -104,7 +106,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_infer(args) -> int:
     params, config = load_model(args.model)
-    image = read_pnm(Path(args.image).read_bytes())
+    data = Path(args.image).read_bytes()
+    # refuse an image the network would reject before decoding it to floats
+    check_image_dims(*read_pnm_header(data)[:2])
+    image = read_pnm(data)
     if image.shape[2] == 1:
         image = np.repeat(image, 3, axis=2)
     prob = forward(image, params)

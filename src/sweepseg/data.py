@@ -72,8 +72,8 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, pos
 
 
-def read_pnm(data: bytes) -> np.ndarray:
-    """Decode binary PGM/PPM bytes to an (h, w, 1 or 3) float32 array in [0,1]."""
+def read_pnm_header(data: bytes) -> tuple[int, int, int, int]:
+    """Parse and check a binary PGM/PPM header: (height, width, channels, payload offset)."""
     if len(data) < 2:
         raise PnmTruncatedError("not enough bytes for a PNM magic number")
     magic = data[:2]
@@ -89,7 +89,12 @@ def read_pnm(data: bytes) -> np.ndarray:
         raise PnmError(f"invalid PNM dimensions {width}x{height}")
     if maxval != 255:
         raise PnmMaxvalError(f"unsupported maxval {maxval}; only 255 is handled")
-    pos += 1  # exactly one whitespace byte separates header and payload
+    return height, width, channels, pos + 1  # one whitespace byte ends the header
+
+
+def read_pnm(data: bytes) -> np.ndarray:
+    """Decode binary PGM/PPM bytes to an (h, w, 1 or 3) float32 array in [0,1]."""
+    height, width, channels, pos = read_pnm_header(data)
     need = width * height * channels
     payload = data[pos:pos + need]
     if len(payload) < need:

@@ -36,7 +36,7 @@ from .layers import (
     maxpool2x2_forward,
     tconv_forward,
 )
-from .renet import DIRECTIONS, directional_sweep, renet_block
+from .renet import DIRECTIONS, renet_block, sweep
 from .tensor import Rng
 
 LINEAR_TOL = 1e-6
@@ -102,12 +102,12 @@ def _check_bce(rng: Rng) -> float:
     return finite_diff_check(lambda: float(bce_loss(pred, target)[0][0]), [pred], [dpred])
 
 
-def _sweep_params(rng: Rng, length: int, units: int) -> dict[str, np.ndarray]:
+def _sweep_params(rng: Rng, direction: str, length: int, units: int) -> dict[str, np.ndarray]:
     # modest scales bend tanh without saturating it, so the recurrence
     # keeps healthy gradient magnitudes along every path
-    return {"wx": _draw(rng, (length, units), lo=-0.3, hi=0.3),
-            "wz": _draw(rng, (units, units), lo=-0.3, hi=0.3),
-            "bias": _draw(rng, (units,), lo=-0.2, hi=0.2)}
+    return {f"{direction}.wx": _draw(rng, (length, units), lo=-0.3, hi=0.3),
+            f"{direction}.wz": _draw(rng, (units, units), lo=-0.3, hi=0.3),
+            f"{direction}.bias": _draw(rng, (units,), lo=-0.2, hi=0.2)}
 
 
 def run_suite(seed: int = 42) -> list[CheckResult]:
@@ -139,16 +139,16 @@ def run_suite(seed: int = 42) -> list[CheckResult]:
 
     for direction in DIRECTIONS:
         x = _draw(rng, (1, 3, 4, 5), lo=-0.5, hi=0.5)
-        sweep = _sweep_params(rng, 5, 3)
+        params = _sweep_params(rng, direction, 5, 3)
         results.append(_probe_check(
             rng, f"sweep_{direction}", NONLINEAR_TOL,
-            lambda: directional_sweep(x, direction, sweep), x, sweep, _scaled_diff_check))
+            lambda: sweep(x, (direction,), params), x, params, _scaled_diff_check))
 
     units = 2
     x = _draw(rng, (1, 8, 8, 3), lo=-0.5, hi=0.5)
-    block = {f"{direction}.{key}": value
-             for direction, length in zip(DIRECTIONS, (12, 12, 2 * units, 2 * units))
-             for key, value in _sweep_params(rng, length, units).items()}
+    block = {}
+    for direction, length in zip(DIRECTIONS, (12, 12, 2 * units, 2 * units)):
+        block.update(_sweep_params(rng, direction, length, units))
     results.append(_probe_check(
         rng, "renet_block", NONLINEAR_TOL, lambda: renet_block(x, block), x, block,
         _scaled_diff_check))

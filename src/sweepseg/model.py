@@ -65,6 +65,16 @@ def check_side(name: str, side: int) -> None:
                           f"then the patch grid) and at most {MAX_IMAGE_SIZE}, got {side}")
 
 
+def check_image_dims(h: int, w: int) -> None:
+    """The one rule for the (h, w) of an image the network runs on, read before decoding it."""
+    if h % SIDE_MULTIPLE or w % SIDE_MULTIPLE:
+        raise ShapeError(f"image is {w}x{h}: each side must be divisible by {SIDE_MULTIPLE} "
+                         f"(two 2x2 pools, then {PATCH}x{PATCH} patches)")
+    if h * w > MAX_IMAGE_SIZE ** 2:
+        raise ShapeError(f"image is {w}x{h}: at most {MAX_IMAGE_SIZE ** 2} pixels "
+                         f"({MAX_IMAGE_SIZE}x{MAX_IMAGE_SIZE}) are accepted, got {h * w}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Checked field by field when built, then frozen: a ModelConfig that exists is valid."""
@@ -192,13 +202,7 @@ def _encode_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True
     reads."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
-    h, w = images.shape[1:3]
-    if h % SIDE_MULTIPLE or w % SIDE_MULTIPLE:
-        raise ShapeError(f"image is {w}x{h}: each side must be divisible by {SIDE_MULTIPLE} "
-                         f"(two 2x2 pools, then {PATCH}x{PATCH} patches)")
-    if h * w > MAX_IMAGE_SIZE ** 2:
-        raise ShapeError(f"image is {w}x{h}: at most {MAX_IMAGE_SIZE ** 2} pixels "
-                         f"({MAX_IMAGE_SIZE}x{MAX_IMAGE_SIZE}) are accepted, got {h * w}")
+    check_image_dims(*images.shape[1:3])
     tape = [] if keep_tape else deque(maxlen=0)
     x = images
     last = len(ENCODER_CHANNELS)

@@ -29,7 +29,7 @@ from sweepseg.model import (
     predict_mask,
     train,
 )
-from sweepseg.renet import directional_sweep, merge_patches, split_patches
+from sweepseg.renet import merge_patches, split_patches, sweep
 from sweepseg.tensor import Rng
 
 LINEAR_CHECKS = {"conv3x3", "tconv4x4_s2"}
@@ -116,6 +116,8 @@ def test_patch_algebra():
     rng = Rng(77)
     identity_ok = decouple_ok = True
     mirror_worst = 0.0
+    # the op on one direction, fed that direction's unprefixed cell
+    one = lambda x, d, cell: sweep(x, (d,), {f"{d}.{k}": v for k, v in cell.items()})
     for _ in range(20):
         feature = draw(rng, (1, 8, 12, 3))
         grid = split_patches(feature)
@@ -125,23 +127,23 @@ def test_patch_algebra():
                       "wz": draw(rng, (4, 4), lo=-0.5, hi=0.5),
                       "bias": draw(rng, (4,), lo=-0.5, hi=0.5)}
         down_p, up_p = mk(), mk()
-        down1, _ = directional_sweep(grid, "down", down_p)
-        up1, _ = directional_sweep(grid, "up", up_p)
+        down1, _ = one(grid, "down", down_p)
+        up1, _ = one(grid, "up", up_p)
         coupled1 = np.concatenate([down1, up1], axis=3)
 
         up_p2 = {"wx": up_p["wx"] + 0.1, "wz": up_p["wz"] - 0.1, "bias": up_p["bias"] + 1.0}
-        down2, _ = directional_sweep(grid, "down", down_p)
-        up2, _ = directional_sweep(grid, "up", up_p2)
+        down2, _ = one(grid, "down", down_p)
+        up2, _ = one(grid, "up", up_p2)
         coupled2 = np.concatenate([down2, up2], axis=3)
         decouple_ok &= np.array_equal(coupled1[..., :4], coupled2[..., :4])
         decouple_ok &= down1.tobytes() == down2.tobytes()
 
         # an up sweep over the row-reversed patch grid mirrors the down sweep
-        up_f, _ = directional_sweep(grid[:, ::-1].copy(), "up", down_p)
+        up_f, _ = one(grid[:, ::-1].copy(), "up", down_p)
         mirror_worst = max(mirror_worst, float(np.abs(down1 - up_f[:, ::-1]).max()))
         right_p = mk()
-        right1, _ = directional_sweep(grid, "right", right_p)
-        left_f, _ = directional_sweep(grid[:, :, ::-1].copy(), "left", right_p)
+        right1, _ = one(grid, "right", right_p)
+        left_f, _ = one(grid[:, :, ::-1].copy(), "left", right_p)
         mirror_worst = max(mirror_worst, float(np.abs(right1 - left_f[:, :, ::-1]).max()))
     ok = identity_ok and decouple_ok and mirror_worst <= 1e-6
     report(ok, "patch algebra",

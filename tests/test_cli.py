@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -419,6 +420,39 @@ class TestInfer:
                         "--out", str(out)]) == 2
         assert f"at most {MAX_IMAGE_SIZE ** 2} pixels" in capsys.readouterr().err
         assert not out.exists()
+
+    # the rule reads the header's (h, w), so a refused request holds the
+    # file's bytes and little more: never its float32 decoding, which takes
+    # 16x the bytes of a P5 payload once replicated to three channels
+    @pytest.mark.parametrize("width, height, message", [
+        (4096, 4096, f"at most {MAX_IMAGE_SIZE ** 2} pixels"), (4100, 4096, "divisible by 8")])
+    def test_refused_image_is_never_decoded(self, trained, tmp_path, capsys,
+                                            width, height, message):
+        _, ckpt = trained
+        img = tmp_path / "big.pgm"
+        img.write_bytes(f"P5\n{width} {height}\n255\n".encode() + bytes(width * height))
+        out = tmp_path / "o.pgm"
+        tracemalloc.start()
+        try:
+            code = run_cli(["infer", "--model", str(ckpt), "--image", str(img),
+                            "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert peak <= 1.2 * img.stat().st_size
+        assert not out.exists()
+
+    def test_largest_accepted_image_infers(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        img = tmp_path / "max.pgm"
+        img.write_bytes(f"P5\n{MAX_IMAGE_SIZE} {MAX_IMAGE_SIZE}\n255\n".encode()
+                        + bytes(range(256)) * (MAX_IMAGE_SIZE ** 2 // 256))
+        out = tmp_path / "o.pgm"
+        assert run_cli(["infer", "--model", str(ckpt), "--image", str(img),
+                        "--out", str(out)]) == 0
+        assert read_pnm(out.read_bytes()).shape == (MAX_IMAGE_SIZE, MAX_IMAGE_SIZE, 1)
 
     def test_grayscale_input_is_replicated(self, trained, tmp_path, capsys):
         _, ckpt = trained

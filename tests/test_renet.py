@@ -1,4 +1,4 @@
-"""Tests for patch splitting and the four-direction recurrent sweeps.
+"""Tests for patch splitting and the recurrent sweeps, one direction or a coupled pair.
 
 The oracles below re-derive everything with explicit per-cell loops on one
 sample: patch extraction pixel by pixel, and the recurrence unrolled one
@@ -15,10 +15,10 @@ from sweepseg.layers import backward, finite_diff_check
 from sweepseg.renet import (
     DIRECTIONS,
     PATCH,
-    directional_sweep,
     merge_patches,
     renet_block,
     split_patches,
+    sweep,
 )
 
 
@@ -100,9 +100,9 @@ def make_block_params(rng, length, units):
                         make_params(rng, 2 * units, units), make_params(rng, 2 * units, units))
 
 
-def sweep_of(params, direction):
-    """One sweep's mapping out of the block's."""
-    return {key: params[f"{direction}.{key}"] for key in ("wx", "wz", "bias")}
+def run_sweep(x, direction, cell):
+    """The op on one direction, fed that direction's unprefixed "wx", "wz", "bias"."""
+    return sweep(x, (direction,), {f"{direction}.{key}": value for key, value in cell.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +168,14 @@ class TestSweep:
         x = rng.standard_normal((2, 3, 4, 5))
         params = zero_params(5, 2)
         for d in ("down", "up", "right", "left"):
-            out, _ = directional_sweep(x, d, params)
+            out, _ = run_sweep(x, d, params)
             assert not out.any()
 
     def test_single_row_has_no_recurrence(self):
         rng = np.random.default_rng(113)
         x = rng.standard_normal((2, 1, 4, 3))
         params = make_params(rng, 3, 2)
-        out, _ = directional_sweep(x, "down", params)
+        out, _ = run_sweep(x, "down", params)
         want = np.tanh(x @ params["wx"] + params["bias"])
         assert np.allclose(out, want, atol=1e-12)
 
@@ -183,7 +183,7 @@ class TestSweep:
         rng = np.random.default_rng(127)
         x = rng.standard_normal((1, 3, 2, 4))
         params = make_params(rng, 4, 3)
-        out, _ = directional_sweep(x, "down", params)
+        out, _ = run_sweep(x, "down", params)
         assert np.allclose(out[0], sweep_oracle(x[0], params["wx"], params["wz"],
                                                 params["bias"], "down"), atol=1e-6)
 
@@ -192,7 +192,7 @@ class TestSweep:
         for d in ("down", "up", "right", "left"):
             x = rng.standard_normal((3, 4, 5, 3))
             params = make_params(rng, 3, 4)
-            out, _ = directional_sweep(x, d, params)
+            out, _ = run_sweep(x, d, params)
             want = per_sample(sweep_oracle, x, params["wx"], params["wz"], params["bias"], d)
             assert np.allclose(out, want, atol=1e-10), d
 
@@ -202,16 +202,16 @@ class TestSweep:
         x = rng.standard_normal((2, 4, 4, 2)).astype(np.float32)
         grid = split_patches(x)
         params = make_params(rng, grid.shape[3], 3)
-        a, _ = directional_sweep(grid, "right", params)
-        b, _ = directional_sweep(per_sample(split_oracle, x, 2, 2), "right", params)
+        a, _ = run_sweep(grid, "right", params)
+        b, _ = run_sweep(per_sample(split_oracle, x, 2, 2), "right", params)
         assert np.array_equal(a, b)
 
     def test_length_mismatch_rejected(self):
         params = zero_params(5, 2)
         with pytest.raises(ShapeError):
-            directional_sweep(np.zeros((1, 2, 2, 4)), "down", params)
+            run_sweep(np.zeros((1, 2, 2, 4)), "down", params)
         with pytest.raises(ShapeError):  # a grid without its batch axis
-            directional_sweep(np.zeros((2, 2, 5)), "down", params)
+            run_sweep(np.zeros((2, 2, 5)), "down", params)
 
     def test_inconsistent_params_rejected(self):
         x = np.zeros((1, 2, 2, 4))
@@ -221,11 +221,51 @@ class TestSweep:
                              ((4, 2), (2, 2), (3,))]:  # bias length != units
             params = {"wx": np.zeros(wx), "wz": np.zeros(wz), "bias": np.zeros(bias)}
             with pytest.raises(ShapeError, match="inconsistent sweep params"):
-                directional_sweep(x, "down", params)
+                run_sweep(x, "down", params)
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ShapeError):
-            directional_sweep(np.zeros((1, 2, 2, 4)), "diagonal", zero_params(4, 2))
+            run_sweep(np.zeros((1, 2, 2, 4)), "diagonal", zero_params(4, 2))
+
+    @pytest.mark.parametrize("directions", [("down", "down"), ("down", "right"), ("left", "up"),
+                                            (), "down"])
+    def test_bad_directions_rejected(self, directions):
+        # repeated, on two axes, none, or a bare name in place of a tuple
+        params = block_params(*(zero_params(4, 2) for _ in DIRECTIONS))
+        with pytest.raises(ShapeError, match="distinct and of one axis"):
+            sweep(np.zeros((1, 2, 2, 4)), directions, params)
+
+    def test_pair_of_different_widths_rejected(self):
+        # a pair is one stacked recurrence, so its directions share U and len;
+        # the mismatch is a ShapeError, not np.stack's ValueError
+        rng = np.random.default_rng(197)
+        x = np.zeros((1, 2, 2, 4))
+        for up in (make_params(rng, 4, 2), make_params(rng, 3, 3)):
+            params = block_params(make_params(rng, 4, 3), up, make_params(rng, 4, 3),
+                                  make_params(rng, 4, 3))
+            with pytest.raises(ShapeError, match="differ in width or input length"):
+                sweep(x, ("down", "up"), params)
+
+    def test_pair_equals_its_two_one_direction_calls(self):
+        # forward bit for bit; dx is the sum in direction order, grads equal
+        rng = np.random.default_rng(199)
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal((2, 4, 6, 5)).astype(dtype)
+            params = {name: value.astype(dtype) for name, value in
+                      block_params(*(make_params(rng, 5, 3) for _ in DIRECTIONS)).items()}
+            for pair in (("down", "up"), ("up", "down"), ("right", "left")):
+                out, rec = sweep(x, pair, params)
+                r = rng.uniform(-1, 1, size=out.shape).astype(dtype)
+                dx, grads = backward(rec, r)
+                first, rec_a = sweep(x, pair[:1], params)
+                second, rec_b = sweep(x, pair[1:], params)
+                assert out.tobytes() == np.concatenate([first, second], axis=3).tobytes()
+                dx_a, g_a = backward(rec_a, r[..., :3])
+                dx_b, g_b = backward(rec_b, r[..., 3:])
+                assert dx.tobytes() == (dx_a + dx_b).tobytes()
+                assert list(grads) == list(g_a) + list(g_b)
+                for name, value in {**g_a, **g_b}.items():
+                    assert grads[name].tobytes() == value.tobytes(), (pair, name)
 
 
 class TestCouple:
@@ -236,7 +276,7 @@ class TestCouple:
         params = make_block_params(rng, 2 * 2 * 3, 5)
         out, rec = renet_block(rng.standard_normal((2, 8, 8, 3)), params)
         assert out.shape == (2, 4, 4, 10)
-        assert rec.saved["rec_right"].saved["in_shape"] == (2, 4, 4, 10)  # vertical pair
+        assert rec.saved["horizontal"].saved["in_shape"] == (2, 4, 4, 10)  # vertical pair
 
     def test_layout_first_then_second(self):
         rng = np.random.default_rng(139)
@@ -245,10 +285,9 @@ class TestCouple:
         params.update({f"left.{key}": value for key, value in zero_params(8, 4).items()})
         out, _ = renet_block(x, params)
         grid = per_sample(split_oracle, x, 2, 2)
-        down, _ = directional_sweep(grid, "down", sweep_of(params, "down"))
-        up, _ = directional_sweep(grid, "up", sweep_of(params, "up"))
-        right, _ = directional_sweep(np.concatenate([down, up], axis=3), "right",
-                                     sweep_of(params, "right"))
+        down, _ = sweep(grid, ("down",), params)
+        up, _ = sweep(grid, ("up",), params)
+        right, _ = sweep(np.concatenate([down, up], axis=3), ("right",), params)
         assert np.array_equal(out[..., :4], right)
         assert not out[..., 4:].any()
 
@@ -280,24 +319,28 @@ class TestBlock:
             assert np.allclose(out, per_sample(block_oracle, x, params, 2, 2), atol=1e-6)
 
     def test_pairs_of_different_widths(self):
-        # each coupled pair splits its upstream gradient at its own first
-        # sweep's width, whatever the other pair's width; scaled per array,
-        # as gradcheck scales the recurrent checks, since sums over steps
-        # can cancel single entries to near zero
+        # each coupled pair splits its upstream gradient at its own width,
+        # whatever the other pair's width; scaled per array, as gradcheck
+        # scales the recurrent checks, since sums over steps can cancel
+        # single entries to near zero
         rng = np.random.default_rng(193)
         x = rng.standard_normal((1, 4, 4, 2))
-        for down, up, right, left in [(3, 3, 4, 4), (3, 2, 4, 5)]:
-            params = block_params(make_params(rng, 8, down), make_params(rng, 8, up),
-                                  make_params(rng, down + up, right),
-                                  make_params(rng, down + up, left))
-            out, rec = renet_block(x, params)
-            assert out.shape == (1, 2, 2, right + left)
-            r = rng.uniform(-1, 1, size=out.shape)
-            dx, grads = backward(rec, r)
-            err = _scaled_diff_check(lambda: float((renet_block(x, params)[0] * r).sum()),
-                                     [x, *params.values()],
-                                     [dx, *(grads[name] for name in params)])
-            assert err < 1e-4, (down, up, right, left)
+        params = block_params(make_params(rng, 8, 3), make_params(rng, 8, 3),
+                              make_params(rng, 6, 4), make_params(rng, 6, 4))
+        out, rec = renet_block(x, params)
+        assert out.shape == (1, 2, 2, 8)
+        r = rng.uniform(-1, 1, size=out.shape)
+        dx, grads = backward(rec, r)
+        err = _scaled_diff_check(lambda: float((renet_block(x, params)[0] * r).sum()),
+                                 [x, *params.values()],
+                                 [dx, *(grads[name] for name in params)])
+        assert err < 1e-4
+        # a pair is one stacked recurrence, so the two widths of one pair
+        # (down 3, up 2) are refused
+        params = block_params(make_params(rng, 8, 3), make_params(rng, 8, 2),
+                              make_params(rng, 5, 4), make_params(rng, 5, 5))
+        with pytest.raises(ShapeError, match="differ in width"):
+            renet_block(x, params)
 
     def test_non_divisible_input_rejected(self):
         rng = np.random.default_rng(157)
@@ -315,8 +358,8 @@ class TestProperties:
         rng = np.random.default_rng(163)
         x = rng.standard_normal((2, 3, 5, 4))
         params = make_params(rng, 4, 3)
-        right_on_mirror, _ = directional_sweep(x[:, :, ::-1].copy(), "right", params)
-        left_on_input, _ = directional_sweep(x, "left", params)
+        right_on_mirror, _ = run_sweep(x[:, :, ::-1].copy(), "right", params)
+        left_on_input, _ = run_sweep(x, "left", params)
         assert np.allclose(right_on_mirror,
                            left_on_input[:, :, ::-1], atol=1e-6)
 
@@ -324,8 +367,8 @@ class TestProperties:
         rng = np.random.default_rng(167)
         x = rng.standard_normal((2, 5, 3, 4))
         params = make_params(rng, 4, 3)
-        down_on_flip, _ = directional_sweep(x[:, ::-1].copy(), "down", params)
-        up_on_input, _ = directional_sweep(x, "up", params)
+        down_on_flip, _ = run_sweep(x[:, ::-1].copy(), "down", params)
+        up_on_input, _ = run_sweep(x, "up", params)
         assert np.allclose(down_on_flip,
                            up_on_input[:, ::-1], atol=1e-6)
 
@@ -333,23 +376,23 @@ class TestProperties:
         rng = np.random.default_rng(173)
         x = rng.standard_normal((2, 6, 6, 3)).astype(np.float32)
         params = make_block_params(rng, 2 * 2 * 3, 4)
-        down_before, _ = directional_sweep(split_patches(x), "down", sweep_of(params, "down"))
+        down_before, _ = sweep(split_patches(x), ("down",), params)
         params["up.wx"] += 1.0
         params["up.bias"] += 0.5
-        down_after, _ = directional_sweep(split_patches(x), "down", sweep_of(params, "down"))
+        down_after, _ = sweep(split_patches(x), ("down",), params)
         assert np.array_equal(down_before, down_after)
 
     def test_down_sweep_causality(self):
         rng = np.random.default_rng(179)
         x = rng.standard_normal((2, 4, 3, 2))
         params = make_params(rng, 2, 3)
-        base, _ = directional_sweep(x, "down", params)
+        base, _ = run_sweep(x, "down", params)
         for pn in range(2):
             for pi in range(4):
                 for pj in range(3):
                     bumped = x.copy()
                     bumped[pn, pi, pj] += 1.0
-                    out, _ = directional_sweep(bumped, "down", params)
+                    out, _ = run_sweep(bumped, "down", params)
                     changed = np.any(out != base, axis=3)
                     for n in range(2):
                         for i in range(4):
@@ -365,13 +408,13 @@ class TestProperties:
             r = rng.uniform(-1, 1, size=(2, 3, 4, 2))
 
             def f():
-                out, _ = directional_sweep(x, d, params)
+                out, _ = run_sweep(x, d, params)
                 return float((out * r).sum())
 
-            _, rec = directional_sweep(x, d, params)
+            _, rec = run_sweep(x, d, params)
             dx, grads = backward(rec, r)
             err = finite_diff_check(f, [x, params["wx"], params["wz"], params["bias"]],
-                                    [dx, grads["wx"], grads["wz"], grads["bias"]])
+                                    [dx, grads[f"{d}.wx"], grads[f"{d}.wz"], grads[f"{d}.bias"]])
             assert err < 1e-4, d
 
     def test_block_gradients(self):
@@ -435,7 +478,7 @@ class TestBatchAxis:
         for d in ("down", "up", "right", "left"):
             params = make_params(rng, 3, 4)
             assert_batch_equals_stacked_samples(
-                lambda a: directional_sweep(a, d, params), x)
+                lambda a: run_sweep(a, d, params), x)
 
     def test_block(self):
         rng = np.random.default_rng(257)
