@@ -89,6 +89,13 @@ def read_pnm_header(data: bytes) -> tuple[int, int, int, int]:
         raise PnmError(f"invalid PNM dimensions {width}x{height}")
     if maxval != 255:
         raise PnmMaxvalError(f"unsupported maxval {maxval}; only 255 is handled")
+    # the first two bytes pass "P58", and int() reads "+8" and "2_55"; checked
+    # last, so a header refused before keeps its message
+    if tokens[0] != magic:
+        raise PnmMagicError(f"unsupported PNM magic {tokens[0]!r}; only binary P5/P6 are handled")
+    for t in tokens[1:]:
+        if not t.isdigit():
+            raise PnmError(f"malformed PNM header field: {t!r} is not a decimal number")
     return height, width, channels, pos + 1  # one whitespace byte ends the header
 
 

@@ -12,11 +12,11 @@ Conventions used throughout:
   returns its gradient in place of a record
 * ops preserve the input dtype, so the gradient-check harness can run the
   exact same code in float64
-* a conv or transposed conv can end in a fused relu (conv+bias+activation
-  in one op), whose mask the op's own backward multiplies into the
-  upstream gradient; a record keeps the mask, or, for a conv whose output
-  lies on a padded grid that the next op holds anyway, that output, and
-  reads `> 0` from it
+* a conv can end in a fused relu (conv+bias+activation in one op, run in
+  its tap loop), whose mask its own backward multiplies into the upstream
+  gradient; its record keeps the mask, or, for an output on a padded grid
+  that the next op holds anyway, that output, and reads `> 0` from it; a
+  transposed conv's relu and mask are its phase conv's
 
 A convolution, `conv2d_forward(x, weights, bias, padding, relu)`, is
 stride 1 with its kernel size and channels read from the (k, k, c_in,
@@ -60,11 +60,13 @@ keep it as the oracle. `tconv_forward` computes the same map as a phase-
 split convolution: a stride-s transposed conv is a stride-1 conv whose
 s*s output channel blocks are the s*s phases of the output grid, followed
 by a depth-to-space shuffle (the sub-pixel convolution); padding p cuts
-p cells from each side of its (i-1)*s + k output. Its backward pass, the
+p cells from each side of its (i-1)*s + k output; a fused relu runs in
+the phase conv, as relu commutes with both. Its backward pass, the
 product with the matrix's transpose, is that conv's backward: the
 upstream gradient goes phase by phase into the conv's gradient buffer (a
-space-to-depth write), and the phase kernel's gradient maps back onto the
-kernel. Neither pass holds an array the size of the matrix.
+space-to-depth write), takes the phase conv's relu mask there, and the
+phase kernel's gradient maps back onto the kernel. Neither pass holds an
+array the size of the matrix.
 """
 
 from __future__ import annotations
@@ -460,11 +462,11 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: 
                   padding: int, relu: bool = False) -> tuple[np.ndarray, OpRecord]:
     """Transposed convolution: full[s*i+ki, s*j+kj] += x[i, j] @ weights[ki, kj], plus bias.
 
-    The output is full cut by p cells per side, then relu if asked: for x
+    The output is full cut by p cells per side, relu'd if asked: for x
     (N, h, w, c_in) and weights (k, k, c_in, c_out) it is
     (N, (h-1)*s + k - 2p, (w-1)*s + k - 2p, c_out). Computed as a stride-1
-    conv with s*s output phases (see `_phase_kernel`), padding q-1 with
-    q = ceil(k/s), then a depth-to-space shuffle and one slice.
+    conv with s*s output phases (see `_phase_kernel`) and the fused relu,
+    padding q-1 with q = ceil(k/s), then a depth-to-space shuffle and one slice.
     """
     _check_kernel(weights, stride)
     k, _, ci, co = weights.shape
@@ -479,16 +481,15 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: 
         raise ShapeError(f"tconv output dim < 1 for input {h}x{w}, kernel {k}, "
                          f"stride {s}, padding {p}")
     q = -(-k // s)
-    phases, phase = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s), q - 1)
+    phases, phase = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s), q - 1,
+                                   relu=relu)
     # depth to space: phase (rh, rw) of cell (m, l) is output cell (s*m+rh, s*l+rw)
     ph, pw = phases.shape[1:3]
     full = phases.reshape(n, ph, pw, s, s, co).transpose(0, 1, 3, 2, 4, 5)
     full = full.reshape(n, ph * s, pw * s, co)
     out = full[:, p:(h - 1) * s + k - p, p:(w - 1) * s + k - p]
-    if relu:
-        np.maximum(out, 0, out=out)
     rec = _record("tconv", out.shape, _tconv_backward, phase=phase, kernel=k, stride=s,
-                  padding=p, relu_mask=out > 0 if relu else None)
+                  padding=p)
     return out, rec
 
 
@@ -509,14 +510,13 @@ def _phase_kernel(weights: np.ndarray, s: int) -> np.ndarray:
 
 
 def _tconv_backward(rec: OpRecord, up: np.ndarray):
-    """The phase conv's backward: the upstream gradient, times the fused
-    relu's mask, goes phase by phase straight into the phase conv's
-    gradient buffer (a space-to-depth write; the p cells cut per side stay
-    0), then dW is the phase kernel's gradient with `_phase_kernel` undone
-    and the bias gradient the sum of the s*s phases' bias gradients."""
+    """The phase conv's backward: the upstream gradient goes phase by phase
+    straight into the phase conv's gradient buffer (a space-to-depth write;
+    the p cells cut per side stay 0), then takes the phase conv's relu mask;
+    dW is the phase kernel's gradient with `_phase_kernel` undone and the
+    bias gradient the sum of the s*s phases' bias gradients."""
     phase = rec.saved["phase"]
     s, p, k = rec.saved["stride"], rec.saved["padding"], rec.saved["kernel"]
-    mask = rec.saved["relu_mask"]
     n, ph, pw, c = phase.out_shape
     co = c // (s * s)
     buf, grid = _grad_buffer(phase, up.dtype)
@@ -527,11 +527,10 @@ def _tconv_backward(rec: OpRecord, up: np.ndarray):
             y0, x0 = (rh - p) % s, (rw - p) % s
             src = up[:, y0::s, x0::s]
             m0, l0 = (y0 + p) // s, (x0 + p) // s
-            dst = cells[:, m0:m0 + src.shape[1], l0:l0 + src.shape[2], rh, rw]
-            if mask is None:
-                dst[...] = src
-            else:
-                np.multiply(src, mask[:, y0::s, x0::s], out=dst)
+            cells[:, m0:m0 + src.shape[1], l0:l0 + src.shape[2], rh, rw] = src
+    mask = phase.saved["relu"]
+    if mask is not None:
+        np.multiply(grid[:, :ph, :pw], mask, out=grid[:, :ph, :pw])
     dx, grads = _conv_grads(phase, buf, input_grad=True)
     d_phase = grads["weights"]
     d_bias = grads["bias"].reshape(s * s, co).sum(axis=0)

@@ -53,10 +53,15 @@ class TestReadPnm:
         t = read_pnm(data)
         assert t.shape == (2, 2, 1)
         assert np.allclose(t.reshape(-1) * 255, [1, 2, 3, 4], atol=1e-5)
+        assert read_pnm(b"P5#c\n8 4 255\n" + bytes(32)).shape == (4, 8, 1)
 
     def test_unsupported_magic(self):
         with pytest.raises(PnmMagicError):
             read_pnm(b"P4 2 2 255 \x00\x00\x00\x00")
+        # the magic is a token of its own: read as P5 with a width of 8, the
+        # payload's first token would become the maxval of a 4x255 image
+        with pytest.raises(PnmMagicError, match="b'P58'"):
+            read_pnm(b"P58 4 255\n255 " + bytes(4 * 255))
 
     def test_wrong_maxval(self):
         with pytest.raises(PnmMaxvalError):
@@ -73,6 +78,9 @@ class TestReadPnm:
     def test_malformed_dimension(self):
         with pytest.raises(PnmError):
             read_pnm(b"P5 two 2 255 " + bytes(4))
+        for header in (b"P5 +8 4 255\n", b"P5 8 4 2_55\n"):  # int() reads both
+            with pytest.raises(PnmError, match="is not a decimal number"):
+                read_pnm(header + bytes(32))
 
     def test_header_missing_a_field_fails_before_scanning_the_payload(self):
         # without its maxval, or the byte after it, or padded with whitespace

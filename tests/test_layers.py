@@ -7,6 +7,8 @@ float64 on a batch of two, and every op on a batch of three is checked
 against stacking its results on one sample at a time.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -529,6 +531,27 @@ class TestTconvForward:
                                  for sample in x])
                 assert out.shape == want.shape, (k, stride, pad)
                 assert np.allclose(out, want, atol=1e-10), (k, stride, pad)
+
+    def test_fused_relu_is_the_relu_of_the_plain_op_bit_for_bit(self):
+        # the decoder's three stages on a 64 px batch of 4, then the
+        # gradient check's tconv: the relu'd output is max(plain, 0) and its
+        # backward is the plain backward of the masked upstream gradient
+        rng = np.random.default_rng(37)
+        shapes = (((4, 8, 8, 64), 32, 1), ((4, 16, 16, 32), 16, 1),
+                  ((4, 32, 32, 16), 8, 1), ((1, 3, 4, 3), 2, 0))
+        for dtype, (x_shape, co, pad) in itertools.product((np.float32, np.float64), shapes):
+            x = rng.standard_normal(x_shape).astype(dtype)
+            kern = (0.1 * rng.standard_normal((4, 4, x_shape[3], co))).astype(dtype)
+            b = (0.1 * rng.standard_normal(co)).astype(dtype)
+            out, rec = tconv_forward(x, kern, b, 2, pad, relu=True)
+            plain, plain_rec = tconv_forward(x, kern, b, 2, pad)
+            assert out.tobytes() == np.maximum(plain, 0).tobytes(), (dtype, x_shape)
+            up = rng.standard_normal(out.shape).astype(dtype)
+            dx, grads = backward(rec, up)
+            want_dx, want_grads = backward(plain_rec, up * (out > 0))
+            assert dx.tobytes() == want_dx.tobytes(), (dtype, x_shape)
+            for name in ("weights", "bias"):
+                assert grads[name].tobytes() == want_grads[name].tobytes(), (dtype, x_shape, name)
 
     def test_shape_validation(self):
         kern = np.ones((2, 2, 1, 1))
