@@ -76,26 +76,22 @@ def read_pnm_header(data: bytes) -> tuple[int, int, int, int]:
     """Parse and check a binary PGM/PPM header: (height, width, channels, payload offset)."""
     if len(data) < 2:
         raise PnmTruncatedError("not enough bytes for a PNM magic number")
-    magic = data[:2]
-    if magic not in (b"P5", b"P6"):
-        raise PnmMagicError(f"unsupported PNM magic {magic!r}; only binary P5/P6 are handled")
-    channels = 1 if magic == b"P5" else 3
-    tokens, pos = _read_header_tokens(data, 4)
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as e:
-        raise PnmError(f"malformed PNM header field: {e}") from None
+    # a file that does not start with P5/P6 is refused before any token is read;
+    # the magic is a token of its own, so "P58" is no P5
+    tokens, pos = _read_header_tokens(data, 4) if data[:2] in (b"P5", b"P6") else ([data[:2]], 0)
+    if tokens[0] not in (b"P5", b"P6"):
+        raise PnmMagicError(f"unsupported PNM magic {tokens[0]!r}; only binary P5/P6 are handled")
+    for t in tokens[1:]:
+        if not t.isdigit():  # int() would read "+8", "2_55" and "-1"
+            raise PnmError(f"malformed PNM header field: {t!r} is not a decimal number")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
         raise PnmError(f"invalid PNM dimensions {width}x{height}")
     if maxval != 255:
         raise PnmMaxvalError(f"unsupported maxval {maxval}; only 255 is handled")
-    # the first two bytes pass "P58", and int() reads "+8" and "2_55"; checked
-    # last, so a header refused before keeps its message
-    if tokens[0] != magic:
-        raise PnmMagicError(f"unsupported PNM magic {tokens[0]!r}; only binary P5/P6 are handled")
-    for t in tokens[1:]:
-        if not t.isdigit():
-            raise PnmError(f"malformed PNM header field: {t!r} is not a decimal number")
+    if data[pos:pos + 1] == b"#":
+        raise PnmError("a comment follows the PNM maxval; one whitespace byte must end the header")
+    channels = 1 if tokens[0] == b"P5" else 3
     return height, width, channels, pos + 1  # one whitespace byte ends the header
 
 

@@ -10,10 +10,10 @@ foreground probability at the input resolution, each of whose sides must
 be a multiple of SIDE_MULTIPLE (8: two 2x2 pools, then 2x2 patches), and
 which holds at most MAX_IMAGE_SIZE**2 pixels.
 
-A training step runs its whole batch through one forward and one backward
-pass, every op taking the (N, h, w, c) batch at once. The backward pops
-each op's record off the tape as it runs, so the record's arrays are freed
-as soon as the gradient has passed it.
+A training step runs its whole batch, every op taking the (N, h, w, c)
+batch at once, through one forward function that records each op in layer
+order on one tape, then pops each record off it as its backward runs, so
+the record's arrays are freed as soon as the gradient has passed it.
 
 Everything is deterministic: parameters come from one seeded stream in
 declaration order, shuffling is Fisher-Yates on the same stream, the
@@ -195,11 +195,27 @@ def build_model(config: ModelConfig, rng: Rng) -> ModelParams:
     return ModelParams(values=values)
 
 
-def _encode_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True):
-    """Encoder output and the op tape, a list of (prefix, record) pairs. A
-    forward that no backward follows passes keep_tape=False: the tape then
-    keeps no record, and the pools skip the winners that only a backward
-    reads."""
+def decoder_matrices(params: ModelParams, grid: int) -> list:
+    """Sparse matrices of the three upsampling stages for a given grid size.
+
+    The paper's literal form of the decoder, kept as the reference that
+    tests compare the decoder stages of `_forward_tape` against; the
+    network never builds them.
+    """
+    mats = []
+    dim = grid
+    for k in range(1, len(DECODER_CHANNELS) + 1):
+        mats.append(tconv_sparse_matrix(params.values[f"dec{k}.weights"],
+                                        (dim, dim), TCONV_STRIDE))
+        dim *= 2
+    return mats
+
+
+def _forward_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True):
+    """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape, a
+    list of (prefix, record) pairs in forward order. A forward that no
+    backward follows passes keep_tape=False: the tape then keeps no record,
+    and the pools skip the winners that only a backward reads."""
     if images.ndim != 4 or images.shape[3] != 3:
         raise ShapeError(f"expected an (N, h, w, 3) batch of images, got {images.shape}")
     check_image_dims(*images.shape[1:3])
@@ -217,26 +233,9 @@ def _encode_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True
         if pooled:
             x, rec = maxpool2x2_forward(x, keep_winner=keep_tape)
             tape.append((None, rec))
-    return x, tape
-
-
-def decoder_matrices(params: ModelParams, grid: int) -> list:
-    """Sparse matrices of the three upsampling stages for a given grid size.
-
-    The paper's literal form of the decoder, kept as the reference that
-    tests compare `_decode_tape` against; the network never builds them.
-    """
-    mats = []
-    dim = grid
-    for k in range(1, len(DECODER_CHANNELS) + 1):
-        mats.append(tconv_sparse_matrix(params.values[f"dec{k}.weights"],
-                                        (dim, dim), TCONV_STRIDE))
-        dim *= 2
-    return mats
-
-
-def _decode_tape(x: np.ndarray, params: ModelParams, tape):
-    """Decoder output; its (prefix, record) pairs are appended to `tape`."""
+    x, rec = renet_block(x, {name[len("renet."):]: value for name, value in params.values.items()
+                             if name.startswith("renet.")})
+    tape.append(("renet", rec))
     for k in range(1, len(DECODER_CHANNELS) + 1):
         # padding 1 cuts the (g-1)*2 + 4 = 2g+2 cells to exactly 2g
         x, rec = tconv_forward(x, params.values[f"dec{k}.weights"],
@@ -247,15 +246,6 @@ def _decode_tape(x: np.ndarray, params: ModelParams, tape):
     x, rec = activation_forward(x)
     tape.append((None, rec))
     return x, tape
-
-
-def _forward_tape(images: np.ndarray, params: ModelParams, keep_tape: bool = True):
-    """(N, h, w, 3) images -> (N, h, w, 1) probabilities and the op tape."""
-    x, tape = _encode_tape(images, params, keep_tape)
-    x, rec = renet_block(x, {name[len("renet."):]: value for name, value in params.values.items()
-                             if name.startswith("renet.")})
-    tape.append(("renet", rec))
-    return _decode_tape(x, params, tape)
 
 
 def forward(image: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -335,6 +325,11 @@ def _fisher_yates(n: int, rng: Rng) -> list[int]:
     return order
 
 
+def _first_non_finite(values: dict[str, np.ndarray]) -> str | None:
+    """The name of the first parameter holding a NaN or an infinity, if any."""
+    return next((name for name, v in values.items() if not np.isfinite(v).all()), None)
+
+
 def _squared_norm(grads: dict[str, np.ndarray]) -> float:
     """Sum of every squared gradient entry, accumulated in float64."""
     return sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values())
@@ -385,8 +380,7 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
             for prob, (_, mask) in zip(probs, batch):
                 counts = counts + confusion_counts(predict_mask(prob, config.threshold), mask)
             sgd_update(params, grads, velocity, config.lr, config.momentum)
-        bad = next((name for name, v in params.values.items() if not np.isfinite(v).all()),
-                   None)
+        bad = _first_non_finite(params.values)
         if bad is not None:
             raise TrainingDivergedError(f"training diverged in epoch {epoch}: "
                                         f"parameter {bad} is no longer finite")
@@ -463,4 +457,7 @@ def load_model(source) -> tuple[ModelParams, ModelConfig]:
     unknown = [k for k in values if k not in expected]
     if unknown:
         raise CheckpointError(f"checkpoint holds unknown tensors: {', '.join(unknown)}")
+    bad = _first_non_finite(values)
+    if bad is not None:
+        raise CheckpointError(f"parameter {bad!r} holds a non-finite value")
     return ModelParams(values=values), config

@@ -22,7 +22,6 @@ from sweepseg.metrics import (
 )
 from sweepseg.model import (
     ModelConfig,
-    _encode_tape,
     _forward_tape,
     build_model,
     forward,
@@ -101,9 +100,9 @@ def test_shape_contract():
         params = build_model(config, Rng(5))
         images = draw(Rng(6), (2, size, size, 3), lo=0.0, hi=1.0)
         out, tape = _forward_tape(images, params)
-        _, enc_tape = _encode_tape(images, params)
-        convs = sum(1 for _, rec in enc_tape if rec.kind == "conv2d")
-        pools = sum(1 for _, rec in enc_tape if rec.kind == "maxpool2x2")
+        convs = sum(1 for prefix, rec in tape
+                    if rec.kind == "conv2d" and prefix.startswith("enc"))
+        pools = sum(1 for _, rec in tape if rec.kind == "maxpool2x2")
         coupled = next(rec.out_shape[3] for _, rec in tape if rec.kind == "renet_block")
         ok &= (out.shape == (2, size, size, 1) and convs == 7 and pools == 2
                and coupled == 2 * config.rnn_units)

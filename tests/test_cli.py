@@ -481,6 +481,21 @@ class TestInfer:
                         "--out", str(tmp_path / "o.pgm")]) == 2
         assert "enc1.bias" in capsys.readouterr().err
 
+    def test_non_finite_parameter_exits_2_and_writes_no_mask(self, trained, tmp_path, capsys):
+        # a NaN anywhere makes every probability NaN: an all-background mask
+        data, ckpt = trained
+        with open(ckpt, "rb") as fh:
+            entries = load_checkpoint(fh)
+        entries["dec1.bias"][0] = np.nan
+        broken = tmp_path / "nan.ckpt"
+        with open(broken, "wb") as fh:
+            save_checkpoint(entries, fh)
+        out = tmp_path / "o.pgm"
+        assert run_cli(["infer", "--model", str(broken),
+                        "--image", str(data / "synth000.ppm"), "--out", str(out)]) == 2
+        assert "dec1.bias" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_declared_tensor_exits_2(self, trained, tmp_path, capsys):
         data, _ = trained
         huge = tmp_path / "huge.ckpt"  # one 2^19 x 2^19 tensor, no payload

@@ -54,6 +54,10 @@ class TestReadPnm:
         assert t.shape == (2, 2, 1)
         assert np.allclose(t.reshape(-1) * 255, [1, 2, 3, 4], atol=1e-5)
         assert read_pnm(b"P5#c\n8 4 255\n" + bytes(32)).shape == (4, 8, 1)
+        # but not in place of the one whitespace byte after the maxval, which
+        # would then read as the byte that ends the header
+        with pytest.raises(PnmError, match="comment follows the PNM maxval"):
+            read_pnm(b"P5 2 2 255#" + bytes([10, 20, 30, 40]))
 
     def test_unsupported_magic(self):
         with pytest.raises(PnmMagicError):
@@ -78,7 +82,8 @@ class TestReadPnm:
     def test_malformed_dimension(self):
         with pytest.raises(PnmError):
             read_pnm(b"P5 two 2 255 " + bytes(4))
-        for header in (b"P5 +8 4 255\n", b"P5 8 4 2_55\n"):  # int() reads both
+        # int() reads all four; a field is ASCII digits only
+        for header in (b"P5 +8 4 255\n", b"P5 8 4 2_55\n", b"P5 -1 2 255\n", b"P5 2 2 -255\n"):
             with pytest.raises(PnmError, match="is not a decimal number"):
                 read_pnm(header + bytes(32))
 

@@ -31,12 +31,11 @@ from sweepseg.model import (
     MAX_IMAGE_SIZE,
     MAX_RNN_UNITS,
     RELU_GAIN,
+    SIDE_MULTIPLE,
     TCONV_STRIDE,
     ModelConfig,
     ModelParams,
     TrainTrace,
-    _decode_tape,
-    _encode_tape,
     _forward_tape,
     build_model,
     decoder_matrices,
@@ -49,6 +48,7 @@ from sweepseg.model import (
     sgd_update,
     train,
 )
+from sweepseg.renet import renet_block
 from sweepseg.tensor import Rng, glorot_scale, load_checkpoint, save_checkpoint
 
 
@@ -131,7 +131,17 @@ def per_weight_init(config, rng):
 
 
 def encode(images, params):
-    return _encode_tape(images, params)[0]
+    """The encoder's output: what the forward hands the sweep block."""
+    seen = []
+
+    def capture(x, cell):
+        seen.append(x)
+        return renet_block(x, cell)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "renet_block", capture)
+        _forward_tape(images, params)
+    return seen[0]
 
 
 def forward_peak(shape) -> float:
@@ -150,7 +160,12 @@ def forward_peak(shape) -> float:
 
 
 def decode(renet_out, params):
-    return _decode_tape(renet_out, params, [])[0]
+    """The decoder's output when the sweep block hands it `renet_out`; the
+    encoder runs on the smallest images the network takes."""
+    images = np.zeros((len(renet_out), SIDE_MULTIPLE, SIDE_MULTIPLE, 3), np.float32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "renet_block", lambda x, cell: (renet_out, None))
+        return _forward_tape(images, params)[0]
 
 
 class TestEncodeDecode:
@@ -210,6 +225,16 @@ class TestEncodeDecode:
         _, tape = _forward_tape(np.zeros((1, 64, 64, 3), np.float32), params)
         assert Counter(rec.kind for _, rec in tape) == {
             "conv2d": 8, "tconv": 3, "maxpool2x2": 2, "renet_block": 1, "activation": 1}
+
+    def test_layers_run_in_declaration_order(self):
+        # a forward that swapped two layers of one kind keeps every kind count
+        params = build_model(ModelConfig(), Rng(9))
+        _, tape = _forward_tape(np.zeros((1, 64, 64, 3), np.float32), params)
+        declared = list(dict.fromkeys(name.split(".")[0]
+                                      for name, _, _ in param_table(ModelConfig())))
+        assert declared == [f"enc{i}" for i in range(1, 8)] + ["renet", "dec1", "dec2", "dec3",
+                                                               "out"]
+        assert [prefix for prefix, _ in tape if prefix is not None] == declared
 
 
 class TestImageShapeRule:
@@ -738,6 +763,15 @@ class TestCheckpointSchema:
                 entries["meta.patch"] = np.array([bad], np.float32)
 
             with pytest.raises(CheckpointError, match="finite"):
+                load_model(checkpoint_with(edit))
+
+    def test_non_finite_parameter_rejected(self):
+        # such a network maps every image to NaN, which thresholds to background
+        for name, bad in (("dec1.bias", np.nan), ("enc3.weights", -np.inf)):
+            def edit(entries):
+                entries[name].reshape(-1)[-1] = bad
+
+            with pytest.raises(CheckpointError, match=f"{name}.*non-finite"):
                 load_model(checkpoint_with(edit))
 
     def test_meta_config_the_config_rules_refuse_is_rejected(self):
