@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic given its flags; all randomness flows
 from the single seed and no output embeds a timestamp. Exit codes:
-0 success, 1 usage error, 2 data or parse error, 3 failed check
+0 success, 1 usage error, 2 data or parse error (a non-finite probability
+map included: no mask or report is written), 3 failed check
 (gradient suite above tolerance, or eval below --min-jaccard), 4 training
 diverged or died (non-finite loss, gradient or parameter, or an epoch of
 exactly-zero gradients); no checkpoint or trace is written.
@@ -36,6 +37,7 @@ from .errors import (
     DataError,
     InvalidSeedError,
     InvalidTargetError,
+    NonFiniteOutputError,
     PnmError,
     ShapeError,
     TrainingDivergedError,
@@ -49,7 +51,7 @@ from .tensor import Rng, overwrite
 CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
 
 _DATA_ERRORS = (DataError, ConfigError, ShapeError, InvalidTargetError,
-                InvalidSeedError, CheckpointError, PnmError, OSError)
+                InvalidSeedError, CheckpointError, PnmError, NonFiniteOutputError, OSError)
 
 
 class _UsageError(Exception):
@@ -83,6 +85,18 @@ def _write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
+def _predict(image: np.ndarray, params, threshold: float) -> np.ndarray:
+    """The mask of one image, refused if a probability is a NaN or an
+    infinity, which would threshold to background. An overflowing forward
+    ends in NaN, so numpy's overflow warnings are not printed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prob = forward(image, params)
+    if not np.isfinite(prob).all():
+        raise NonFiniteOutputError("the probability map holds a non-finite value: "
+                                   "the network's forward overflowed float32")
+    return predict_mask(prob, threshold)
+
+
 def _cmd_synth(args) -> int:
     records = generate_synthetic(args.seed, args.count, args.size)
     save_dataset(records, args.out)
@@ -112,8 +126,7 @@ def _cmd_infer(args) -> int:
     image = read_pnm(data)
     if image.shape[2] == 1:
         image = np.repeat(image, 3, axis=2)
-    prob = forward(image, params)
-    write_pnm(predict_mask(prob, config.threshold), args.out)
+    write_pnm(_predict(image, params, config.threshold), args.out)
     return 0
 
 
@@ -153,9 +166,8 @@ def _cmd_eval(args) -> int:
         for rec in records:
             if rec.mask is None:
                 raise DataError(f"{rec.id}: no ground-truth mask to evaluate against")
-            prob = forward(rec.image, params)
             ids.append(rec.id)
-            pairs.append((predict_mask(prob, config.threshold), rec.mask))
+            pairs.append((_predict(rec.image, params, config.threshold), rec.mask))
     else:
         ids, pairs = _mask_pairs(args.pred, args.gt)
 

@@ -29,6 +29,10 @@ class TrainingDivergedError(ValueError):
     """Training produced a non-finite loss, gradient or parameter, or a dead network."""
 
 
+class NonFiniteOutputError(ValueError):
+    """The network's probability map holds a NaN or an infinity, so no mask is drawn from it."""
+
+
 class CheckpointError(ValueError):
     """Base for checkpoint (de)serialization failures."""
 

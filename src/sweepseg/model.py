@@ -398,28 +398,22 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
 META_KEYS = ("image_size", "patch", "rnn_units", "threshold")
 
 
-def save_model(params: ModelParams, config: ModelConfig, sink) -> int:
-    """Write parameters plus the meta.* entries needed to rebuild at load time.
-
-    sink is a binary file-like object or a path.
-    """
+def save_model(params: ModelParams, config: ModelConfig, path) -> None:
+    """Write the checkpoint file at `path`: parameters plus the meta.* entries
+    needed to rebuild at load time."""
     entries = dict(params.values)
     for key in META_KEYS:
         value = PATCH if key == "patch" else getattr(config, key)
         entries[f"meta.{key}"] = np.array([value], dtype=np.float32)
-    if hasattr(sink, "write"):
-        return save_checkpoint(entries, sink)
-    with overwrite(sink) as fh:
-        return save_checkpoint(entries, fh)
+    with overwrite(path) as fh:
+        save_checkpoint(entries, fh)
 
 
-def load_model(source) -> tuple[ModelParams, ModelConfig]:
-    """Inverse of save_model; the returned config carries only inference fields."""
-    if hasattr(source, "read"):
-        entries = load_checkpoint(source)
-    else:
-        with open(source, "rb") as fh:
-            entries = load_checkpoint(fh)
+def load_model(path) -> tuple[ModelParams, ModelConfig]:
+    """Read the checkpoint file at `path` that save_model wrote; the returned
+    config carries only inference fields."""
+    with open(path, "rb") as fh:
+        entries = load_checkpoint(fh)
     meta: dict[str, float] = {}
     values: dict[str, np.ndarray] = {}
     for name, tensor in entries.items():

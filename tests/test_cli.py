@@ -18,14 +18,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import sweepseg.data as data_module
 import sweepseg.model as model_module
 from sweepseg import cli
 from sweepseg.cli import CONFIG_KEYS, build_parser, load_config, run_cli
 from sweepseg.data import read_pnm, write_pnm
 from sweepseg.errors import CheckpointError, ConfigError
 from sweepseg.gradcheck import CheckResult
-from sweepseg.model import MAX_IMAGE_SIZE, MAX_RNN_UNITS, ModelConfig, load_model
-from sweepseg.tensor import load_checkpoint, save_checkpoint
+from sweepseg.model import MAX_IMAGE_SIZE, MAX_RNN_UNITS, ModelConfig, load_model, save_model
+from sweepseg.tensor import load_checkpoint, overwrite, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -385,6 +386,15 @@ def trained(tmp_path_factory):
     return data, ckpt
 
 
+def overflowing(ckpt, out):
+    """A copy of the checkpoint `ckpt` at `out` whose dec1 biases are finite
+    and load, but overflow float32 in the forward."""
+    params, config = load_model(ckpt)
+    params.values["dec1.bias"][:] = 3e38
+    save_model(params, config, out)
+    return out
+
+
 class TestInfer:
     def test_writes_binary_p5_mask(self, trained, tmp_path, capsys):
         data, ckpt = trained
@@ -496,6 +506,17 @@ class TestInfer:
         assert "dec1.bias" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_forward_exits_2_and_writes_no_mask(self, trained, tmp_path, capsys):
+        # the NaN probabilities would threshold to an all-background mask; the
+        # overflow's RuntimeWarning, which the suite makes an error, stays silent
+        data, ckpt = trained
+        ckpt = overflowing(ckpt, tmp_path / "big.ckpt")
+        out = tmp_path / "o.pgm"
+        assert run_cli(["infer", "--model", str(ckpt),
+                        "--image", str(data / "synth000.ppm"), "--out", str(out)]) == 2
+        assert "probability map holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_declared_tensor_exits_2(self, trained, tmp_path, capsys):
         data, _ = trained
         huge = tmp_path / "huge.ckpt"  # one 2^19 x 2^19 tensor, no payload
@@ -552,6 +573,16 @@ class TestEval:
                 assert f"{label}.{metric}=" in text
         table = capsys.readouterr().out
         assert table.splitlines()[0].startswith("Method")
+
+    def test_overflowing_forward_exits_2_and_writes_no_report(self, trained, tmp_path, capsys):
+        # the NaN probabilities would score as all-background masks
+        data, ckpt = trained
+        ckpt = overflowing(ckpt, tmp_path / "big.ckpt")
+        assert run_cli(["eval", "--model", str(ckpt), "--data", str(data),
+                        "--report", str(tmp_path / "r.txt"),
+                        "--per-image", str(tmp_path / "rows.csv")]) == 2
+        assert "probability map holds a non-finite value" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.ckpt"]
 
     def test_identical_dirs_report_all_ones(self, trained, tmp_path, capsys):
         data, _ = trained
@@ -737,6 +768,35 @@ class TestOverwriteOutputs:
 
     def test_write_pnm_to_dev_null_returns_the_byte_count(self):
         assert write_pnm(np.zeros((4, 6, 1), np.float32), os.devnull) == len(b"P5\n6 4\n255\n") + 24
+
+
+class TestOneWriter:
+    def test_every_output_file_is_written_by_overwrite(self, tmp_path, tmp_path_factory,
+                                                       monkeypatch, capsys):
+        # the one writer of every file a command leaves behind: each
+        # module's own name for it records the path it opens
+        written = set()
+
+        def recording(path):
+            written.add(Path(path).resolve())
+            return overwrite(path)
+
+        for module in (cli, data_module, model_module):
+            monkeypatch.setattr(module, "overwrite", recording)
+        cfg = write_config(tmp_path_factory.mktemp("config") / "c.json", epochs=1)
+        data = make_dataset(tmp_path)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "pred.pgm"
+        for argv in (["train", "--data", str(data), "--config", str(cfg), "--out", str(ckpt),
+                      "--trace", str(tmp_path / "trace.csv")],
+                     ["infer", "--model", str(ckpt), "--image", str(data / "synth000.ppm"),
+                      "--out", str(out)],
+                     ["eval", "--model", str(ckpt), "--data", str(data),
+                      "--report", str(tmp_path / "r.txt"),
+                      "--per-image", str(tmp_path / "rows.csv")]):
+            assert run_cli(argv) == 0
+        files = {p.resolve() for p in tmp_path.rglob("*") if p.is_file()}
+        assert len(files) == 6 + 5  # three pairs, a checkpoint, a trace, a mask, two reports
+        assert written == files
 
 
 def with_meta(ckpt, out, key, value):

@@ -1,6 +1,5 @@
 """Tests for the assembled network, its gradients, and the training loop."""
 
-import io
 import math
 import tracemalloc
 import weakref
@@ -665,36 +664,36 @@ class TestTrain:
 
 
 class TestCheckpointRoundtrip:
-    def test_save_load_roundtrip(self):
+    def test_save_load_roundtrip(self, tmp_path):
         config = small_config()
         params = build_model(config, Rng(47))
-        sink = io.BytesIO()
-        save_model(params, config, sink)
-        loaded, meta_config = load_model(io.BytesIO(sink.getvalue()))
+        path = tmp_path / "m.ckpt"
+        save_model(params, config, path)
+        loaded, meta_config = load_model(path)
         assert list(loaded.values) == list(params.values)
         for k in params.values:
             assert np.array_equal(loaded.values[k], params.values[k])
         assert meta_config.image_size == config.image_size
-        assert load_checkpoint(io.BytesIO(sink.getvalue()))["meta.patch"].tolist() == [2.0]
+        assert read_entries(path)["meta.patch"].tolist() == [2.0]
         assert meta_config.rnn_units == config.rnn_units
         assert meta_config.threshold == config.threshold
 
-    def test_non_default_meta_round_trips(self):
+    def test_non_default_meta_round_trips(self, tmp_path):
         # every meta key but patch, which is always 2 (see the rejection test)
         config = ModelConfig(image_size=32, rnn_units=6, threshold=0.25)
-        sink = io.BytesIO()
-        save_model(build_model(config, Rng(61)), config, sink)
-        assert load_checkpoint(io.BytesIO(sink.getvalue()))["meta.patch"].tolist() == [2.0]
-        _, loaded = load_model(io.BytesIO(sink.getvalue()))
+        path = tmp_path / "m.ckpt"
+        save_model(build_model(config, Rng(61)), config, path)
+        assert read_entries(path)["meta.patch"].tolist() == [2.0]
+        _, loaded = load_model(path)
         assert loaded == ModelConfig(image_size=32, rnn_units=6, threshold=0.25)
         assert all(type(getattr(loaded, k)) is int for k in ("image_size", "rnn_units"))
 
-    def test_loaded_model_runs_forward(self):
+    def test_loaded_model_runs_forward(self, tmp_path):
         config = small_config()
         params = build_model(config, Rng(53))
-        sink = io.BytesIO()
-        save_model(params, config, sink)
-        loaded, meta_config = load_model(io.BytesIO(sink.getvalue()))
+        path = tmp_path / "m.ckpt"
+        save_model(params, config, path)
+        loaded, meta_config = load_model(path)
         rng = np.random.default_rng(5)
         image = rng.uniform(size=(meta_config.image_size,) * 2 + (3,)).astype(np.float32)
         assert np.array_equal(forward(image, params), forward(image, loaded))
@@ -717,64 +716,71 @@ class TestCheckpointRoundtrip:
         assert param_bytes > 700_000
         assert peak < 1.25 * param_bytes, (peak, param_bytes)
 
-    def test_missing_meta_rejected(self):
-        sink = io.BytesIO()
-        save_checkpoint({"enc1.weights": np.zeros((3, 3, 3, 16), np.float32)}, sink)
+    def test_missing_meta_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        with open(path, "wb") as fh:
+            save_checkpoint({"enc1.weights": np.zeros((3, 3, 3, 16), np.float32)}, fh)
         with pytest.raises(CheckpointError):
-            load_model(io.BytesIO(sink.getvalue()))
+            load_model(path)
 
 
-def checkpoint_with(edit):
-    """A small model's checkpoint stream after `edit` changes its entries."""
+def read_entries(path):
+    """Every named tensor of the checkpoint file at `path`, meta.* entries included."""
+    with open(path, "rb") as fh:
+        return load_checkpoint(fh)
+
+
+def checkpoint_with(tmp_path, edit):
+    """The path of a small model's checkpoint after `edit` changes its entries."""
     config = small_config()
-    sink = io.BytesIO()
-    save_model(build_model(config, Rng(59)), config, sink)
-    entries = load_checkpoint(io.BytesIO(sink.getvalue()))
+    path = tmp_path / "edited.ckpt"
+    save_model(build_model(config, Rng(59)), config, path)
+    entries = read_entries(path)
     edit(entries)
-    sink = io.BytesIO()
-    save_checkpoint(entries, sink)
-    return io.BytesIO(sink.getvalue())
+    with open(path, "wb") as fh:
+        save_checkpoint(entries, fh)
+    return path
 
 
 class TestCheckpointSchema:
-    def test_missing_tensor_rejected(self):
-        stream = checkpoint_with(lambda e: e.pop("enc1.bias"))
+    def test_missing_tensor_rejected(self, tmp_path):
+        path = checkpoint_with(tmp_path, lambda e: e.pop("enc1.bias"))
         with pytest.raises(CheckpointError, match="enc1.bias"):
-            load_model(stream)
+            load_model(path)
 
-    def test_mis_shaped_decoder_weights_rejected(self):
+    def test_mis_shaped_decoder_weights_rejected(self, tmp_path):
         # the first decoder stage must read the 2U channels of the sweeps
         def edit(entries):
             entries["dec1.weights"] = np.zeros((4, 4, 4, 32), np.float32)
 
         with pytest.raises(CheckpointError, match="dec1.weights"):
-            load_model(checkpoint_with(edit))
+            load_model(checkpoint_with(tmp_path, edit))
 
-    def test_unknown_tensor_rejected(self):
+    def test_unknown_tensor_rejected(self, tmp_path):
         def edit(entries):
             entries["extra.weights"] = np.zeros(3, np.float32)
 
         with pytest.raises(CheckpointError, match="extra.weights"):
-            load_model(checkpoint_with(edit))
+            load_model(checkpoint_with(tmp_path, edit))
 
-    def test_non_finite_meta_rejected(self):
+    def test_non_finite_meta_rejected(self, tmp_path):
         for bad in (np.nan, np.inf):
             def edit(entries):
                 entries["meta.patch"] = np.array([bad], np.float32)
 
             with pytest.raises(CheckpointError, match="finite"):
-                load_model(checkpoint_with(edit))
+                load_model(checkpoint_with(tmp_path, edit))
 
-    def test_non_finite_parameter_rejected(self):
+    def test_non_finite_parameter_rejected(self, tmp_path):
         # such a network maps every image to NaN, which thresholds to background
         for name, bad in (("dec1.bias", np.nan), ("enc3.weights", -np.inf)):
             def edit(entries):
                 entries[name].reshape(-1)[-1] = bad
 
             with pytest.raises(CheckpointError, match=f"{name}.*non-finite"):
-                load_model(checkpoint_with(edit))
+                load_model(checkpoint_with(tmp_path, edit))
 
-    def test_meta_config_the_config_rules_refuse_is_rejected(self):
+    def test_meta_config_the_config_rules_refuse_is_rejected(self, tmp_path):
         # entries the meta rules refuse: a NaN threshold or one outside
         # [0, 1], an image size the two pools and the patch grid cannot
         # divide, a patch other than 2, and sizes above the caps
@@ -785,9 +791,9 @@ class TestCheckpointSchema:
                 entries[f"meta.{key}"] = np.array([bad], np.float32)
 
             with pytest.raises(CheckpointError, match=key):
-                load_model(checkpoint_with(edit))
+                load_model(checkpoint_with(tmp_path, edit))
 
-    def test_meta_entry_of_more_than_one_value_rejected(self):
+    def test_meta_entry_of_more_than_one_value_rejected(self, tmp_path):
         # a meta entry is one value; its first would otherwise load silently
         for key, bad in (("image_size", [16.0, 999.0]), ("threshold", [[0.5, 0.5]]),
                          ("rnn_units", [[4.0]])):
@@ -795,11 +801,11 @@ class TestCheckpointSchema:
                 entries[f"meta.{key}"] = np.array(bad, np.float32)
 
             with pytest.raises(CheckpointError, match=f"{key} must hold one value"):
-                load_model(checkpoint_with(edit))
+                load_model(checkpoint_with(tmp_path, edit))
 
-    def test_load_makes_no_rng_draws(self, monkeypatch):
-        stream = checkpoint_with(lambda e: None)
+    def test_load_makes_no_rng_draws(self, tmp_path, monkeypatch):
+        path = checkpoint_with(tmp_path, lambda e: None)
         drew = lambda *args: pytest.fail("loading a checkpoint drew from the rng")
         monkeypatch.setattr(Rng, "fill", drew)
         monkeypatch.setattr(Rng, "next", drew)
-        load_model(stream)
+        load_model(path)
