@@ -2,11 +2,11 @@
 
 Every subcommand is deterministic given its flags; all randomness flows
 from the single seed and no output embeds a timestamp. Exit codes:
-0 success, 1 usage error, 2 data or parse error (a non-finite probability
-map included: no mask or report is written), 3 failed check
-(gradient suite above tolerance, or eval below --min-jaccard), 4 training
-diverged or died (non-finite loss, gradient or parameter, or an epoch of
-exactly-zero gradients); no checkpoint or trace is written.
+0 success, 1 usage error (two output flags naming one file included), 2 any
+InputError or OSError (a non-finite probability map included: no mask or
+report is written), 3 failed check (gradient suite above tolerance, or eval
+below --min-jaccard), 4 training diverged or died (non-finite loss, gradient
+or parameter, or an epoch of exactly-zero gradients): nothing is written.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,25 +24,15 @@ import numpy as np
 
 from .data import (
     generate_synthetic,
-    binarize_mask,
     load_dataset,
+    read_mask_file,
     read_pnm,
-    read_pnm_file,
     read_pnm_header,
     save_dataset,
     write_pnm,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    InvalidSeedError,
-    InvalidTargetError,
-    NonFiniteOutputError,
-    PnmError,
-    ShapeError,
-    TrainingDivergedError,
-)
+from .errors import (ConfigError, DataError, InputError, NonFiniteOutputError,
+                     TrainingDivergedError)
 from .gradcheck import format_results, run_suite
 from .metrics import evaluate_dataset, format_per_image, format_report, format_report_kv
 from .model import (ModelConfig, check_image_dims, forward, load_model, predict_mask,
@@ -49,9 +40,6 @@ from .model import (ModelConfig, check_image_dims, forward, load_model, predict_
 from .tensor import Rng, overwrite
 
 CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
-
-_DATA_ERRORS = (DataError, ConfigError, ShapeError, InvalidTargetError,
-                InvalidSeedError, CheckpointError, PnmError, NonFiniteOutputError, OSError)
 
 
 class _UsageError(Exception):
@@ -80,6 +68,12 @@ def load_config(path) -> ModelConfig:
     return ModelConfig(**doc)
 
 
+def _distinct_outputs(flag_a: str, path_a, flag_b: str, path_b) -> None:
+    """Refuse two outputs that realpath (which survives a symlink loop) maps to one file."""
+    if path_b is not None and os.path.realpath(path_a) == os.path.realpath(path_b):
+        raise _UsageError(f"{flag_a} and {flag_b} both name {path_b}")
+
+
 def _write_text(path, text: str) -> None:
     with overwrite(path) as fh:
         fh.write(text.encode("utf-8"))
@@ -105,6 +99,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _distinct_outputs("--out", args.out, "--trace", args.trace)
     config = load_config(args.config)
     records = load_dataset(args.data, config.image_size)
     params, trace = train(config, records, Rng(config.seed))
@@ -143,12 +138,16 @@ def _mask_pairs(pred_dir, gt_dir) -> tuple[list[str], list[tuple[np.ndarray, np.
     names = sorted(pred_names)
     pairs = []
     for name in names:
-        pairs.append((binarize_mask(read_pnm_file(pred_root / name)),
-                      binarize_mask(read_pnm_file(gt_root / name))))
+        pred, gt = read_mask_file(pred_root / name), read_mask_file(gt_root / name)
+        if pred.shape != gt.shape:
+            raise DataError(f"{name}: the prediction is {pred.shape[1]}x{pred.shape[0]}, "
+                            f"the ground truth {gt.shape[1]}x{gt.shape[0]}")
+        pairs.append((pred, gt))
     return names, pairs
 
 
 def _cmd_eval(args) -> int:
+    _distinct_outputs("--report", args.report, "--per-image", args.per_image)
     model_mode = args.model is not None or args.data is not None
     dir_mode = args.pred is not None or args.gt is not None
     if model_mode == dir_mode or (model_mode and not (args.model and args.data)) \
@@ -193,7 +192,9 @@ def _cmd_gradcheck(args) -> int:
     return 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser for every run_cli call in a process, built on first use."""
     parser = _Parser(prog="sweepseg",
                      description="train and run the recurrent-sweep "
                                  "segmentation network")
@@ -237,22 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """One parser for every run_cli call in a process, built on first use."""
-    return build_parser()
-
-
 def run_cli(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:
         return 0 if e.code in (None, 0) else 1
-    except _DATA_ERRORS as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingDivergedError as e:

@@ -49,12 +49,12 @@ class ImageRecord:
 _MAX_HEADER = 1024
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read whitespace-separated tokens, honoring # comments; returns (tokens, pos)."""
+def _read_header_tokens(data: bytes) -> tuple[list[bytes], int]:
+    """The header's four whitespace-separated tokens, honoring # comments, and their end."""
     head = data[:_MAX_HEADER]
     tokens = []
     pos = 0
-    while len(tokens) < count:
+    while len(tokens) < 4:
         while pos < len(head) and head[pos:pos + 1].isspace():
             pos += 1
         if pos < len(head) and head[pos:pos + 1] == b"#":
@@ -78,7 +78,7 @@ def read_pnm_header(data: bytes) -> tuple[int, int, int, int]:
         raise PnmTruncatedError("not enough bytes for a PNM magic number")
     # a file that does not start with P5/P6 is refused before any token is read;
     # the magic is a token of its own, so "P58" is no P5
-    tokens, pos = _read_header_tokens(data, 4) if data[:2] in (b"P5", b"P6") else ([data[:2]], 0)
+    tokens, pos = _read_header_tokens(data) if data[:2] in (b"P5", b"P6") else ([data[:2]], 0)
     if tokens[0] not in (b"P5", b"P6"):
         raise PnmMagicError(f"unsupported PNM magic {tokens[0]!r}; only binary P5/P6 are handled")
     for t in tokens[1:]:
@@ -114,8 +114,8 @@ def read_pnm_file(path: Path) -> np.ndarray:
         raise type(e)(f"{path.name}: {e}") from None
 
 
-def write_pnm(t: np.ndarray, sink) -> int:
-    """Encode an (h, w, 1 or 3) array in [0,1] as binary PGM/PPM; returns byte count."""
+def write_pnm(t: np.ndarray, sink) -> None:
+    """Encode an (h, w, 1 or 3) array in [0,1] as binary PGM/PPM into a stream or at a path."""
     if t.ndim != 3 or t.shape[2] not in (1, 3):
         raise ShapeError(f"can only write 1- or 3-channel images, got shape {t.shape}")
     h, w, c = t.shape
@@ -128,7 +128,6 @@ def write_pnm(t: np.ndarray, sink) -> int:
     else:
         with overwrite(sink) as fh:
             fh.write(blob)
-    return len(blob)
 
 
 def binarize_mask(gray: np.ndarray) -> np.ndarray:
@@ -136,6 +135,14 @@ def binarize_mask(gray: np.ndarray) -> np.ndarray:
     if gray.ndim != 3 or gray.shape[2] != 1:
         raise ShapeError(f"mask must be (h, w, 1), got {gray.shape}")
     return (np.rint(gray * 255.0) >= 128.0).astype(np.float32)
+
+
+def read_mask_file(path: Path) -> np.ndarray:
+    """The binarized (h, w, 1) mask of a one-channel PNM file; every error names the file."""
+    gray = read_pnm_file(path)
+    if gray.shape[2] != 1:
+        raise DataError(f"{path.name}: expected a 1-channel mask, got {gray.shape[2]} channels")
+    return binarize_mask(gray)
 
 
 def resize_nearest(t: np.ndarray, out_dims: tuple[int, int]) -> np.ndarray:
@@ -146,7 +153,7 @@ def resize_nearest(t: np.ndarray, out_dims: tuple[int, int]) -> np.ndarray:
     h, w = t.shape[:2]
     rows = (np.arange(out_h) * h) // out_h
     cols = (np.arange(out_w) * w) // out_w
-    return t[rows][:, cols].copy()
+    return t[rows][:, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +177,12 @@ def load_dataset(directory, image_size: int) -> list[ImageRecord]:
             raise DataError(f"{path.name}: expected a 3-channel image")
         mask = None
         if stem in mask_paths:
-            gray = read_pnm_file(mask_paths[stem])
-            if gray.shape[:2] != image.shape[:2]:
-                raise DataError(f"{mask_paths[stem].name} is {gray.shape[1]}x{gray.shape[0]}, "
+            # binarizing commutes with the nearest resize, which only picks cells
+            mask = read_mask_file(mask_paths[stem])
+            if mask.shape[:2] != image.shape[:2]:
+                raise DataError(f"{mask_paths[stem].name} is {mask.shape[1]}x{mask.shape[0]}, "
                                 f"but its image {path.name} is {image.shape[1]}x{image.shape[0]}")
-            mask = binarize_mask(resize_nearest(gray, (image_size, image_size)))
+            mask = resize_nearest(mask, (image_size, image_size))
         image = resize_nearest(image, (image_size, image_size))
         records.append(ImageRecord(id=stem, image=image, mask=mask))
     return records

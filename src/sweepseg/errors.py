@@ -1,27 +1,31 @@
 """Exception types shared across the package.
 
-Every error is a ValueError subclass so callers that don't care about the
-exact failure mode can still catch broadly.
+Every error is a ValueError. Every one but TrainingDivergedError (a failed run:
+exit 4) is an InputError, a refused input, on which the CLI exits 2.
 """
 
 
-class ShapeError(ValueError):
+class InputError(ValueError):
+    """Base of every refused input: the CLI exits 2 on it."""
+
+
+class ShapeError(InputError):
     """Tensor shapes or dimensions incompatible with the requested operation."""
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Invalid model or CLI configuration."""
 
 
-class DataError(ValueError):
+class DataError(InputError):
     """Dataset-level problem: empty set, unpaired files, missing masks."""
 
 
-class InvalidSeedError(ValueError):
+class InvalidSeedError(InputError):
     """RNG state of zero, which the generator cannot accept."""
 
 
-class InvalidTargetError(ValueError):
+class InvalidTargetError(InputError):
     """Loss or metric target that is not strictly binary."""
 
 
@@ -29,11 +33,11 @@ class TrainingDivergedError(ValueError):
     """Training produced a non-finite loss, gradient or parameter, or a dead network."""
 
 
-class NonFiniteOutputError(ValueError):
+class NonFiniteOutputError(InputError):
     """The network's probability map holds a NaN or an infinity, so no mask is drawn from it."""
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """Base for checkpoint (de)serialization failures."""
 
 
@@ -49,7 +53,7 @@ class TruncatedStreamError(CheckpointError):
     """Checkpoint stream ended before the declared payload."""
 
 
-class PnmError(ValueError):
+class PnmError(InputError):
     """Base for PNM image parse failures."""
 
 

@@ -110,7 +110,7 @@ def _sweep_params(rng: Rng, direction: str, length: int, units: int) -> dict[str
             f"{direction}.bias": _draw(rng, (units,), lo=-0.2, hi=0.2)}
 
 
-def run_suite(seed: int = 42) -> list[CheckResult]:
+def run_suite(seed: int) -> list[CheckResult]:
     """Run every layer check with inputs derived from one seed."""
     rng = Rng(seed)
     x, w, b = _draw(rng, (1, 6, 6, 3)), _draw(rng, (3, 3, 3, 4)), _draw(rng, (4,))

@@ -20,9 +20,10 @@ Conventions used throughout:
 
 A convolution, `conv2d_forward(x, weights, bias, padding, relu)`, is
 stride 1 with its kernel size and channels read from the (k, k, c_in,
-c_out) weights, and it is an implicit GEMM. The zero-padded batch,
-flattened to one row of c_in values per padded cell, puts the input cell
-that kernel tap (ki, kj) reads for output row r at row r + ki*(w+2p) + kj.
+c_out) weights and its padding p from 0 to k-1, and it is an implicit GEMM.
+The zero-padded batch, flattened to one row of c_in values per padded
+cell, puts the input cell that kernel tap (ki, kj) reads for output row r
+at row r + ki*(w+2p) + kj.
 So each tap is one GEMM over a contiguous block of rows, accumulated into
 one buffer, and no patch matrix is ever copied; the rows that straddle a
 border or two samples are junk. The backward's upstream gradient lies on
@@ -129,12 +130,11 @@ def _check_kernel(weights: np.ndarray, stride: int = 1) -> None:
 
 def _zero_border(grid: np.ndarray, p: int) -> None:
     """Zero the p cells along every side of an (N, H, W, c) grid, in place."""
-    if p:
-        _, hp, wp, _ = grid.shape
-        grid[:, :p] = 0
-        grid[:, hp - p:] = 0
-        grid[:, p:hp - p, :p] = 0
-        grid[:, p:hp - p, wp - p:] = 0
+    _, hp, wp, _ = grid.shape
+    grid[:, :p] = 0
+    grid[:, hp - p:] = 0
+    grid[:, p:hp - p, :p] = 0
+    grid[:, p:hp - p, wp - p:] = 0
 
 
 def _tap_gemms(rows: np.ndarray, kernel: np.ndarray, taps, out: np.ndarray,
@@ -190,7 +190,9 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, padding
     p = padding
     if grid_in:
         h, w = h - 2 * p, w - 2 * p
-    if p < 0 or min(h, w) + 2 * p < k or (grid_in and min(h, w) < 1):
+    if not 0 <= p < k:
+        raise ShapeError(f"conv padding must lie in [0, {k - 1}] for kernel {k}, got {p}")
+    if min(h, w) + 2 * p < k or (grid_in and min(h, w) < 1):
         raise ShapeError(f"conv output dim < 1 for input {h}x{w}, kernel {k}, padding {p}")
     if grid_out and k != 2 * p + 1:
         raise ShapeError(f"only a same-size conv (k = 2p+1) writes its output on the "
@@ -230,14 +232,14 @@ def _grad_buffer(rec: OpRecord, dtype) -> tuple[np.ndarray, np.ndarray]:
 
     The grid is the forward's padded grid, so output cell r of the conv
     sits at grid row r, as its input cell did in `rows`. It follows
-    max(q, 0) * (w+2p+1) zero rows, q = k-1-p, which the input gradient's
-    tap loop reads when it starts q rows and q columns before the grid.
+    q * (w+2p+1) zero rows, q = k-1-p, which the input gradient's tap loop
+    reads when it starts q rows and q columns before the grid.
     """
     n, h, w, _ = rec.saved["in_shape"]
     p = rec.saved["padding"]
     k, _, _, co = rec.saved["weights"].shape
     hp, wp = h + 2 * p, w + 2 * p
-    front = max(k - 1 - p, 0) * (wp + 1)
+    front = (k - 1 - p) * (wp + 1)
     buf = np.zeros((front + n * hp * wp, co), dtype=dtype)
     return buf, buf[front:].reshape(n, hp, wp, co)
 
@@ -255,7 +257,7 @@ def _conv_grads(rec: OpRecord, buf: np.ndarray, input_grad: bool):
     q = k - 1 - p
     taps, length = _tap_rows(k, p, rec.saved["in_shape"])
 
-    up_rows = buf[max(q, 0) * (wp + 1):][:length]  # zero on every junk row
+    up_rows = buf[q * (wp + 1):][:length]  # zero on every junk row
     d_weights = np.empty(weights.shape, dtype=buf.dtype)
     for ki, kj, off in taps:
         d_weights[ki, kj] = rows[off:off + length].T @ up_rows
@@ -271,8 +273,7 @@ def _conv_grads(rec: OpRecord, buf: np.ndarray, input_grad: bool):
     flipped = np.ascontiguousarray(weights[::-1, ::-1].transpose(0, 1, 3, 2))
     shift = p * (wp + 1) if rec.saved["grid_in"] else 0
     dx = np.empty((n * hp * wp, ci), dtype=np.result_type(buf, flipped))
-    _tap_gemms(buf[max(-q, 0) * (wp + 1):], flipped, taps,
-               dx[shift:shift + n * hp * wp - 2 * p * (wp + 1)])
+    _tap_gemms(buf, flipped, taps, dx[shift:shift + n * hp * wp - 2 * p * (wp + 1)])
     dx = dx.reshape(n, hp, wp, ci)
     if rec.saved["grid_in"]:
         _zero_border(dx, p)

@@ -297,7 +297,7 @@ def loss_and_gradients(batch, params: ModelParams):
 
 
 def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
-               velocity: dict[str, np.ndarray], lr: float, momentum: float) -> ModelParams:
+               velocity: dict[str, np.ndarray], lr: float, momentum: float) -> None:
     """v <- momentum*v - lr*g; theta <- theta + v, in fixed name order. In place,
     on the parameters and on `velocity`, one same-shaped buffer per parameter."""
     with np.errstate(over="ignore"):  # train names an overflowed parameter after the epoch
@@ -308,10 +308,9 @@ def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
             v = velocity[name]
             v[...] = momentum * v - lr * g
             theta += v
-    return params
 
 
-def predict_mask(prob: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def predict_mask(prob: np.ndarray, threshold: float) -> np.ndarray:
     """Binary mask: pixel is foreground iff probability >= threshold."""
     return (prob >= threshold).astype(np.float32)
 
@@ -350,11 +349,11 @@ def train(config: ModelConfig, dataset, rng: Rng) -> tuple[ModelParams, TrainTra
     for rec in dataset:
         image, mask = rec.image, rec.mask
         if mask is None:
-            raise DataError("training requires a mask for every image")
+            raise DataError(f"{rec.id}: training requires a mask for every image")
         s = config.image_size
         if image.shape != (s, s, 3) or mask.shape != (s, s, 1):
-            raise ShapeError(f"dataset shapes {image.shape}/{mask.shape} do not match "
-                             f"image_size {s}")
+            raise ShapeError(f"{rec.id}: dataset shapes {image.shape}/{mask.shape} do not "
+                             f"match image_size {s}")
         pairs.append((image, mask))
     if not pairs:
         raise DataError("cannot train on an empty dataset")

@@ -235,31 +235,23 @@ def overwrite(path) -> Iterator[BinaryIO]:
                 os.ftruncate(fd, 0)  # nothing written: drop the kept byte
 
 
-def save_checkpoint(entries: Mapping[str, np.ndarray], sink: BinaryIO) -> int:
-    """Write named tensors to `sink` in the fixed binary format; returns bytes written.
+def save_checkpoint(entries: Mapping[str, np.ndarray], sink: BinaryIO) -> None:
+    """Write named tensors to `sink` in the fixed binary format.
 
     Layout: magic "RSEG", u32 version, u32 entry count, then per entry
     u32 name length, name bytes, u32 rank, u32 per dim, raw little-endian
     float32 data. Everything little-endian; load(save(x)) is bit-exact.
     """
-    written = 0
-
-    def put(data: bytes) -> None:
-        nonlocal written
-        sink.write(data)
-        written += len(data)
-
-    put(CHECKPOINT_MAGIC)
-    put(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
+    sink.write(CHECKPOINT_MAGIC)
+    sink.write(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
     for name, tensor in entries.items():
         arr = np.ascontiguousarray(tensor, dtype=np.float32)
         name_bytes = name.encode("utf-8")
-        put(struct.pack("<I", len(name_bytes)))
-        put(name_bytes)
-        put(struct.pack("<I", arr.ndim))
-        put(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        put(arr.astype("<f4", copy=False).tobytes())
-    return written
+        sink.write(struct.pack("<I", len(name_bytes)))
+        sink.write(name_bytes)
+        sink.write(struct.pack("<I", arr.ndim))
+        sink.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        sink.write(arr.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(source: BinaryIO) -> dict[str, np.ndarray]:

@@ -31,6 +31,8 @@ from sweepseg.model import (
 from sweepseg.renet import merge_patches, split_patches, sweep
 from sweepseg.tensor import Rng
 
+from helpers import tconv_oracle
+
 LINEAR_CHECKS = {"conv3x3", "tconv4x4_s2"}
 
 
@@ -56,22 +58,6 @@ def test_gradient_suite():
            f"{elapsed:.1f}s < 60s")
 
 
-def scatter_tconv(x, weights, stride):
-    """Dense scatter-accumulate transposed convolution, element by element."""
-    in_h, in_w, ci = x.shape
-    k, _, _, co = weights.shape
-    out = np.zeros(((in_h - 1) * stride + k, (in_w - 1) * stride + k, co))
-    for i in range(in_h):
-        for j in range(in_w):
-            for c in range(ci):
-                for ki in range(k):
-                    for kj in range(k):
-                        for o in range(co):
-                            out[i * stride + ki, j * stride + kj, o] += \
-                                x[i, j, c] * weights[ki, kj, c, o]
-    return out
-
-
 def test_sparse_decoding_matches_dense_scatter():
     rng = Rng(2024)
     worst = 0.0
@@ -86,7 +72,7 @@ def test_sparse_decoding_matches_dense_scatter():
         w = draw(rng, (k, k, ci, co))
         matrix = tconv_sparse_matrix(w, (in_h, in_w), stride)
         got = matrix.matvec(x.reshape(-1)).reshape(matrix.out_dims)
-        want = scatter_tconv(x, w, stride)
+        want = tconv_oracle(x, w, 0.0, stride)
         worst = max(worst, float(np.abs(got - want).max()))
     report(worst <= 1e-6, "sparse decoding",
            f"max |sparse - scatter| {worst:.2e} <= 1e-6 over 100 shapes")

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import sweepseg.data as data_module
 import sweepseg.model as model_module
-from sweepseg import cli
+from sweepseg import cli, errors
 from sweepseg.cli import CONFIG_KEYS, build_parser, load_config, run_cli
 from sweepseg.data import read_pnm, write_pnm
 from sweepseg.errors import CheckpointError, ConfigError
@@ -322,6 +323,42 @@ class TestTrain:
             assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
                             "--out", str(ckpt)]) == 2
             assert "unknown keys patch" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_out_and_trace_naming_one_file_exit_1_and_write_nothing(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # the trace once overwrote the checkpoint, which infer then refused
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data loaded"))
+        ckpt, loop = tmp_path / "m.ckpt", tmp_path / "loop"
+        (tmp_path / "link.csv").symlink_to(ckpt)
+        loop.symlink_to(tmp_path / "back")
+        (tmp_path / "back").symlink_to(loop)
+        for out, trace in ((ckpt, ckpt), (ckpt, tmp_path / "sub" / ".." / "m.ckpt"),
+                           (ckpt, tmp_path / "link.csv"), (loop, loop)):
+            assert run_cli(["train", "--data", str(tmp_path), "--config",
+                            str(write_config(tmp_path / "c.json")), "--out", str(out),
+                            "--trace", str(trace)]) == 1
+            assert f"error: --out and --trace both name {trace}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_missing_mask_exits_2_naming_its_image(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, count=2)
+        (data / "synth001_segmentation.pgm").unlink()
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(data), "--config",
+                        str(write_config(tmp_path / "c.json")), "--out", str(ckpt)]) == 2
+        assert ("error: synth001: training requires a mask for every image"
+                in capsys.readouterr().err)
+        assert not ckpt.exists()
+
+    def test_three_channel_mask_exits_2_naming_it(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, count=2)
+        write_pnm(np.zeros((16, 16, 3), np.float32), data / "synth001_segmentation.pgm")
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(["train", "--data", str(data), "--config",
+                        str(write_config(tmp_path / "c.json")), "--out", str(ckpt)]) == 2
+        assert ("error: synth001_segmentation.pgm: expected a 1-channel mask, got 3 channels"
+                in capsys.readouterr().err)
         assert not ckpt.exists()
 
     def test_mask_of_another_size_exits_2(self, tmp_path, capsys):
@@ -645,6 +682,48 @@ class TestEval:
                         "--report", str(tmp_path / "r.txt")]) == 2
         assert f"error: {name}: payload has" in capsys.readouterr().err
 
+    @staticmethod
+    def _mask_dirs(data, tmp_path, pred_mask=None, gt_mask=None):
+        """--pred and --gt dirs holding copies of data's first mask, or the given arrays."""
+        name = "synth000_segmentation.pgm"
+        for side, mask in (("pred", pred_mask), ("gt", gt_mask)):
+            (tmp_path / side).mkdir()
+            if mask is None:
+                (tmp_path / side / name).write_bytes((data / name).read_bytes())
+            else:
+                write_pnm(mask, tmp_path / side / name)
+        return ["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")]
+
+    def test_prediction_of_another_size_exits_2_naming_it(self, trained, tmp_path, capsys):
+        data, _ = trained
+        args = self._mask_dirs(data, tmp_path, pred_mask=np.zeros((8, 8, 1), np.float32))
+        assert run_cli(args + ["--report", str(tmp_path / "r.txt")]) == 2
+        assert ("error: synth000_segmentation.pgm: the prediction is 8x8, "
+                "the ground truth 16x16" in capsys.readouterr().err)
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_three_channel_mask_exits_2_naming_it(self, trained, tmp_path, capsys, side):
+        data, _ = trained
+        args = self._mask_dirs(data, tmp_path, **{f"{side}_mask": np.zeros((16, 16, 3),
+                                                                            np.float32)})
+        assert run_cli(args + ["--report", str(tmp_path / "r.txt")]) == 2
+        assert ("error: synth000_segmentation.pgm: expected a 1-channel mask, got 3 channels"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_report_and_per_image_naming_one_file_exit_1_and_write_nothing(
+            self, trained, tmp_path, capsys):
+        # the per-image rows once overwrote the report
+        data, ckpt = trained
+        report = tmp_path / "r.txt"
+        (tmp_path / "link.csv").symlink_to(report)
+        for rows in (report, tmp_path / "sub" / ".." / "r.txt", tmp_path / "link.csv"):
+            assert run_cli(["eval", "--model", str(ckpt), "--data", str(data),
+                            "--report", str(report), "--per-image", str(rows)]) == 1
+            assert f"error: --report and --per-image both name {rows}" in capsys.readouterr().err
+            assert not report.exists()
+
     def test_both_modes_is_usage_error(self, trained, tmp_path, capsys):
         data, ckpt = trained
         assert run_cli(["eval", "--model", str(ckpt), "--data", str(data),
@@ -766,8 +845,9 @@ class TestOverwriteOutputs:
                               env=env, capture_output=True, check=True, timeout=300)
         assert proc.stdout == fresh.read_bytes()
 
-    def test_write_pnm_to_dev_null_returns_the_byte_count(self):
-        assert write_pnm(np.zeros((4, 6, 1), np.float32), os.devnull) == len(b"P5\n6 4\n255\n") + 24
+    def test_write_pnm_to_dev_null(self):
+        # a device is written through, never cut
+        write_pnm(np.zeros((4, 6, 1), np.float32), os.devnull)
 
 
 class TestOneWriter:
@@ -883,9 +963,8 @@ class TestOneConfigRule:
 
 
 class TestSharedParser:
-    def test_one_parser_per_process_and_a_fresh_one_per_build(self):
-        assert cli._shared_parser() is cli._shared_parser()
-        assert build_parser() is not build_parser()
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
 
     def test_consecutive_calls_are_independent(self, trained, tmp_path, capsys):
         data, ckpt = trained
@@ -929,3 +1008,27 @@ class TestGradcheckCommand:
         monkeypatch.setattr(cli_module, "run_suite", fake_suite)
         assert run_cli(["gradcheck"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestExitCodes:
+    def test_every_error_class_exits_with_its_documented_code(self, monkeypatch, capsys):
+        # the exit code that the cli docstring and README give each base class
+        documented = {errors.InputError: 2, errors.TrainingDivergedError: 4}
+
+        class NewInputError(errors.InputError):
+            """A subclass that cli.py has never heard of."""
+
+        classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                   if c.__module__ == errors.__name__]
+        assert {errors.ShapeError, errors.PnmTruncatedError,
+                errors.TrainingDivergedError} <= set(classes)
+        for cls in classes + [NewInputError]:
+            codes = [documented[base] for base in cls.__mro__ if base in documented]
+            assert len(codes) == 1, f"{cls.__name__} has no documented exit code"
+
+            def failing(seed, cls=cls):
+                raise cls(f"{cls.__name__} raised")
+
+            monkeypatch.setattr(cli, "run_suite", failing)
+            assert run_cli(["gradcheck"]) == codes[0], cls.__name__
+            assert f"error: {cls.__name__} raised" in capsys.readouterr().err

@@ -136,8 +136,8 @@ class TestWritePnm:
 
     def test_byte_count(self):
         sink = io.BytesIO()
-        n = write_pnm(np.zeros((4, 5, 3), np.float32), sink)
-        assert n == len(sink.getvalue()) == len(b"P6\n5 4\n255\n") + 4 * 5 * 3
+        write_pnm(np.zeros((4, 5, 3), np.float32), sink)
+        assert len(sink.getvalue()) == len(b"P6\n5 4\n255\n") + 4 * 5 * 3
 
     def test_roundtrip_error_bound(self):
         rng = np.random.default_rng(251)
@@ -263,6 +263,9 @@ class TestLoadDataset:
         assert rec.image.shape == (8, 8, 3)
         assert rec.mask.shape == (8, 8, 1)
         assert np.all((rec.mask == 0) | (rec.mask == 1))
+        # binarized before the resize: the same bits as binarizing after it
+        gray = read_pnm((tmp_path / "x_segmentation.pgm").read_bytes())
+        assert np.array_equal(rec.mask, binarize_mask(resize_nearest(gray, (8, 8))))
 
     def test_save_load_roundtrip(self, tmp_path):
         records = generate_synthetic(5, 2, 16)

@@ -26,6 +26,8 @@ from sweepseg.layers import (
     tconv_sparse_matrix,
 )
 
+from helpers import assert_batch_equals_stacked_samples, relative_gap, tconv_oracle
+
 
 # ---------------------------------------------------------------------------
 # oracles: the definitions, written as slowly and literally as possible
@@ -47,22 +49,6 @@ def conv_oracle(x, w, b, pad):
                             acc += xp[i + ki, j + kj, c] * w[ki, kj, c, o]
                 out[i, j, o] = acc
     return out
-
-
-def tconv_oracle(x, kern, b, stride):
-    k, _, ci, co = kern.shape
-    in_h, in_w = x.shape[:2]
-    oh = (in_h - 1) * stride + k
-    ow = (in_w - 1) * stride + k
-    out = np.zeros((oh, ow, co), dtype=np.float64)
-    for i in range(in_h):
-        for j in range(in_w):
-            for c in range(ci):
-                for ki in range(k):
-                    for kj in range(k):
-                        for o in range(co):
-                            out[i * stride + ki, j * stride + kj, o] += x[i, j, c] * kern[ki, kj, c, o]
-    return out + b
 
 
 def conv_float64(x, w, b, pad):
@@ -154,7 +140,7 @@ class TestConv:
             ci = int(rng.integers(1, 4))
             co = int(rng.integers(1, 4))
             k = int(rng.integers(1, min(h, w) + 1))
-            pad = int(rng.integers(0, 2))
+            pad = min(int(rng.integers(0, 2)), k - 1)  # a conv pads at most k-1
             if (h + 2 * pad - k) < 0 or (w + 2 * pad - k) < 0:
                 continue
             x = rng.standard_normal((int(rng.integers(1, 4)), h, w, ci))
@@ -211,6 +197,15 @@ class TestConv:
             conv2d_forward(x, np.zeros((3, 2, 2, 1), np.float32), np.zeros(1, np.float32), 1)
         with pytest.raises(ShapeError):
             conv2d_forward(x, np.zeros((3, 3, 2, 1), np.float32), np.zeros(1, np.float32), -1)
+
+    def test_padding_of_the_kernel_size_or_more_refused(self):
+        x = np.zeros((1, 4, 4, 2), dtype=np.float32)
+        for k, pad in [(1, 1), (2, 2), (3, 3), (3, 4)]:
+            w = np.zeros((k, k, 2, 1), np.float32)
+            with pytest.raises(ShapeError, match=f"padding must lie in \\[0, {k - 1}\\]"):
+                conv2d_forward(x, w, np.zeros(1, np.float32), pad)
+            with pytest.raises(ShapeError, match="padding must lie"):
+                conv2d_forward(on_grid(x, pad), w, np.zeros(1, np.float32), pad, grid_in=True)
 
 
 def on_grid(x, p=1):
@@ -458,8 +453,8 @@ class TestTconvMatrix:
 # (kernel, stride) pairs of the phase-split form: k a multiple of s, k % s != 0,
 # k < s, k == s and s == 1
 TCONV_GRID = [(4, 2), (3, 2), (3, 1), (5, 3), (1, 2), (2, 3), (4, 4), (1, 1)]
-# (k, p) of stride-1 convs: p = 0, 0 < p < k and p >= k
-CONV_GRID = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 3)]
+# (k, p) of stride-1 convs: every padding from 0 to k-1
+CONV_GRID = [(k, p) for k in (1, 2, 3) for p in range(k)]
 
 
 class TestTconvForward:
@@ -841,9 +836,8 @@ class TestGradients:
 
     def test_conv_input_gradient_across_kernels_and_paddings(self):
         # the input gradient is a full correlation with the flipped kernel
-        # at padding k-1-p; from p = k on that padding is negative, and the
-        # tap loop starts inside the gradient buffer's grid instead. A fused
-        # relu's mask is applied as the backward writes its buffer
+        # at padding k-1-p, from 0 (p = k-1) to k-1 (p = 0). A fused relu's
+        # mask is applied as the backward writes its buffer
         rng = np.random.default_rng(79)
         for k, pad in CONV_GRID:
             for relu in (False, True):
@@ -906,40 +900,11 @@ class TestGradients:
 # the batch axis: N samples at once equal N runs on one sample
 # ---------------------------------------------------------------------------
 
-def relative_gap(got, want):
-    return float(np.abs(got - want).max()) / max(float(np.abs(want).max()), 1e-300)
-
-
-def assert_batch_equals_stacked_samples(op, x, tol=1e-10):
-    """op on the whole batch equals op on each sample, forward and backward.
-
-    Input gradients stack like the outputs; parameter gradients of the
-    batch are the sums of the samples' gradients.
-    """
-    rng = np.random.default_rng(97)
-    out, rec = op(x)
-    up = rng.uniform(-1.0, 1.0, size=out.shape)
-    dx, grads = backward(rec, up)
-    outs, dxs, sums = [], [], {}
-    for n in range(len(x)):
-        o, r = op(x[n:n + 1])
-        d, g = backward(r, up[n:n + 1])
-        outs.append(o)
-        dxs.append(d)
-        for key, val in g.items():
-            sums[key] = sums.get(key, 0.0) + val
-    assert relative_gap(out, np.concatenate(outs)) <= tol
-    assert relative_gap(dx, np.concatenate(dxs)) <= tol
-    assert set(grads) == set(sums)
-    for key in grads:
-        assert relative_gap(grads[key], sums[key]) <= tol, key
-
-
 class TestBatchAxis:
     def test_conv(self):
         rng = np.random.default_rng(211)
         x = rng.standard_normal((3, 7, 6, 3))
-        for k, pad in [(3, 1), (2, 0), (1, 0), (2, 2)]:
+        for k, pad in [(3, 1), (2, 0), (1, 0), (3, 2)]:
             w = rng.standard_normal((k, k, 3, 4))
             b = rng.standard_normal(4)
             for relu in (False, True):

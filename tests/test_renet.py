@@ -21,6 +21,8 @@ from sweepseg.renet import (
     sweep,
 )
 
+from helpers import assert_batch_equals_stacked_samples
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -437,31 +439,6 @@ class TestProperties:
 # ---------------------------------------------------------------------------
 # the batch axis: N samples at once equal N runs on one sample
 # ---------------------------------------------------------------------------
-
-def relative_gap(got, want):
-    return float(np.abs(got - want).max()) / max(float(np.abs(want).max()), 1e-300)
-
-
-def assert_batch_equals_stacked_samples(op, x, tol=1e-10):
-    """op on the whole batch equals op on each sample, forward and backward."""
-    rng = np.random.default_rng(97)
-    out, rec = op(x)
-    up = rng.uniform(-1.0, 1.0, size=out.shape)
-    dx, grads = backward(rec, up)
-    outs, dxs, sums = [], [], {}
-    for n in range(len(x)):
-        o, r = op(x[n:n + 1])
-        d, g = backward(r, up[n:n + 1])
-        outs.append(o)
-        dxs.append(d)
-        for key, val in g.items():
-            sums[key] = sums.get(key, 0.0) + val
-    assert relative_gap(out, np.concatenate(outs)) <= tol
-    assert relative_gap(dx, np.concatenate(dxs)) <= tol
-    assert set(grads) == set(sums)
-    for key in grads:
-        assert relative_gap(grads[key], sums[key]) <= tol, key
-
 
 class TestBatchAxis:
     def test_split_and_merge(self):
