@@ -2,7 +2,7 @@
 
 Every subcommand is deterministic given its flags; all randomness flows
 from the single seed and no output embeds a timestamp. Exit codes:
-0 success, 1 usage error (two output flags naming one file included), 2 any
+0 success, 1 usage error (two file flags naming one file included), 2 any
 InputError or OSError (a non-finite probability map included: no mask or
 report is written), 3 failed check (gradient suite above tolerance, or eval
 below --min-jaccard), 4 training diverged or died (non-finite loss, gradient
@@ -25,6 +25,7 @@ import numpy as np
 from .data import (
     generate_synthetic,
     load_dataset,
+    naming_pnm_errors,
     read_mask_file,
     read_pnm,
     read_pnm_header,
@@ -68,10 +69,15 @@ def load_config(path) -> ModelConfig:
     return ModelConfig(**doc)
 
 
-def _distinct_outputs(flag_a: str, path_a, flag_b: str, path_b) -> None:
-    """Refuse two outputs that realpath (which survives a symlink loop) maps to one file."""
-    if path_b is not None and os.path.realpath(path_a) == os.path.realpath(path_b):
-        raise _UsageError(f"{flag_a} and {flag_b} both name {path_b}")
+def _distinct_files(*flags: tuple[str, str | None]) -> None:
+    """Refuse two (flag, path) pairs that realpath (which survives a symlink
+    loop) maps to one file; the path of a flag not given is None."""
+    seen = {}
+    for flag, path in flags:
+        if path is not None:
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise _UsageError(f"{other} and {flag} both name {path}")
 
 
 def _write_text(path, text: str) -> None:
@@ -99,7 +105,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _distinct_outputs("--out", args.out, "--trace", args.trace)
+    _distinct_files(("--out", args.out), ("--trace", args.trace), ("--config", args.config))
     config = load_config(args.config)
     records = load_dataset(args.data, config.image_size)
     params, trace = train(config, records, Rng(config.seed))
@@ -114,11 +120,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    _distinct_files(("--out", args.out), ("--model", args.model), ("--image", args.image))
     params, config = load_model(args.model)
     data = Path(args.image).read_bytes()
-    # refuse an image the network would reject before decoding it to floats
-    check_image_dims(*read_pnm_header(data)[:2])
-    image = read_pnm(data)
+    with naming_pnm_errors(args.image):
+        # refuse an image the network would reject before decoding it to floats
+        check_image_dims(*read_pnm_header(data)[:2])
+        image = read_pnm(data)
     if image.shape[2] == 1:
         image = np.repeat(image, 3, axis=2)
     write_pnm(_predict(image, params, config.threshold), args.out)
@@ -147,7 +155,8 @@ def _mask_pairs(pred_dir, gt_dir) -> tuple[list[str], list[tuple[np.ndarray, np.
 
 
 def _cmd_eval(args) -> int:
-    _distinct_outputs("--report", args.report, "--per-image", args.per_image)
+    _distinct_files(("--report", args.report), ("--per-image", args.per_image),
+                    ("--model", args.model))
     model_mode = args.model is not None or args.data is not None
     dir_mode = args.pred is not None or args.gt is not None
     if model_mode == dir_mode or (model_mode and not (args.model and args.data)) \

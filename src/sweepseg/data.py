@@ -10,6 +10,7 @@ order, so a (seed, count, size) triple always produces identical bytes.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,12 +107,19 @@ def read_pnm(data: bytes) -> np.ndarray:
     return values.reshape(height, width, channels)
 
 
+@contextmanager
+def naming_pnm_errors(path):
+    """Put the file's name in front of a PnmError raised inside."""
+    try:
+        yield
+    except PnmError as e:
+        raise type(e)(f"{Path(path).name}: {e}") from None
+
+
 def read_pnm_file(path: Path) -> np.ndarray:
     """read_pnm of a file's bytes; a parse error names the file."""
-    try:
+    with naming_pnm_errors(path):
         return read_pnm(path.read_bytes())
-    except PnmError as e:
-        raise type(e)(f"{path.name}: {e}") from None
 
 
 def write_pnm(t: np.ndarray, sink) -> None:

@@ -9,15 +9,15 @@ constructed so no piecewise boundary (relu kink, pool tie, bce clamp)
 sits within h of a sample point, which keeps the quotient meaningful for
 the piecewise-linear ops.
 
-Pointwise and convolutional ops use an element-wise relative quotient.
-The recurrent checks normalize by each gradient array's magnitude
-instead: a sweep accumulates its weight gradients over every step, and
-those sums can cancel individual entries to near zero, where an
-element-wise quotient measures h^2 truncation noise rather than the
-correctness of the backward pass.
+The quotient has two denominators. Pointwise and convolutional ops use an
+element-wise relative quotient. The recurrent checks normalize by each
+gradient array's magnitude instead: a sweep accumulates its weight
+gradients over every step, and those sums can cancel individual entries
+to near zero, where an element-wise quotient measures h^2 truncation noise
+rather than the correctness of the backward pass.
 
 Strictly linear maps (conv, tconv) must agree to 1e-6; everything else
-to 1e-4.
+to 1e-4. A NaN or an infinity in either gradient fails a check.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from .layers import (
     activation_forward,
     backward,
     bce_loss,
-    central_difference,
     conv2d_forward,
-    finite_diff_check,
     maxpool2x2_forward,
     tconv_forward,
 )
@@ -41,6 +39,7 @@ from .tensor import Rng
 
 LINEAR_TOL = 1e-6
 NONLINEAR_TOL = 1e-4
+_H = 1e-3  # the central difference's step
 
 
 @dataclass(frozen=True)
@@ -59,24 +58,37 @@ def _draw(rng: Rng, shape, lo=-1.0, hi=1.0) -> np.ndarray:
     return (lo + (hi - lo) * flat).reshape(shape)
 
 
-def _scaled_diff_check(f, arrays, grads, h: float = 1e-3) -> float:
-    """Max |analytic - numeric| per array, relative to that array's scale.
+def finite_diff_check(f, arrays: list[np.ndarray], grads: list[np.ndarray],
+                      scaled: bool = False) -> float:
+    """Worst relative gap between analytic gradients and central differences.
 
-    Same central-difference protocol as finite_diff_check, but the
-    denominator is max(inf-norm of analytic, inf-norm of numeric, 1e-8)
-    so entries shrunk by cancellation do not dominate the quotient.
+    `f()` is the scalar objective on the current contents of `arrays`, whose
+    entries are perturbed in place by +-h one at a time and restored. A gap
+    |analytic - numeric| is divided by max(|analytic|, |numeric|, 1e-8),
+    taken per entry or, with `scaled`, over its whole array. A NaN or an
+    infinity on either side gives a NaN.
     """
-    worst = 0.0
-    for arr, grad in zip(arrays, grads):
-        numeric = np.array([central_difference(f, arr, fi, h) for fi in range(arr.size)])
-        scale = max(np.abs(grad).max(), np.abs(numeric).max(), 1e-8)
-        worst = max(worst, float(np.abs(grad.reshape(-1) - numeric).max()) / scale)
-    return worst
+    worst = []
+    for arr, grad in zip(arrays, grads, strict=True):
+        plus, minus = np.empty(arr.size), np.empty(arr.size)
+        for fi in range(arr.size):
+            orig = arr.flat[fi]
+            arr.flat[fi] = orig + _H
+            plus[fi] = f()
+            arr.flat[fi] = orig - _H
+            minus[fi] = f()
+            arr.flat[fi] = orig
+        with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN
+            numeric, analytic = (plus - minus) / (2.0 * _H), grad.reshape(-1)
+            scale = np.maximum(np.abs(analytic), np.abs(numeric))
+            scale = np.maximum(scale.max() if scaled else scale, 1e-8)
+            worst.append((np.abs(analytic - numeric) / scale).max())
+    return float(np.max(worst))
 
 
 def _probe_check(rng: Rng, name: str, tolerance: float, op, x: np.ndarray,
                  params: dict[str, np.ndarray] | None = None,
-                 diff=finite_diff_check) -> CheckResult:
+                 scaled: bool = False) -> CheckResult:
     """Check one op's backward against central differences.
 
     `op()` runs the forward on the current contents of the input `x` and of
@@ -88,8 +100,8 @@ def _probe_check(rng: Rng, name: str, tolerance: float, op, x: np.ndarray,
     out, rec = op()
     probe = _draw(rng, out.shape)
     dx, grads = backward(rec, probe)
-    err = diff(lambda: float(np.sum(op()[0] * probe)), [x, *params.values()],
-               [dx, *(grads[key] for key in params)])
+    err = finite_diff_check(lambda: float(np.sum(op()[0] * probe)), [x, *params.values()],
+                            [dx, *(grads[key] for key in params)], scaled)
     return CheckResult(name, err, tolerance)
 
 
@@ -142,7 +154,7 @@ def run_suite(seed: int) -> list[CheckResult]:
         params = _sweep_params(rng, direction, 5, 3)
         results.append(_probe_check(
             rng, f"sweep_{direction}", NONLINEAR_TOL,
-            lambda: sweep(x, (direction,), params), x, params, _scaled_diff_check))
+            lambda: sweep(x, (direction,), params), x, params, scaled=True))
 
     units = 2
     x = _draw(rng, (1, 8, 8, 3), lo=-0.5, hi=0.5)
@@ -151,7 +163,7 @@ def run_suite(seed: int) -> list[CheckResult]:
         block.update(_sweep_params(rng, direction, length, units))
     results.append(_probe_check(
         rng, "renet_block", NONLINEAR_TOL, lambda: renet_block(x, block), x, block,
-        _scaled_diff_check))
+        scaled=True))
     return results
 
 

@@ -572,7 +572,7 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# backward and finite differences
+# backward
 # ---------------------------------------------------------------------------
 
 def backward(rec: OpRecord, upstream,
@@ -591,36 +591,3 @@ def backward(rec: OpRecord, upstream,
     if rec.kind != "conv2d":
         raise ValueError(f"op kind {rec.kind!r} always returns its input gradient")
     return rec.grad(rec, up, input_grad=False)
-
-
-def central_difference(f: Callable[[], float], arr: np.ndarray, fi: int,
-                       h: float = 1e-3) -> float:
-    """(f at arr.flat[fi] + h  -  f at arr.flat[fi] - h) / 2h; arr is restored."""
-    orig = arr.flat[fi]
-    arr.flat[fi] = orig + h
-    f_plus = f()
-    arr.flat[fi] = orig - h
-    f_minus = f()
-    arr.flat[fi] = orig
-    return (f_plus - f_minus) / (2.0 * h)
-
-
-def finite_diff_check(f: Callable[[], float], arrays: list[np.ndarray],
-                      grads: list[np.ndarray], h: float = 1e-3,
-                      elements: list[tuple[int, int]] | None = None) -> float:
-    """Max relative error between analytic grads and central differences.
-
-    `f` re-evaluates the scalar objective from the current contents of
-    `arrays`, which are perturbed in place one element at a time. The
-    relative error denominator is max(|analytic|, |numeric|, 1e-8).
-    Run with float64 arrays, otherwise rounding noise drowns the signal.
-    """
-    if elements is None:
-        elements = [(ai, fi) for ai, arr in enumerate(arrays) for fi in range(arr.size)]
-    worst = 0.0
-    for ai, fi in elements:
-        numeric = central_difference(f, arrays[ai], fi, h)
-        analytic = float(grads[ai].flat[fi])
-        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return worst

@@ -73,7 +73,7 @@ def test_sparse_decoding_matches_dense_scatter():
         matrix = tconv_sparse_matrix(w, (in_h, in_w), stride)
         got = matrix.matvec(x.reshape(-1)).reshape(matrix.out_dims)
         want = tconv_oracle(x, w, 0.0, stride)
-        worst = max(worst, float(np.abs(got - want).max()))
+        worst = np.maximum(worst, float(np.abs(got - want).max()))
     report(worst <= 1e-6, "sparse decoding",
            f"max |sparse - scatter| {worst:.2e} <= 1e-6 over 100 shapes")
 
@@ -125,11 +125,11 @@ def test_patch_algebra():
 
         # an up sweep over the row-reversed patch grid mirrors the down sweep
         up_f, _ = one(grid[:, ::-1].copy(), "up", down_p)
-        mirror_worst = max(mirror_worst, float(np.abs(down1 - up_f[:, ::-1]).max()))
+        mirror_worst = np.maximum(mirror_worst, float(np.abs(down1 - up_f[:, ::-1]).max()))
         right_p = mk()
         right1, _ = one(grid, "right", right_p)
         left_f, _ = one(grid[:, :, ::-1].copy(), "left", right_p)
-        mirror_worst = max(mirror_worst, float(np.abs(right1 - left_f[:, :, ::-1]).max()))
+        mirror_worst = np.maximum(mirror_worst, float(np.abs(right1 - left_f[:, :, ::-1]).max()))
     ok = identity_ok and decouple_ok and mirror_worst <= 1e-6
     report(ok, "patch algebra",
            f"merge(split) identity {identity_ok}, decoupling bit-identical "

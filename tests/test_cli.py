@@ -341,6 +341,24 @@ class TestTrain:
             assert f"error: --out and --trace both name {trace}" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_an_output_naming_the_config_exits_1_and_keeps_it(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the checkpoint once replaced its own config
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data loaded"))
+        cfg = write_config(tmp_path / "c.json")
+        before = cfg.read_bytes()
+        link = tmp_path / "link.json"
+        link.symlink_to(cfg)
+        for flags, named in (((cfg, None), "--out and --config"),
+                             ((link, None), "--out and --config"),
+                             ((tmp_path / "m.ckpt", link), "--trace and --config")):
+            out, trace = flags
+            args = ["train", "--data", str(tmp_path), "--config", str(cfg), "--out", str(out)]
+            assert run_cli(args + (["--trace", str(trace)] if trace else [])) == 1
+            assert f"error: {named} both name {cfg}" in capsys.readouterr().err
+        assert cfg.read_bytes() == before
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_missing_mask_exits_2_naming_its_image(self, tmp_path, capsys):
         data = make_dataset(tmp_path, count=2)
         (data / "synth001_segmentation.pgm").unlink()
@@ -588,6 +606,37 @@ class TestInfer:
         assert "threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_flag_naming_another_flags_file_exits_1_and_keeps_it(self, trained, tmp_path,
+                                                                    capsys, monkeypatch):
+        # the mask once replaced the checkpoint, which the next infer refused
+        data, ckpt = trained
+        monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("model loaded"))
+        model, image = tmp_path / "m.ckpt", tmp_path / "x.ppm"
+        model.write_bytes(ckpt.read_bytes())
+        image.write_bytes((data / "synth000.ppm").read_bytes())
+        (tmp_path / "link").symlink_to(model)
+        before = model.read_bytes(), image.read_bytes()
+        for flags, message in (
+                ((model, image, model), f"--out and --model both name {model}"),
+                ((model, image, tmp_path / "link"), f"--out and --model both name {model}"),
+                ((model, image, image), f"--out and --image both name {image}"),
+                ((model, model, tmp_path / "o.pgm"), f"--model and --image both name {model}")):
+            m, i, o = flags
+            assert run_cli(["infer", "--model", str(m), "--image", str(i), "--out", str(o)]) == 1
+            assert f"error: {message}" in capsys.readouterr().err
+        assert (model.read_bytes(), image.read_bytes()) == before
+        assert not (tmp_path / "o.pgm").exists()
+
+    def test_unreadable_image_exits_2_naming_it(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        img = tmp_path / "short.ppm"
+        img.write_bytes(b"P6 8 8 255\n\x00\x00")
+        out = tmp_path / "o.pgm"
+        assert run_cli(["infer", "--model", str(ckpt), "--image", str(img),
+                        "--out", str(out)]) == 2
+        assert "error: short.ppm: payload has 2 of 192 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, trained, tmp_path, capsys):
         data, ckpt = trained
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -723,6 +772,21 @@ class TestEval:
                             "--report", str(report), "--per-image", str(rows)]) == 1
             assert f"error: --report and --per-image both name {rows}" in capsys.readouterr().err
             assert not report.exists()
+
+    def test_an_output_naming_the_model_exits_1_and_keeps_it(self, trained, tmp_path,
+                                                              capsys):
+        data, ckpt = trained
+        model = tmp_path / "m.ckpt"
+        model.write_bytes(ckpt.read_bytes())
+        (tmp_path / "link").symlink_to(model)
+        for report, rows, named in ((model, None, "--report"),
+                                    (tmp_path / "link", None, "--report"),
+                                    (tmp_path / "r.txt", tmp_path / "link", "--per-image")):
+            args = ["eval", "--model", str(model), "--data", str(data), "--report", str(report)]
+            assert run_cli(args + (["--per-image", str(rows)] if rows else [])) == 1
+            assert f"error: {named} and --model both name {model}" in capsys.readouterr().err
+        assert model.read_bytes() == ckpt.read_bytes()
+        assert not (tmp_path / "r.txt").exists()
 
     def test_both_modes_is_usage_error(self, trained, tmp_path, capsys):
         data, ckpt = trained

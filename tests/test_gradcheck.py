@@ -4,6 +4,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import sweepseg.layers as layers_module
 from sweepseg.data import generate_synthetic
@@ -11,10 +12,11 @@ from sweepseg.gradcheck import (
     LINEAR_TOL,
     NONLINEAR_TOL,
     CheckResult,
+    finite_diff_check,
     format_results,
     run_suite,
 )
-from sweepseg.layers import central_difference, finite_diff_check
+from sweepseg.cli import run_cli
 from sweepseg.model import ModelConfig, build_model, loss_and_gradients
 from sweepseg.tensor import Rng
 
@@ -133,8 +135,47 @@ class TestCheckerDetectsErrors:
     def test_central_difference_restores_the_perturbed_entry(self):
         x = np.array([0.3, -0.7, 1.1])
         before = x.copy()
-        assert abs(central_difference(lambda: float(np.sum(x ** 2)), x, 1) + 1.4) < 1e-12
+        seen = []
+
+        def f():
+            seen.append(x.copy())
+            return float(np.sum(x ** 2))
+
+        # the exact gradient 2x against differences of x^2, which a
+        # central difference takes exactly up to rounding
+        assert finite_diff_check(f, [x], [2.0 * before]) < 1e-12
         assert np.array_equal(x, before)
+        # each evaluation sees one entry moved by +-h, the rest restored
+        moved = [np.flatnonzero(s != before).tolist() for s in seen]
+        assert moved == [[0], [0], [1], [1], [2], [2]]
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_analytic_entry_gives_a_non_finite_error(self, bad, scaled):
+        x = np.array([0.3, -0.7, 1.1])
+        grad = np.array([3.0, bad, 3.0])
+        err = finite_diff_check(lambda: float(np.sum(3.0 * x)), [x], [grad], scaled=scaled)
+        assert not np.isfinite(err)
+        assert not CheckResult("sum", err, 1e-4).passed
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_a_non_finite_objective_gives_a_non_finite_error(self, scaled):
+        x = np.array([0.3, -0.7, 1.1])
+        # the objective overflows only when the middle entry steps up
+        err = finite_diff_check(lambda: np.inf if x[1] > -0.7 else float(np.sum(x)),
+                                [x], [np.ones(3)], scaled=scaled)
+        assert not np.isfinite(err)
+
+    def test_a_nan_backward_fails_the_command(self, monkeypatch, capsys):
+        def nan_backward(rec, up):
+            return np.full(up.shape, np.nan), {}
+
+        monkeypatch.setattr(layers_module, "_activation_backward", nan_backward)
+        assert run_cli(["gradcheck"]) == 3
+        rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert rows["sigmoid"].endswith("FAIL")
+        assert "nan" in rows["sigmoid"]
+        assert all(row.endswith(" ok") for name, row in rows.items() if name != "sigmoid")
 
 
 class TestFormatting:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sweepseg.errors import InvalidTargetError, ShapeError
+from sweepseg.gradcheck import finite_diff_check
 from sweepseg.layers import (
     _BLOCK_ROWS,
     _tap_rows,
@@ -20,7 +21,6 @@ from sweepseg.layers import (
     backward,
     bce_loss,
     conv2d_forward,
-    finite_diff_check,
     maxpool2x2_forward,
     tconv_forward,
     tconv_sparse_matrix,

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from sweepseg.errors import ShapeError
-from sweepseg.gradcheck import _scaled_diff_check
-from sweepseg.layers import backward, finite_diff_check
+from sweepseg.gradcheck import finite_diff_check
+from sweepseg.layers import backward
 from sweepseg.renet import (
     DIRECTIONS,
     PATCH,
@@ -333,9 +333,9 @@ class TestBlock:
         assert out.shape == (1, 2, 2, 8)
         r = rng.uniform(-1, 1, size=out.shape)
         dx, grads = backward(rec, r)
-        err = _scaled_diff_check(lambda: float((renet_block(x, params)[0] * r).sum()),
-                                 [x, *params.values()],
-                                 [dx, *(grads[name] for name in params)])
+        err = finite_diff_check(lambda: float((renet_block(x, params)[0] * r).sum()),
+                                [x, *params.values()],
+                                [dx, *(grads[name] for name in params)], scaled=True)
         assert err < 1e-4
         # a pair is one stacked recurrence, so the two widths of one pair
         # (down 3, up 2) are refused
