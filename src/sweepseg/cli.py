@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic given its flags; all randomness flows
 from the single seed and no output embeds a timestamp. Exit codes:
-0 success, 1 usage error (two file flags naming one file included), 2 any
+0 success, 1 usage error (two file flags naming one file, or an output
+inside a directory the command reads, included), 2 any
 InputError or OSError (a non-finite probability map included: no mask or
 report is written), 3 failed check (gradient suite above tolerance, or eval
 below --min-jaccard), 4 training diverged or died (non-finite loss, gradient
@@ -69,15 +70,30 @@ def load_config(path) -> ModelConfig:
     return ModelConfig(**doc)
 
 
+# the flags that name a directory a command reads, and those of a file it writes
+_INPUT_DIRS = frozenset(("--data", "--pred", "--gt"))
+_OUTPUTS = frozenset(("--out", "--trace", "--report", "--per-image"))
+
+
 def _distinct_files(*flags: tuple[str, str | None]) -> None:
-    """Refuse two (flag, path) pairs that realpath (which survives a symlink
-    loop) maps to one file; the path of a flag not given is None."""
+    """Refuse, of (flag, path) pairs, two file flags that realpath (which
+    survives a symlink loop) maps to one file, and an output whose real
+    path lies inside, or is, an input directory's. The path of a flag not
+    given is None; two input directories may name one directory."""
+    given = [(flag, path, os.path.realpath(path)) for flag, path in flags if path is not None]
+    dirs = [entry for entry in given if entry[0] in _INPUT_DIRS]
     seen = {}
-    for flag, path in flags:
-        if path is not None:
-            other = seen.setdefault(os.path.realpath(path), flag)
+    for flag, path, real in given:
+        if flag not in _INPUT_DIRS:
+            other = seen.setdefault(real, flag)
             if other != flag:
                 raise _UsageError(f"{other} and {flag} both name {path}")
+    for flag, path, real in given:
+        if flag in _OUTPUTS:
+            for dir_flag, dir_path, dir_real in dirs:
+                if Path(real).is_relative_to(dir_real):
+                    raise _UsageError(f"{flag} {path} lies inside {dir_flag} {dir_path}, "
+                                      f"which the command reads")
 
 
 def _write_text(path, text: str) -> None:
@@ -105,7 +121,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _distinct_files(("--out", args.out), ("--trace", args.trace), ("--config", args.config))
+    _distinct_files(("--data", args.data), ("--out", args.out), ("--trace", args.trace),
+                    ("--config", args.config))
     config = load_config(args.config)
     records = load_dataset(args.data, config.image_size)
     params, trace = train(config, records, Rng(config.seed))
@@ -155,7 +172,8 @@ def _mask_pairs(pred_dir, gt_dir) -> tuple[list[str], list[tuple[np.ndarray, np.
 
 
 def _cmd_eval(args) -> int:
-    _distinct_files(("--report", args.report), ("--per-image", args.per_image),
+    _distinct_files(("--data", args.data), ("--pred", args.pred), ("--gt", args.gt),
+                    ("--report", args.report), ("--per-image", args.per_image),
                     ("--model", args.model))
     model_mode = args.model is not None or args.data is not None
     dir_mode = args.pred is not None or args.gt is not None

@@ -39,11 +39,13 @@ conv's output cell r sits at its own cell of the next conv's padded grid,
 and the junk rows, each sample's last 2p rows and columns, land exactly
 on that grid's border, which is then zeroed: the output is the next
 conv's padded input (`grid_out`), read in place (`grid_in`) with no pad
-copy. The pool has this one form, between two convs: it reads the first
-one's grid, applies that conv's relu (relu commutes with max bit for
-bit), writes into the interior of a zeroed grid and keeps one uint8
-winner per window instead of its input, so the conv's output is freed
-once it is pooled. The backward mirrors this: a conv's input gradient is
+copy. A padding-0 conv (the 1x1 head) reads a C-contiguous input in
+place too, as its own padded layout, and its record shares that buffer.
+The pool has this one form, between two convs: it reads the first one's
+grid, applies that conv's relu (relu commutes with max bit for bit),
+writes into the interior of a zeroed grid and keeps one uint8 winner per
+window instead of its input, so the conv's output is freed once it is
+pooled. The backward mirrors this: a conv's input gradient is
 written, by the same shift, onto the grid that the previous op's
 backward reads, its border zeroed, and that backward masks it in place,
 so no chained conv zeroes a fresh gradient buffer or copies its upstream
@@ -61,13 +63,16 @@ keep it as the oracle. `tconv_forward` computes the same map as a phase-
 split convolution: a stride-s transposed conv is a stride-1 conv whose
 s*s output channel blocks are the s*s phases of the output grid, followed
 by a depth-to-space shuffle (the sub-pixel convolution); padding p cuts
-p cells from each side of its (i-1)*s + k output; a fused relu runs in
-the phase conv, as relu commutes with both. Its backward pass, the
-product with the matrix's transpose, is that conv's backward: the
-upstream gradient goes phase by phase into the conv's gradient buffer (a
-space-to-depth write), takes the phase conv's relu mask there, and the
-phase kernel's gradient maps back onto the kernel. Neither pass holds an
-array the size of the matrix.
+p cells from each side of its (i-1)*s + k output. Shuffle and cut are one
+pass: each phase is copied into the cells of the C-contiguous cut output
+that it holds (`_phase_views`, the one owner of the phase-to-cell rule),
+with no uncut map. A fused relu runs in the phase conv, as relu commutes
+with both. Its backward pass, the product with the matrix's transpose,
+is that conv's backward: the upstream gradient goes phase by phase into
+the conv's gradient buffer (a space-to-depth write by the same rule),
+takes the phase conv's relu mask there, and the phase kernel's gradient
+maps back onto the kernel. Neither pass holds an array the size of the
+matrix.
 """
 
 from __future__ import annotations
@@ -199,8 +204,10 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, padding
                          f"padded grid, got kernel {k} and padding {p}")
 
     hp, wp = h + 2 * p, w + 2 * p
-    if grid_in:
-        rows = x.reshape(-1, ci)
+    if grid_in or p == 0:
+        # a grid, or an input with no padding, is its own padded layout: a
+        # C-contiguous one is read in place, and its record shares its buffer
+        rows = np.ascontiguousarray(x).reshape(-1, ci)
     else:
         padded = np.zeros((n, hp, wp, ci), dtype=x.dtype)
         padded[:, p:p + h, p:p + w] = x
@@ -464,10 +471,11 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: 
     """Transposed convolution: full[s*i+ki, s*j+kj] += x[i, j] @ weights[ki, kj], plus bias.
 
     The output is full cut by p cells per side, relu'd if asked: for x
-    (N, h, w, c_in) and weights (k, k, c_in, c_out) it is
+    (N, h, w, c_in) and weights (k, k, c_in, c_out) it is a C-contiguous
     (N, (h-1)*s + k - 2p, (w-1)*s + k - 2p, c_out). Computed as a stride-1
     conv with s*s output phases (see `_phase_kernel`) and the fused relu,
-    padding q-1 with q = ceil(k/s), then a depth-to-space shuffle and one slice.
+    padding q-1 with q = ceil(k/s), whose phases are then copied one by one
+    into the cells of the cut output that they hold (`_phase_views`).
     """
     _check_kernel(weights, stride)
     k, _, ci, co = weights.shape
@@ -484,11 +492,10 @@ def tconv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: 
     q = -(-k // s)
     phases, phase = conv2d_forward(x, _phase_kernel(weights, s), np.tile(bias, s * s), q - 1,
                                    relu=relu)
-    # depth to space: phase (rh, rw) of cell (m, l) is output cell (s*m+rh, s*l+rw)
-    ph, pw = phases.shape[1:3]
-    full = phases.reshape(n, ph, pw, s, s, co).transpose(0, 1, 3, 2, 4, 5)
-    full = full.reshape(n, ph * s, pw * s, co)
-    out = full[:, p:(h - 1) * s + k - p, p:(w - 1) * s + k - p]
+    # depth to space, cut on the fly: each phase fills its output cells
+    out = np.empty((n, (h - 1) * s + k - 2 * p, (w - 1) * s + k - 2 * p, co), dtype=phases.dtype)
+    for cells, phase_cells in _phase_views(out, phases, s, p):
+        cells[...] = phase_cells
     rec = _record("tconv", out.shape, _tconv_backward, phase=phase, kernel=k, stride=s,
                   padding=p)
     return out, rec
@@ -510,6 +517,23 @@ def _phase_kernel(weights: np.ndarray, s: int) -> np.ndarray:
     return split.transpose(0, 2, 4, 1, 3, 5).reshape(q, q, ci, s * s * co)
 
 
+def _phase_views(out: np.ndarray, phases: np.ndarray, s: int, p: int):
+    """Each phase's pair of same-shaped views: the cells of the cut (N, oh, ow, c)
+    `out` that it holds, and where it holds them in the (N, ph, pw, s*s*c)
+    `phases` map of a stride-s transposed conv cut by p cells per side.
+
+    Output cell (y, x) is phase ((y+p) % s, (x+p) % s) of phase cell
+    ((y+p) // s, (x+p) // s); the rule lives only here.
+    """
+    by_phase = phases.reshape(phases.shape[:3] + (s, s, out.shape[3]))
+    for rh in range(s):
+        for rw in range(s):
+            y0, x0 = (rh - p) % s, (rw - p) % s
+            cells = out[:, y0::s, x0::s]
+            m0, l0 = (y0 + p) // s, (x0 + p) // s
+            yield cells, by_phase[:, m0:m0 + cells.shape[1], l0:l0 + cells.shape[2], rh, rw]
+
+
 def _tconv_backward(rec: OpRecord, up: np.ndarray):
     """The phase conv's backward: the upstream gradient goes phase by phase
     straight into the phase conv's gradient buffer (a space-to-depth write;
@@ -521,14 +545,8 @@ def _tconv_backward(rec: OpRecord, up: np.ndarray):
     n, ph, pw, c = phase.out_shape
     co = c // (s * s)
     buf, grid = _grad_buffer(phase, up.dtype)
-    cells = grid.reshape(grid.shape[:3] + (s, s, co))
-    for rh in range(s):
-        for rw in range(s):
-            # output cell (y, x) is phase (rh, rw) of cell ((y+p) // s, (x+p) // s)
-            y0, x0 = (rh - p) % s, (rw - p) % s
-            src = up[:, y0::s, x0::s]
-            m0, l0 = (y0 + p) // s, (x0 + p) // s
-            cells[:, m0:m0 + src.shape[1], l0:l0 + src.shape[2], rh, rw] = src
+    for cells, phase_cells in _phase_views(up, grid, s, p):
+        phase_cells[...] = cells
     mask = phase.saved["relu"]
     if mask is not None:
         np.multiply(grid[:, :ph, :pw], mask, out=grid[:, :ph, :pw])
@@ -561,9 +579,16 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
         raise ShapeError(f"bce expects an (N, ...) batch, got {pred.shape}")
     if not np.all((target == 0) | (target == 1)):
         raise InvalidTargetError("bce target must contain only 0 and 1")
-    p = np.clip(pred.astype(np.float64), BCE_EPS, 1.0 - BCE_EPS)
+    # t ln p + (1-t) ln(1-p), each float64 term computed in place
+    p = pred.astype(np.float64)
+    np.clip(p, BCE_EPS, 1.0 - BCE_EPS, out=p)
     t = target.astype(np.float64)
-    terms = t * np.log(p) + (1.0 - t) * np.log1p(-p)
+    terms = np.log(p)
+    terms *= t
+    np.log1p(np.negative(p, out=p), out=p)
+    np.subtract(1.0, t, out=t)
+    p *= t
+    terms += p
     losses = -np.mean(terms.reshape(len(pred), -1), axis=1)
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS).astype(pred.dtype)
     inside = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)

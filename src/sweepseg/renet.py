@@ -7,6 +7,11 @@ every sample; the directions of one axis run as one stacked recurrence
 and their outputs are coupled by channel concatenation. A block is a
 vertical pair over the patches, then a horizontal pair over its result
 read as 1x1 patches.
+
+A sweep's record keeps its input, its k directions' hidden states and
+their stacked weights, none larger than the input in the network. The
+step-ordered input, k copies of it, is rebuilt by the backward for its
+one weight-gradient GEMM, with the same call and so the same bytes.
 """
 
 from __future__ import annotations
@@ -113,17 +118,17 @@ def sweep(x: np.ndarray, directions, params: Mapping[str, np.ndarray]
     for t in range(1, steps):
         zs[:, t] = np.tanh(pre[:, t] + zs[:, t - 1] @ wz)
     out = np.concatenate(_from_steps(zs, axis, directions, x.shape[:3] + (u,)), axis=3)
-    rec = _record("sweep", out.shape, _sweep_backward, seq=seq, zs=zs, directions=directions,
-                  wx=wx, wz=wz, in_shape=x.shape)
+    rec = _record("sweep", out.shape, _sweep_backward, x=x, zs=zs, directions=directions,
+                  wx=wx, wz=wz)
     return out, rec
 
 
 def _sweep_backward(rec: OpRecord, up: np.ndarray):
-    seq, zs, wx, wz = (rec.saved[key] for key in ("seq", "zs", "wx", "wz"))
+    x, zs, wx, wz = (rec.saved[key] for key in ("x", "zs", "wx", "wz"))
     directions = rec.saved["directions"]
     axis = _AXIS[directions[0]]
-    k, steps, _, length = seq.shape
-    u = zs.shape[3]
+    k, steps, _, u = zs.shape
+    length = x.shape[3]
 
     d_out = _to_steps(np.split(up, k, axis=3), axis, directions)
     d_pre = np.empty(zs.shape, dtype=up.dtype)
@@ -135,9 +140,9 @@ def _sweep_backward(rec: OpRecord, up: np.ndarray):
         if t:
             carry = d_pre[:, t] @ wz_t
     d_flat = d_pre.reshape(k, -1, u)
-    d_wx = seq.reshape(k, -1, length).transpose(0, 2, 1) @ d_flat
+    d_wx = _to_steps([x] * k, axis, directions).reshape(k, -1, length).transpose(0, 2, 1) @ d_flat
     d_wz = zs[:, :-1].reshape(k, -1, u).transpose(0, 2, 1) @ d_pre[:, 1:].reshape(k, -1, u)
-    dxs = _from_steps(d_flat @ wx.transpose(0, 2, 1), axis, directions, rec.saved["in_shape"])
+    dxs = _from_steps(d_flat @ wx.transpose(0, 2, 1), axis, directions, x.shape)
     grads = {}
     for d, g_wx, g_wz, g_flat in zip(directions, d_wx, d_wz, d_flat):
         grads.update({f"{d}.wx": g_wx, f"{d}.wz": g_wz, f"{d}.bias": g_flat.sum(axis=0)})

@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -42,6 +43,12 @@ def make_dataset(tmp_path, name="data", count=3, seed=7, size=16):
     assert run_cli(["synth", "--out", str(out), "--count", str(count),
                     "--seed", str(seed), "--size", str(size)]) == 0
     return out
+
+
+def sha256s(*paths):
+    """The sha256 of each given file and of every file in each given directory."""
+    files = [f for p in paths for f in (sorted(p.iterdir()) if p.is_dir() else [p])]
+    return {f: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
 
 
 class TestLoadConfig:
@@ -297,7 +304,7 @@ class TestTrain:
     def test_overlong_integer_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"epochs": ' + "1" * 5000 + "}")
-        assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
+        assert run_cli(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
                         "--out", str(tmp_path / "m.ckpt")]) == 2
         assert "4300 digits" in capsys.readouterr().err
 
@@ -320,7 +327,7 @@ class TestTrain:
         ckpt = tmp_path / "m.ckpt"
         for patch in (4, 2):
             cfg = write_config(tmp_path / "c.json", image_size=32, patch=patch)
-            assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
+            assert run_cli(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
                             "--out", str(ckpt)]) == 2
             assert "unknown keys patch" in capsys.readouterr().err
         assert not ckpt.exists()
@@ -340,6 +347,22 @@ class TestTrain:
                             "--trace", str(trace)]) == 1
             assert f"error: --out and --trace both name {trace}" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_an_output_inside_the_data_exits_1_and_keeps_every_input(self, tmp_path, capsys,
+                                                                     flag):
+        # the checkpoint once replaced synth000.ppm, which the next train refused
+        data = make_dataset(tmp_path, count=2)
+        cfg = write_config(tmp_path / "c.json", epochs=1)
+        before = sha256s(data, cfg)
+        outputs = {"--out": tmp_path / "m.ckpt", "--trace": tmp_path / "t.csv"}
+        outputs[flag] = data / "synth000.ppm"
+        args = ["train", "--data", str(data), "--config", str(cfg)]
+        assert run_cli(args + [str(v) for item in outputs.items() for v in item]) == 1
+        assert (f"error: {flag} {outputs[flag]} lies inside --data {data}"
+                in capsys.readouterr().err)
+        assert sha256s(data, cfg) == before
+        assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "t.csv").exists()
 
     def test_an_output_naming_the_config_exits_1_and_keeps_it(self, tmp_path, capsys,
                                                                 monkeypatch):
@@ -788,6 +811,24 @@ class TestEval:
         assert model.read_bytes() == ckpt.read_bytes()
         assert not (tmp_path / "r.txt").exists()
 
+    def test_a_report_inside_an_input_directory_exits_1_and_keeps_every_input(
+            self, trained, tmp_path, capsys):
+        # a report once replaced a mask or an image, which the next eval refused
+        data, ckpt = trained
+        pred, gt = shutil.copytree(data, tmp_path / "pred"), shutil.copytree(data, tmp_path / "gt")
+        model = shutil.copy(ckpt, tmp_path / "m.ckpt")
+        (tmp_path / "link").symlink_to(pred, target_is_directory=True)
+        before = sha256s(pred, gt, model)
+        mask = "synth000_segmentation.pgm"
+        for inputs, report, named in (
+                (["--pred", pred, "--gt", gt], gt / mask, f"--gt {gt}"),
+                (["--model", model, "--data", tmp_path / "link"], pred / "synth000.ppm",
+                 f"--data {tmp_path / 'link'}")):
+            args = ["eval", *map(str, inputs), "--report", str(report)]
+            assert run_cli(args) == 1
+            assert f"error: --report {report} lies inside {named}" in capsys.readouterr().err
+            assert sha256s(pred, gt, model) == before
+
     def test_both_modes_is_usage_error(self, trained, tmp_path, capsys):
         data, ckpt = trained
         assert run_cli(["eval", "--model", str(ckpt), "--data", str(data),
@@ -967,7 +1008,7 @@ class TestOneConfigRule:
         with pytest.raises(ConfigError, match=key):
             load_config(cfg)
         ckpt = tmp_path / "m.ckpt"
-        assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
+        assert run_cli(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
                         "--out", str(ckpt)]) == 2
         assert key in capsys.readouterr().err
         assert not ckpt.exists()
@@ -1002,7 +1043,7 @@ class TestOneConfigRule:
         cfg = tmp_path / "c.json"
         cfg.write_text('{"lr": 1' + "0" * 400 + "}")
         ckpt = tmp_path / "m.ckpt"
-        assert run_cli(["train", "--data", str(tmp_path), "--config", str(cfg),
+        assert run_cli(["train", "--data", str(tmp_path / "data"), "--config", str(cfg),
                         "--out", str(ckpt)]) == 2
         assert "lr must be a finite number" in capsys.readouterr().err
         assert not ckpt.exists()

@@ -175,6 +175,20 @@ class TestConv:
         assert grads["bias"].dtype == np.float32
         assert np.all(np.abs(grads["bias"] - want) <= 1e-5 * np.abs(up).sum(axis=(0, 1, 2)))
 
+    def test_a_padding_0_conv_reads_a_contiguous_input_in_place(self):
+        # the 1x1 head once copied the decoder's output into a zeroed buffer;
+        # a strided input is still copied, to the same bytes
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 6, 8, 3)).astype(np.float32)
+        b = rng.standard_normal(2).astype(np.float32)
+        for k in (1, 3):
+            w = rng.standard_normal((k, k, 3, 2)).astype(np.float32)
+            out, rec = conv2d_forward(x, w, b, 0)
+            assert np.shares_memory(rec.saved["rows"], x)
+            strided, rec = conv2d_forward(x[:, :, ::2], w, b, 0)
+            assert not np.shares_memory(rec.saved["rows"], x)
+            assert strided.tobytes() == conv2d_forward(x[:, :, ::2].copy(), w, b, 0)[0].tobytes()
+
     def test_one_by_one_is_channel_mix(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 5, 4, 3))
@@ -547,6 +561,19 @@ class TestTconvForward:
             assert dx.tobytes() == want_dx.tobytes(), (dtype, x_shape)
             for name in ("weights", "bias"):
                 assert grads[name].tobytes() == want_grads[name].tobytes(), (dtype, x_shape, name)
+
+    def test_cut_output_is_c_contiguous_and_the_uncut_map_sliced(self):
+        # each phase writes its cells of the cut output, with no uncut map
+        # and no reshape copy; bit for bit the uncut output's middle
+        rng = np.random.default_rng(41)
+        for k, s, p in ((4, 2, 1), (3, 2, 1), (5, 3, 2), (4, 2, 2), (2, 1, 1)):
+            x = rng.standard_normal((2, 3, 4, 3)).astype(np.float32)
+            kern = rng.standard_normal((k, k, 3, 2)).astype(np.float32)
+            b = rng.standard_normal(2).astype(np.float32)
+            out, _ = tconv_forward(x, kern, b, s, p, relu=True)
+            full, _ = tconv_forward(x, kern, b, s, 0, relu=True)
+            assert out.flags.c_contiguous, (k, s, p)
+            assert out.tobytes() == np.ascontiguousarray(full[:, p:-p, p:-p]).tobytes(), (k, s, p)
 
     def test_shape_validation(self):
         kern = np.ones((2, 2, 1, 1))

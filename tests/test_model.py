@@ -349,11 +349,16 @@ class TestBatchStep:
             assert float(np.abs(grads[k] - want).max()) <= 1e-10 * scale, k
 
     def test_step_memory_peak(self):
-        # one 64 px step of batch 4 peaks at 6.86 MB under tracemalloc and
-        # may not exceed that by 10%. It peaked at 9.77 MB while each encoder
-        # record kept a relu mask, a padded copy of its input and the pooled
-        # convs' outputs, and at 14.86 MB while the whole tape lived until
-        # the step ended and each conv backward made three copies of its gradient
+        # one 64 px step of batch 4 peaks at 6.39 MB under tracemalloc and
+        # may not exceed that by 10%. It peaked at 6.86-6.99 MB while each
+        # sweep record kept two step-ordered copies of its input, the
+        # transposed convs built an uncut map and the 1x1 head a padded
+        # copy of its input, and the step kept the stacked images and
+        # made a scaled copy of every gradient; at 9.77 MB while each
+        # encoder record kept a relu mask, a padded copy of its input and
+        # the pooled convs' outputs; and at 14.86 MB while the whole tape
+        # lived until the step ended and each conv backward made three
+        # copies of its gradient
         params = build_model(ModelConfig(), Rng(42))
         batch = [(r.image, r.mask) for r in generate_synthetic(42, 4, 64)]
         model_module._batch_step(batch, params)
@@ -364,7 +369,7 @@ class TestBatchStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < 1.1 * 6.86e6
+        assert peak - before < 1.1 * 6.39e6
 
     def test_records_are_freed_as_the_gradient_passes_them(self, monkeypatch):
         # each record leaves the tape as its backward runs, so every array a
@@ -597,6 +602,21 @@ class TestTrain:
         recs = generate_synthetic(3, 1, 24)
         with pytest.raises(ShapeError):
             train(small_config(), recs, Rng(1))
+
+    def test_a_steps_gradients_die_before_the_next_step(self, monkeypatch):
+        # train once kept them alive through the next step's forward and backward
+        original = model_module._batch_step
+        refs, alive = [], []
+
+        def watching(batch, params):
+            alive.append(sum(ref() is not None for ref in refs))
+            loss, grads, probs = original(batch, params)
+            refs[:] = [weakref.ref(g) for g in grads.values()]
+            return loss, grads, probs
+
+        monkeypatch.setattr(model_module, "_batch_step", watching)
+        train(small_config(epochs=2), generate_synthetic(3, 4, 16), Rng(3))
+        assert alive == [0, 0, 0, 0]
 
     def test_same_seed_bit_identical_trace_and_params(self):
         config = small_config(epochs=3)

@@ -270,6 +270,19 @@ class TestSweep:
                     assert grads[name].tobytes() == value.tobytes(), (pair, name)
 
 
+    def test_a_record_holds_its_input_and_nothing_larger(self):
+        # it once kept seq, the k step-ordered copies of its input; the
+        # backward rebuilds them from the input
+        rng = np.random.default_rng(211)
+        x = rng.standard_normal((2, 4, 6, 8))
+        params = block_params(*(make_params(rng, 8, 3) for _ in DIRECTIONS))
+        for pair in (("down", "up"), ("right", "left"), ("left",)):
+            _, rec = sweep(x, pair, params)
+            assert rec.saved["x"] is x
+            kept = [v for v in rec.saved.values() if isinstance(v, np.ndarray)]
+            assert max(v.size for v in kept) <= x.size, pair
+
+
 class TestCouple:
     """Opposite sweeps of one axis are coupled by channel concatenation."""
 
@@ -278,7 +291,7 @@ class TestCouple:
         params = make_block_params(rng, 2 * 2 * 3, 5)
         out, rec = renet_block(rng.standard_normal((2, 8, 8, 3)), params)
         assert out.shape == (2, 4, 4, 10)
-        assert rec.saved["horizontal"].saved["in_shape"] == (2, 4, 4, 10)  # vertical pair
+        assert rec.saved["horizontal"].saved["x"].shape == (2, 4, 4, 10)  # vertical pair
 
     def test_layout_first_then_second(self):
         rng = np.random.default_rng(139)
